@@ -83,7 +83,7 @@ def _parse_form(text: str) -> qzforms.SkewForm:
     try:
         group = make_group(obj["group"])
         gram = [[QmodZ.parse(entry) for entry in row] for row in obj["gram"]]
-    except (KeyError, TypeError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise InputError(f"bad form spec: {ex}") from ex
     return qzforms.SkewForm(group, gram)
 
@@ -235,7 +235,7 @@ def _cmd_pgl(args) -> dict:
         }
     h = _pgl_subgroup(args)
     if act == "depth":
-        return {"depth": heisenberg.depth(h, args.enum_limit)}
+        return {"depth": heisenberg.depth(h)}
     if act == "toral":
         return {"toral": heisenberg.is_toral(h)}
     if act == "alpha":

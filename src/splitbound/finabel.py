@@ -113,6 +113,8 @@ class QmodZ:
 
     @classmethod
     def parse(cls, text: str) -> "QmodZ":
+        if not isinstance(text, str):
+            raise TypeError(f"Q/Z literal must be a 'num/den' string, not {text!r}")
         num, _, den = text.partition("/")
         return cls(int(num), int(den) if den else 1)
 

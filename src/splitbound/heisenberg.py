@@ -18,6 +18,7 @@ negate exponents; nothing in this package depends on the choice.
 from __future__ import annotations
 
 from itertools import product
+from math import isqrt
 
 from .errors import (
     AmbientMismatchError,
@@ -25,8 +26,15 @@ from .errors import (
     NotPGroupError,
     NotScalarError,
 )
-from .finabel import Element, FinAbGroup, QmodZ, dual_group, eval_character
-from .qzforms import SkewForm, max_isotropic
+from .finabel import (
+    Element,
+    FinAbGroup,
+    QmodZ,
+    _factorize,
+    dual_group,
+    eval_character,
+)
+from .qzforms import SkewForm, radical
 
 __all__ = [
     "MonomialMatrix",
@@ -242,11 +250,13 @@ class PglSubgroup:
 
     The abstract-group identification (a FinAbGroup plus a basis of
     projective elements realizing its invariant factors) is computed by
-    closure and cyclic peeling; abelianness in PGL is certified by scalar
-    commutators of lifts, never by commuting lifts.
+    closure and cyclic peeling unless the constructor is given it;
+    abelianness in PGL is certified by scalar commutators of lifts, never
+    by commuting lifts.  Element and coordinate tables are built only on
+    request.
     """
 
-    def __init__(self, generators, _ident=None):
+    def __init__(self, generators, _abstract=None):
         gens = list(generators)
         if not gens:
             raise AmbientMismatchError("need at least one generator (use phi(0, 0))")
@@ -256,14 +266,15 @@ class PglSubgroup:
                 raise AmbientMismatchError("generators over different index groups")
         self.index_group = group
         self.generators = gens
+        self._abstract = _abstract  # (abstract FinAbGroup, basis ProjectiveElements)
         self._elements = None
-        self._ident = _ident  # (abstract FinAbGroup, basis ProjectiveElements, coords dict)
+        self._coords = None
 
     def elements(self) -> dict:
         """Canonical-key -> ProjectiveElement closure of the generators."""
         if self._elements is None:
-            if self._ident is not None and len(self._ident) == 4:
-                self._elements = self._ident[3]
+            if self._abstract is not None:
+                self._tabulate()
             else:
                 one = ProjectiveElement(identity_matrix(self.index_group))
                 seen = {one.key: one}
@@ -282,6 +293,8 @@ class PglSubgroup:
 
     @property
     def order(self) -> int:
+        if self._abstract is not None:
+            return self._abstract[0].order
         return len(self.elements())
 
     def certify_abelian(self) -> None:
@@ -296,7 +309,7 @@ class PglSubgroup:
 
     def abstract(self):
         """(FinAbGroup, basis ProjectiveElements matching its invariants)."""
-        if self._ident is None:
+        if self._abstract is None:
             self.certify_abelian()
             elems = self.elements()
             basis_desc = _peel_basis(elems)
@@ -304,35 +317,47 @@ class PglSubgroup:
             group = FinAbGroup(list(reversed(orders)))
             assert group.invariants == tuple(reversed(orders)), "orders form a chain"
             basis = [pe for _, pe in reversed(basis_desc)]
-            self._ident = (group, basis, None)
-        return self._ident[0], self._ident[1]
+            self._abstract = (group, basis)
+        return self._abstract
 
     def coords_table(self) -> dict:
         """Canonical key -> abstract coordinates, built from the basis."""
+        if self._coords is None:
+            self._tabulate()
+        return self._coords
+
+    def _tabulate(self) -> None:
+        """Coordinate table, and the element table if none exists yet, from
+        products of basis powers."""
         group, basis = self.abstract()
-        if self._ident[2] is None:
-            table = {}
-            one = ProjectiveElement(identity_matrix(self.index_group))
-            pows = []
-            for b, d in zip(basis, group.invariants):
-                row = [one]
-                for _ in range(d - 1):
-                    row.append(row[-1] * b)
-                pows.append(row)
-            for cs in product(*(range(d) for d in group.invariants)):
-                pe = one
-                for c, row in zip(cs, pows):
-                    if c:
-                        pe = pe * row[c]
-                table[pe.key] = cs
-            assert len(table) == self.order, "basis must span the closure"
-            self._ident = (group, basis, table) + self._ident[3:]
-        return self._ident[2]
+        one = ProjectiveElement(identity_matrix(self.index_group))
+        pows = []
+        for b, d in zip(basis, group.invariants):
+            row = [one]
+            for _ in range(d - 1):
+                row.append(row[-1] * b)
+            pows.append(row)
+        coords = {}
+        elems = {}
+        for cs in product(*(range(d) for d in group.invariants)):
+            pe = one
+            for c, row in zip(cs, pows):
+                if c:
+                    pe = pe * row[c]
+            coords[pe.key] = cs
+            elems[pe.key] = pe
+        assert len(coords) == group.order, "basis products must be distinct"
+        if self._elements is None:
+            self._elements = elems
+        assert coords.keys() == self._elements.keys(), "basis must span the closure"
+        self._coords = coords
 
 
 def phi_image(a: FinAbGroup) -> PglSubgroup:
     """The subgroup phi(A x A*) with its natural coordinates: abstract
-    group and generator slots exactly as in qzforms.standard_module."""
+    group and generator slots exactly as in qzforms.standard_module.
+    Only the 2k basis elements are built; the |A|^2 element and
+    coordinate tables wait until elements() or coords_table() is called."""
     dual = dual_group(a)
     doubled = []
     for d in a.invariants:
@@ -344,20 +369,8 @@ def phi_image(a: FinAbGroup) -> PglSubgroup:
         unit = tuple(int(t == i) for t in range(k))
         basis.append(phi(a.element(unit), dual.zero()))
         basis.append(phi(a.zero(), dual.element(unit)))
-    table = {}
-    elems = {}
-    for ac in product(*(range(d) for d in a.invariants)):
-        for cc in product(*(range(d) for d in a.invariants)):
-            pe = phi(a.element(ac), dual.element(cc))
-            coords = [0] * (2 * k)
-            coords[0::2] = ac
-            coords[1::2] = cc
-            table[pe.key] = tuple(coords)
-            elems[pe.key] = pe
-    assert len(table) == a.order ** 2, "phi is injective on A x A*"
     gens = basis if basis else [phi(a.zero(), dual.zero())]
-    sub = PglSubgroup(gens, _ident=(abstract, basis, table, elems))
-    return sub
+    return PglSubgroup(gens, _abstract=(abstract, basis))
 
 
 def _peel_basis(elems: dict) -> list[tuple[int, object]]:
@@ -460,28 +473,24 @@ def is_toral(h: PglSubgroup) -> bool:
     return alpha_form(h).is_zero()
 
 
-def depth(h: PglSubgroup, limit: int | None = None) -> int:
+def depth(h: PglSubgroup) -> int:
     """Index exponent of a largest toral subgroup: log_p of |H| over the
-    maximal isotropic order of the commutator pairing."""
+    maximal isotropic order of the commutator pairing alpha_H.
+
+    H / Rad(alpha_H) is a nondegenerate symplectic module, so it has
+    Lagrangians of order sqrt|H / Rad| and every maximal isotropic
+    subgroup contains the radical.  Hence depth = log_p sqrt(|H| / |Rad|),
+    read off one Smith normal form; no subgroup is enumerated (the test
+    suite checks it against exhaustive isotropic search).
+    """
     order = h.order
     if order == 1:
         return 0
-    fact = {}
-    m = order
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            fact[p] = fact.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        fact[m] = fact.get(m, 0) + 1
+    fact = _factorize(order)
     if len(fact) != 1:
         raise NotPGroupError(f"|H| = {order} is not a prime power")
     (p, _e), = fact.items()
-    w = alpha_form(h)
-    mi = max_isotropic(w, limit)
-    ratio = order // mi.order
+    ratio = isqrt(order // radical(alpha_form(h)).order)
     d = 0
     while ratio > 1:
         assert ratio % p == 0

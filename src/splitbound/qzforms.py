@@ -24,6 +24,7 @@ from .finabel import (
     FinAbGroup,
     QmodZ,
     Subgroup,
+    _check_limit,
     _snf_with_transforms,
     iter_subgroup_bases,
     quotient,
@@ -267,14 +268,16 @@ def _isotropic_basis(w: SkewForm, basis) -> bool:
 
 def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
     """Largest isotropic order, a canonical witness, and every isomorphism
-    type occurring at that order (each exactly once)."""
+    type occurring at that order (each exactly once).
+
+    The order is sqrt(|H| * |Rad w|): every maximal isotropic subgroup
+    contains the radical, and the nondegenerate module H / Rad has
+    Lagrangians of order sqrt|H / Rad| (Wall, Topology 2, 1963).  One pass
+    over the subgroups finds the witness (least canonical basis) and the
+    types at that order.
+    """
     g = w.group
-    best = 0
-    for order, basis in _iter_bases_with_order(w, limit):
-        if order <= best:
-            continue
-        if _isotropic_basis(w, basis):
-            best = order
+    best = isqrt(g.order * radical(w).order)
     witness_basis = None
     types = set()
     for order, basis in _iter_bases_with_order(w, limit):
@@ -385,6 +388,8 @@ class _Workspace:
 
 
 def _workspace(w: SkewForm, limit) -> _Workspace:
+    # the cached workspace was built under an earlier call's limit
+    _check_limit(w.group.order, limit)
     if w._ws is None:
         w._ws = _Workspace(w, limit)
     return w._ws

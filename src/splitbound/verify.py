@@ -103,7 +103,9 @@ def subquot_profile(invariants: tuple[int, ...]):
 
 
 def random_group(rng: random.Random, max_order: int) -> FinAbGroup:
-    types = _RANDOM_TYPES.setdefault(max_order, list(iter_abelian_types(max_order)))
+    types = _RANDOM_TYPES.get(max_order)
+    if types is None:
+        types = _RANDOM_TYPES[max_order] = list(iter_abelian_types(max_order))
     return make_group(rng.choice(types))
 
 

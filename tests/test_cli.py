@@ -57,10 +57,25 @@ def test_golden_thm13():
 
 
 def test_byte_determinism():
+    # a rank-2 Gram matrix on group [4]: the invalid-form error
     args = ["form", "max-isotropic", "--form",
             '{"group": [4], "gram": [["0/1", "3/4"], ["1/4", "0/1"]]}']
     outs = {invoke(args)[1] for _ in range(3)}
     assert len(outs) == 1
+    # the standard module on [4]: a max-isotropic answer
+    args = ["form", "max-isotropic", "--form",
+            '{"group": [4, 4], "gram": [["0/1", "3/4"], ["1/4", "0/1"]]}']
+    runs = {invoke(args)[:2] for _ in range(3)}
+    assert len(runs) == 1
+    (code, out), = runs
+    assert code == 0 and json.loads(out)["order"] == 4
+
+
+def test_depth_above_enum_limit():
+    # depth reads the radical, so order 2^14 > 4096 is answered
+    code, out, _ = invoke(["pgl", "depth", "--group", "2,2,2,2,2,2,2"])
+    assert code == 0
+    assert out == '{"depth": 7}\n'
 
 
 # -- schema conformance -----------------------------------------------------------
@@ -228,6 +243,12 @@ def test_error_exit_codes():
     code, out, _ = invoke(["group", "char", "4", "--chi", "bogus", "--a", "(1)"])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "input"
+
+    for entry in ('"0/0"', "0"):
+        form = '{"group": [2, 2], "gram": [[%s, "1/2"], ["1/2", "0/1"]]}' % entry
+        code, out, _ = invoke(["form", "max-isotropic", "--form", form])
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input"
 
 
 def test_usage_error_exit_2():

@@ -1,9 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
 from splitbound.errors import NotAbelianInPglError, NotPGroupError, NotScalarError
-from splitbound.finabel import QmodZ, dual_group, eval_character, make_group
+from splitbound.finabel import (
+    QmodZ,
+    _factorize,
+    dual_group,
+    enumerate_subgroups,
+    eval_character,
+    make_group,
+)
 from splitbound.heisenberg import (
     MonomialMatrix,
     PglSubgroup,
@@ -19,7 +27,7 @@ from splitbound.heisenberg import (
     phi_image,
     scalar_exponent,
 )
-from splitbound.qzforms import is_nondegenerate, standard_module
+from splitbound.qzforms import is_isotropic, is_nondegenerate, standard_module
 from splitbound.verify import iter_abelian_types
 
 
@@ -215,6 +223,61 @@ def test_depth_upper_bound_over_subgroups():
             gens = [rng.choice(elems) for _ in range(rng.randrange(1, 4))]
             h = PglSubgroup(gens)
             assert depth(h) <= r
+
+
+def test_depth_matches_exhaustive_search():
+    # radical-based depth vs log_p(|H| / largest isotropic order found by
+    # enumerating every subgroup), for random generated subgroups, |A| <= 9
+    rng = random.Random(31)
+    checked = 0
+    for inv in iter_abelian_types(9):
+        a = make_group(inv)
+        dual = dual_group(a)
+        for _ in range(12):
+            gens = [
+                phi(
+                    a.element(tuple(rng.randrange(d) for d in a.invariants)),
+                    dual.element(tuple(rng.randrange(d) for d in a.invariants)),
+                )
+                for _ in range(rng.randrange(1, 4))
+            ]
+            h = PglSubgroup(gens)
+            fact = _factorize(h.order)
+            if len(fact) > 1:
+                with pytest.raises(NotPGroupError):
+                    depth(h)
+                continue
+            w = alpha_form(h)
+            best = max(s.order for s in enumerate_subgroups(w.group) if is_isotropic(w, s))
+            ratio, want = h.order // best, 0
+            while ratio > 1:
+                ratio //= min(fact)
+                want += 1
+            assert depth(h) == want, (inv, gens)
+            checked += 1
+    assert checked > 100
+
+
+def test_phi_image_tables_match_eager_table():
+    # lazily built tables equal the key -> interleaved (a, chi) coordinates
+    # of phi(a, chi) over all of A x A*, every |A| <= 16
+    for inv in iter_abelian_types(16):
+        a = make_group(inv)
+        dual = dual_group(a)
+        h = phi_image(a)
+        assert h.order == a.order ** 2
+        assert h._elements is None and h._coords is None
+        eager = {}
+        for ac in product(*(range(d) for d in a.invariants)):
+            for cc in product(*(range(d) for d in a.invariants)):
+                coords = [0] * (2 * a.rank)
+                coords[0::2] = ac
+                coords[1::2] = cc
+                eager[phi(a.element(ac), dual.element(cc)).key] = tuple(coords)
+        assert h.coords_table() == eager
+        elems = h.elements()
+        assert elems.keys() == eager.keys()
+        assert all(pe.key == key for key, pe in elems.items())
 
 
 def test_generic_peeling_matches_natural_coordinates():

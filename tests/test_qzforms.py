@@ -3,17 +3,20 @@ import pytest
 from splitbound.errors import (
     AmbientMismatchError,
     DegenerateFormError,
+    EnumerationBoundError,
     InvalidFormError,
     PreconditionError,
 )
 from splitbound.finabel import (
     QmodZ,
+    Subgroup,
     enumerate_subgroups,
     make_group,
     quotient,
     subgroup_from_generators,
 )
 from splitbound.qzforms import (
+    MaxIsotropic,
     SkewForm,
     evaluate,
     is_isotropic,
@@ -37,6 +40,46 @@ def base_lagrangian(w):
     k = g.rank // 2
     gens = [g.element(tuple(int(t == 2 * i) for t in range(2 * k))) for i in range(k)]
     return subgroup_from_generators(g, gens)
+
+
+def max_isotropic_oracle(w):
+    """Two-pass exhaustive search: the largest isotropic order, then the
+    least canonical basis and every type at that order."""
+    from splitbound.qzforms import _isotropic_basis, _iter_bases_with_order
+
+    g = w.group
+    best = 0
+    for order, basis in _iter_bases_with_order(w, None):
+        if order > best and _isotropic_basis(w, basis):
+            best = order
+    witness_basis = None
+    types = set()
+    for order, basis in _iter_bases_with_order(w, None):
+        if order != best or not _isotropic_basis(w, basis):
+            continue
+        if witness_basis is None or basis < witness_basis:
+            witness_basis = basis
+        types.add(Subgroup(g, basis).sub_invariants)
+    return MaxIsotropic(best, Subgroup(g, witness_basis), sorted(types))
+
+
+def random_form(rng, g):
+    """Alternating form with uniform entries; about one in three also has a
+    zeroed generator row, so degenerate forms occur on every rank."""
+    from math import gcd as _gcd
+
+    k = g.rank
+    gram = [[QmodZ.zero()] * k for _ in range(k)]
+    dead = rng.randrange(k) if k and rng.randrange(3) == 0 else None
+    for i in range(k):
+        for j in range(i + 1, k):
+            if dead in (i, j):
+                continue
+            cap = _gcd(g.invariants[i], g.invariants[j])
+            v = QmodZ(rng.randrange(cap), cap)
+            gram[i][j] = v
+            gram[j][i] = -v
+    return SkewForm(g, gram)
 
 
 def brute_radical(w):
@@ -207,6 +250,31 @@ def test_max_isotropic():
     assert max_isotropic(z).order == 4
 
 
+def test_max_isotropic_matches_oracle_on_standard_modules():
+    # order sqrt(|H| |Rad|), witness and types against exhaustive search,
+    # every standard module of order <= 256
+    for inv in iter_abelian_types(16):
+        w = standard_module(make_group(inv))
+        assert max_isotropic(w) == max_isotropic_oracle(w), inv
+
+
+def test_max_isotropic_matches_oracle_on_random_forms():
+    import random
+
+    rng = random.Random(23)
+    degenerate = nondegenerate = 0
+    for inv in iter_abelian_types(64):
+        g = make_group(inv)
+        for _ in range(6):
+            w = random_form(rng, g)
+            if is_nondegenerate(w):
+                nondegenerate += 1
+            else:
+                degenerate += 1
+            assert max_isotropic(w) == max_isotropic_oracle(w), (inv, w.gram)
+    assert degenerate and nondegenerate, (degenerate, nondegenerate)
+
+
 def test_max_isotropic_square_small():
     for inv in iter_abelian_types(12):
         w = standard_module(make_group(inv))
@@ -308,6 +376,17 @@ def test_isotropic_transfer_errors():
             subgroup_from_generators(make_group([2, 2]), []),
             subgroup_from_generators(make_group([2, 2]), []),
         )
+
+
+def test_isotropic_transfer_checks_limit_on_every_call():
+    # a cached workspace must not let a later, smaller limit through
+    w = standard_module(make_group([2]))
+    g = w.group
+    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    triv = subgroup_from_generators(g, [])
+    isotropic_transfer(w, full, triv)
+    with pytest.raises(EnumerationBoundError):
+        isotropic_transfer(w, full, triv, limit=2)
 
 
 @pytest.mark.parametrize("inv", [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)])
