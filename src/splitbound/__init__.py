@@ -12,6 +12,7 @@ from .errors import (
     NotAbelianInPglError,
     NotPGroupError,
     NotScalarError,
+    OutputBoundError,
     PairingMismatchError,
     PreconditionError,
     SplitboundError,
@@ -58,6 +59,7 @@ from .heisenberg import (
     perm_matrix,
     phi,
     phi_image,
+    phi_span,
     scalar_exponent,
 )
 from .f2quad import (

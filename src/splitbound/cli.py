@@ -201,7 +201,7 @@ def _pgl_subgroup(args) -> heisenberg.PglSubgroup:
     a = _parse_group(args.group)
     if getattr(args, "elements", None):
         dual = dual_group(a)
-        gens = []
+        pairs = []
         for part in args.elements.split(";"):
             part = part.strip()
             if not part:
@@ -209,14 +209,12 @@ def _pgl_subgroup(args) -> heisenberg.PglSubgroup:
             if not (part.startswith("(") and part.endswith(")")) or "|" not in part:
                 raise InputError(f"pgl element literal must be '(a|chi)': {part!r}")
             left, right = part[1:-1].split("|", 1)
-            gens.append(
-                heisenberg.phi(
-                    _parse_element(a, f"({left})"), _parse_element(dual, f"({right})")
-                )
+            pairs.append(
+                (_parse_element(a, f"({left})"), _parse_element(dual, f"({right})"))
             )
-        if not gens:
+        if not pairs:
             raise InputError("no generators given")
-        return heisenberg.PglSubgroup(gens)
+        return heisenberg.phi_span(a, pairs)
     return heisenberg.phi_image(a)
 
 

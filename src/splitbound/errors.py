@@ -44,6 +44,13 @@ class EnumerationBoundError(SplitboundError):
         self.bound = bound
 
 
+class OutputBoundError(SplitboundError):
+    """A result would have more decimal digits than the interpreter's
+    int-to-str limit (sys.get_int_max_str_digits()) lets it print."""
+
+    kind = "output-bound"
+
+
 class PreconditionError(SplitboundError):
     """An operation's stated hypothesis does not hold for the input."""
 

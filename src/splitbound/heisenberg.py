@@ -1,14 +1,20 @@
-"""Monomial-matrix model of abelian subgroups of PGL_n.
+"""Abelian subgroups of PGL_n inside phi(A x A*), held as lattices.
 
 The index set of an n x n monomial matrix is the element list of a finite
 abelian group A (lexicographic coordinate order, n = |A|); roots of unity
 are stored as exponent residues modulo N = exponent(A), so every product,
 inverse and commutator is exact.  P_a is translation by a, D_chi the
-character diagonal, and phi(a, chi) the image of P_a D_chi in PGL(V).
+character diagonal, and phi(a, chi) the image of P_a D_chi in PGL(k[A]).
 
-The commutator of two lifts of commuting projective elements is a scalar
-matrix; reading off its exponent gives the alternating pairing that
-detects torality and drives the depth computation.
+phi is an injective homomorphism A x A* -> PGL(k[A]), and the commutator
+of lifts of phi(a, chi) and phi(b, mu) is the scalar chi(b) - mu(a).  So a
+subgroup H of the image is the image of one lattice S <= A x A*, and its
+commutator pairing alpha_H is the standard module restricted to S (Wall,
+"Quadratic forms on finite groups", Topology 2, 1963).  A PglSubgroup is
+that lattice: order, alpha_H, torality and depth are lattice algebra.
+Matrices serve `pgl element` and verification only: the element and
+coordinate tables, and the commutator Gram that the isometry suite
+compares with alpha_H.
 
 Convention: the residue d mod N stands for the root of unity
 exp(2*pi*i*d/N).  A consumer preferring the inverse identification must
@@ -30,11 +36,14 @@ from .finabel import (
     Element,
     FinAbGroup,
     QmodZ,
+    Subgroup,
     _factorize,
     dual_group,
     eval_character,
+    full_subgroup,
+    subgroup_from_generators,
 )
-from .qzforms import SkewForm, radical
+from .qzforms import SkewForm, radical, restrict, standard_module
 
 __all__ = [
     "MonomialMatrix",
@@ -44,6 +53,7 @@ __all__ = [
     "diag_matrix",
     "phi",
     "phi_image",
+    "phi_span",
     "commutator",
     "scalar_exponent",
     "alpha_form",
@@ -96,10 +106,6 @@ class MonomialMatrix:
     @property
     def modulus(self) -> int:
         return _IndexTable.of(self.group).modulus
-
-    @property
-    def size(self) -> int:
-        return len(self.perm)
 
     def _check(self, other: "MonomialMatrix") -> None:
         if self.group != other.group:
@@ -212,19 +218,8 @@ class ProjectiveElement:
     def __mul__(self, other: "ProjectiveElement") -> "ProjectiveElement":
         return ProjectiveElement(self.lift * other.lift)
 
-    def inverse(self) -> "ProjectiveElement":
-        return ProjectiveElement(self.lift.inverse())
-
     def is_identity(self) -> bool:
         return self.canonical_lift().is_identity()
-
-    def order(self) -> int:
-        cur = self
-        t = 1
-        while not cur.is_identity():
-            cur = cur * self
-            t += 1
-        return t
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -245,90 +240,132 @@ def phi(a: Element, chi: Element) -> ProjectiveElement:
     return ProjectiveElement(perm_matrix(a) * diag_matrix(chi))
 
 
-class PglSubgroup:
-    """Finite subgroup of PGL_n given by projective generators.
+def _interleave(a_coords, chi_coords) -> list[int]:
+    """(a, chi) in the generator slots of standard_module(A).group."""
+    coords = [0] * (2 * len(a_coords))
+    coords[0::2] = a_coords
+    coords[1::2] = chi_coords
+    return coords
 
-    The abstract-group identification (a FinAbGroup plus a basis of
-    projective elements realizing its invariant factors) is computed by
-    closure and cyclic peeling unless the constructor is given it;
-    abelianness in PGL is certified by scalar commutators of lifts, never
-    by commuting lifts.  Element and coordinate tables are built only on
-    request.
+
+def _decode(pe: ProjectiveElement) -> list[int] | None:
+    """Interleaved (a, chi) coordinates of pe, or None if pe is not in
+    phi(A x A*).  a is where P_a sends index 0; chi(e_i) is the difference
+    of the diagonal at e_i and at 0, which no scalar changes."""
+    a = pe.lift.group
+    table = _IndexTable.of(a)
+    perm, norm = pe.key
+    n = table.modulus
+    x = a.element(table.coords[perm[0]])
+    chi = []
+    for i, d in enumerate(a.invariants):
+        unit = tuple(int(t == i) for t in range(a.rank))
+        v = (norm[table.index[unit]] - norm[0]) % n
+        if v % (n // d):
+            return None
+        chi.append(v // (n // d))
+    if phi(x, dual_group(a).element(chi)).key != pe.key:
+        return None
+    return _interleave(x.coords, chi)
+
+
+# perfbench/tracing.py wraps this name as its "heisenberg.peel" span (the
+# identification of a subgroup from projective generators); the name stays
+# until that span list changes.
+_peel_basis = _decode
+
+
+def _span(a: FinAbGroup, points) -> Subgroup:
+    """Lattice spanned by interleaved (a, chi) coordinates in A x A*."""
+    ambient = standard_module(a).group
+    return subgroup_from_generators(ambient, [ambient.element(c) for c in points])
+
+
+def _certify_abelian(lifts) -> None:
+    """All pairwise commutators of the lifts must be scalar."""
+    for i in range(len(lifts)):
+        for j in range(i + 1, len(lifts)):
+            if not commutator(lifts[i], lifts[j]).is_scalar():
+                raise NotAbelianInPglError("generator commutator is not a scalar matrix")
+
+
+class PglSubgroup:
+    """Subgroup H of phi(A x A*) in PGL(k[A]), held as the lattice S of
+    A x A* it is the image of: `lattice` is a Subgroup of
+    standard_module(A).group, slots interleaved (a_1, chi_1, a_2, ...).
+
+    The constructor decodes projective generators into (a, chi)
+    coordinates; a generator outside phi(A x A*) raises
+    AmbientMismatchError (NotAbelianInPglError first if the generator
+    lifts do not even commute projectively).  phi_span and phi_image start
+    from coordinates and build no matrix.  The basis lifts and the element
+    and coordinate tables exist for verification and are built on request.
     """
 
-    def __init__(self, generators, _abstract=None):
+    def __init__(self, generators):
         gens = list(generators)
         if not gens:
             raise AmbientMismatchError("need at least one generator (use phi(0, 0))")
         group = gens[0].lift.group
+        points = []
         for g in gens:
             if g.lift.group != group:
                 raise AmbientMismatchError("generators over different index groups")
+            coords = _decode(g)
+            if coords is None:
+                _certify_abelian([pe.lift for pe in gens])
+                raise AmbientMismatchError("generator is not in phi(A x A*)")
+            points.append(coords)
+        self._set(group, _span(group, points))
+
+    @classmethod
+    def _of(cls, group: FinAbGroup, lattice: Subgroup) -> "PglSubgroup":
+        h = cls.__new__(cls)
+        h._set(group, lattice)
+        return h
+
+    def _set(self, group: FinAbGroup, lattice: Subgroup) -> None:
         self.index_group = group
-        self.generators = gens
-        self._abstract = _abstract  # (abstract FinAbGroup, basis ProjectiveElements)
+        self.lattice = lattice
+        self._abstract = None  # (abstract FinAbGroup, basis ProjectiveElements)
         self._elements = None
         self._coords = None
 
-    def elements(self) -> dict:
-        """Canonical-key -> ProjectiveElement closure of the generators."""
-        if self._elements is None:
-            if self._abstract is not None:
-                self._tabulate()
-            else:
-                one = ProjectiveElement(identity_matrix(self.index_group))
-                seen = {one.key: one}
-                frontier = [one]
-                while frontier:
-                    nxt = []
-                    for pe in frontier:
-                        for g in self.generators:
-                            cand = pe * g
-                            if cand.key not in seen:
-                                seen[cand.key] = cand
-                                nxt.append(cand)
-                    frontier = nxt
-                self._elements = seen
-        return self._elements
-
     @property
     def order(self) -> int:
-        if self._abstract is not None:
-            return self._abstract[0].order
-        return len(self.elements())
-
-    def certify_abelian(self) -> None:
-        """All pairwise commutators of generator lifts must be scalar."""
-        gens = self.generators
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if not commutator(gens[i].lift, gens[j].lift).is_scalar():
-                    raise NotAbelianInPglError(
-                        "generator commutator is not a scalar matrix"
-                    )
+        return self.lattice.order
 
     def abstract(self):
-        """(FinAbGroup, basis ProjectiveElements matching its invariants)."""
+        """(FinAbGroup, basis ProjectiveElements): the invariants of S and
+        phi of S.canonical_basis(), whose orders match them."""
         if self._abstract is None:
-            self.certify_abelian()
-            elems = self.elements()
-            basis_desc = _peel_basis(elems)
-            orders = [o for o, _ in basis_desc]
-            group = FinAbGroup(list(reversed(orders)))
-            assert group.invariants == tuple(reversed(orders)), "orders form a chain"
-            basis = [pe for _, pe in reversed(basis_desc)]
-            self._abstract = (group, basis)
+            a = self.index_group
+            dual = dual_group(a)
+            basis = [
+                phi(a.element(e.coords[0::2]), dual.element(e.coords[1::2]))
+                for e in self.lattice.canonical_basis()
+            ]
+            self._abstract = (FinAbGroup(self.lattice.sub_invariants), basis)
         return self._abstract
 
+    def certify_abelian(self) -> None:
+        """Matrix check that the basis lifts commute projectively."""
+        _certify_abelian([pe.lift for pe in self.abstract()[1]])
+
+    def elements(self) -> dict:
+        """Canonical key -> ProjectiveElement, every element of H."""
+        if self._elements is None:
+            self._tabulate()
+        return self._elements
+
     def coords_table(self) -> dict:
-        """Canonical key -> abstract coordinates, built from the basis."""
+        """Canonical key -> abstract coordinates over the basis."""
         if self._coords is None:
             self._tabulate()
         return self._coords
 
     def _tabulate(self) -> None:
-        """Coordinate table, and the element table if none exists yet, from
-        products of basis powers."""
+        """Element and coordinate tables from products of basis powers."""
         group, basis = self.abstract()
         one = ProjectiveElement(identity_matrix(self.index_group))
         pows = []
@@ -347,125 +384,34 @@ class PglSubgroup:
             coords[pe.key] = cs
             elems[pe.key] = pe
         assert len(coords) == group.order, "basis products must be distinct"
-        if self._elements is None:
-            self._elements = elems
-        assert coords.keys() == self._elements.keys(), "basis must span the closure"
+        self._elements = elems
         self._coords = coords
 
 
-def phi_image(a: FinAbGroup) -> PglSubgroup:
-    """The subgroup phi(A x A*) with its natural coordinates: abstract
-    group and generator slots exactly as in qzforms.standard_module.
-    Only the 2k basis elements are built; the |A|^2 element and
-    coordinate tables wait until elements() or coords_table() is called."""
+def phi_span(a: FinAbGroup, pairs) -> PglSubgroup:
+    """The subgroup generated by phi(x, chi) for (x, chi) in pairs, as the
+    lattice their coordinates span; no matrix is built."""
     dual = dual_group(a)
-    doubled = []
-    for d in a.invariants:
-        doubled.extend((d, d))
-    abstract = FinAbGroup(doubled)
-    k = a.rank
-    basis = []
-    for i in range(k):
-        unit = tuple(int(t == i) for t in range(k))
-        basis.append(phi(a.element(unit), dual.zero()))
-        basis.append(phi(a.zero(), dual.element(unit)))
-    gens = basis if basis else [phi(a.zero(), dual.zero())]
-    return PglSubgroup(gens, _abstract=(abstract, basis))
+    points = []
+    for x, chi in pairs:
+        if x.group != a or chi.group != dual:
+            raise AmbientMismatchError("generator coordinates from a different group")
+        points.append(_interleave(x.coords, chi.coords))
+    return PglSubgroup._of(a, _span(a, points))
 
 
-def _peel_basis(elems: dict) -> list[tuple[int, object]]:
-    """Invariant-factor basis (orders descending) of a finite abelian group
-    of projective elements, by peeling off a maximal-order cyclic factor."""
-    keys = sorted(elems)
-    pes = elems
-
-    def mul(k1, k2):
-        return (pes[k1] * pes[k2]).key
-
-    one_key = next(k for k in keys if pes[k].is_identity())
-
-    def rec(universe, mulf, onek, lift_of):
-        # universe: sorted keys of the current quotient; lift_of: key -> pe
-        if len(universe) == 1:
-            return []
-        orders = {}
-        for kk in universe:
-            t = 1
-            cur = kk
-            while cur != onek:
-                cur = mulf(cur, kk)
-                t += 1
-            orders[kk] = t
-        nmax = max(orders.values())
-        x1 = min(kk for kk in universe if orders[kk] == nmax)
-        pows = {}
-        cur = onek
-        for t in range(nmax):
-            pows[cur] = t
-            cur = mulf(cur, x1)
-        rep = {}
-        for kk in universe:
-            if kk in rep:
-                continue
-            members = []
-            cur = kk
-            for _ in range(nmax):
-                members.append(cur)
-                cur = mulf(cur, x1)
-            canon = min(members)
-            for m in members:
-                rep[m] = canon
-        q_universe = sorted(set(rep.values()))
-        q_one = rep[onek]
-
-        def q_mul(k1, k2):
-            return rep[mulf(k1, k2)]
-
-        sub = rec(q_universe, q_mul, q_one, lift_of)
-        x1_inv_w = {}
-
-        def x1_power(t):
-            t %= nmax
-            cur, kk = 0, onek
-            while cur < t:
-                kk = mulf(kk, x1)
-                cur += 1
-            return kk
-
-        out = [(nmax, x1)]
-        for t_ord, rkey in sub:
-            # rkey^t_ord lies in <x1>; divide out the excess x1 part
-            cur = rkey
-            for _ in range(t_ord - 1):
-                cur = mulf(cur, rkey)
-            c = pows[cur]
-            assert c % t_ord == 0
-            w = c // t_ord
-            adj = x1_power((nmax - w) % nmax)
-            lifted = mulf(rkey, adj)
-            out.append((t_ord, lifted))
-        return out
-
-    flat = rec(keys, mul, one_key, pes)
-    return [(o, pes[k]) for o, k in flat]
+def phi_image(a: FinAbGroup) -> PglSubgroup:
+    """The whole of phi(A x A*).  Its lattice is all of A x A*, whose
+    canonical basis is the unit basis, so the abstract group and generator
+    slots are exactly those of qzforms.standard_module(a)."""
+    return PglSubgroup._of(a, full_subgroup(standard_module(a).group))
 
 
 def alpha_form(h: PglSubgroup) -> SkewForm:
-    """Commutator pairing on the abstract group of H: entry (i, j) is the
-    scalar exponent of the commutator of the basis lifts."""
-    h.certify_abelian()
-    group, basis = h.abstract()
-    k = group.rank
-    gram = [[None] * k for _ in range(k)]
-    zero = QmodZ.zero()
-    for i in range(k):
-        gram[i][i] = zero
-        for j in range(i + 1, k):
-            c = commutator(basis[i].lift, basis[j].lift)
-            v = scalar_exponent(c)
-            gram[i][j] = v
-            gram[j][i] = -v
-    return SkewForm(group, gram)
+    """Commutator pairing alpha_H: the standard module on A x A*
+    restricted to S, Gram on S.canonical_basis().  The isometry suite
+    checks it against the scalar commutators of the basis lifts."""
+    return restrict(standard_module(h.index_group), h.lattice)
 
 
 def is_toral(h: PglSubgroup) -> bool:
@@ -475,13 +421,14 @@ def is_toral(h: PglSubgroup) -> bool:
 
 def depth(h: PglSubgroup) -> int:
     """Index exponent of a largest toral subgroup: log_p of |H| over the
-    maximal isotropic order of the commutator pairing alpha_H.
+    maximal isotropic order of alpha_H.
 
     H / Rad(alpha_H) is a nondegenerate symplectic module, so it has
     Lagrangians of order sqrt|H / Rad| and every maximal isotropic
     subgroup contains the radical.  Hence depth = log_p sqrt(|H| / |Rad|),
-    read off one Smith normal form; no subgroup is enumerated (the test
-    suite checks it against exhaustive isotropic search).
+    read off the lattice S with one Smith normal form; no subgroup is
+    enumerated and no matrix is built (the test suite checks it against
+    exhaustive isotropic search).
     """
     order = h.order
     if order == 1:

@@ -12,13 +12,15 @@ divisibility exponent f_e(r).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log10
 
 from .errors import (
     DegenerateFormError,
     HypothesisViolationError,
+    OutputBoundError,
     PreconditionError,
 )
 from .finabel import Subgroup, _factorize
@@ -83,7 +85,15 @@ def splitting_order_bound(q: ObstructionQuery) -> int:
     """p^{2r-2e-2} divides the order of every splitting group (e <= r-1)."""
     if q.e > q.r - 1:
         raise HypothesisViolationError(f"requires e <= r - 1, got e={q.e}, r={q.r}")
-    return q.p ** max(0, 2 * q.r - 2 * q.e - 2)
+    exp = max(0, 2 * q.r - 2 * q.e - 2)
+    # p**exp has floor(exp * log10 p) + 1 digits (p is no power of 10);
+    # refuse before the power is allocated, not when it is printed
+    limit = sys.get_int_max_str_digits()
+    if limit and exp * log10(q.p) >= limit:
+        raise OutputBoundError(
+            f"p^{exp} has more than {limit} decimal digits (the int-to-str limit)"
+        )
+    return q.p ** exp
 
 
 def _brace_half(t: int) -> int:

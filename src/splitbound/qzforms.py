@@ -25,6 +25,8 @@ from .finabel import (
     QmodZ,
     Subgroup,
     _check_limit,
+    _cokernel_invariants,
+    _lattice_coefficients,
     _snf_with_transforms,
     iter_subgroup_bases,
     quotient,
@@ -396,23 +398,13 @@ def _workspace(w: SkewForm, limit) -> _Workspace:
 
 
 def _subgroup_quotient_type(h1: Subgroup, inner: Subgroup) -> tuple[int, ...]:
-    """Isomorphism type of H1/inner for nested subgroups of a common group."""
-    basis = h1.canonical_basis()
-    a1 = FinAbGroup(h1.sub_invariants)
-    if not basis:
+    """Isomorphism type of H1/inner for nested subgroups of a common group:
+    the cokernel of inner's Hermite rows written over H1's Hermite basis."""
+    if h1.order == 1:
         return ()
-    # coordinates of inner's generators with respect to h1's canonical basis
-    table: dict[tuple, tuple] = {}
-    from itertools import product as iproduct
-
-    for coords in iproduct(*(range(d) for d in a1.invariants)):
-        total = None
-        for c, b in zip(coords, basis):
-            term = c * b
-            total = term if total is None else total + term
-        table[total.coords] = coords
-    gens = [Element(a1, table[e.coords]) for e in inner.elements()]
-    return quotient(a1, subgroup_from_generators(a1, gens)).invariants
+    k = h1.ambient.rank
+    rows = [_lattice_coefficients(h1.basis, row, k) for row in inner.basis]
+    return _cokernel_invariants(rows, k, h1.order // inner.order)
 
 
 def isotropic_transfer(
@@ -433,7 +425,8 @@ def isotropic_transfer(
     g = w.group
     n2 = g.order
     n = isqrt(n2)
-    if n * n != n2 or not is_nondegenerate(w):
+    # a workspace exists only once this check has passed on w
+    if n * n != n2 or (w._ws is None and not is_nondegenerate(w)):
         raise DegenerateFormError("transfer requires a nondegenerate module")
     if h1.ambient != g or iso.ambient != g:
         raise AmbientMismatchError("subgroups of a different group")

@@ -143,18 +143,31 @@ def _conjugate_form(q: f2quad.F2QuadForm, mat: list[int]) -> f2quad.F2QuadForm:
     return f2quad.F2QuadForm(m, rows)
 
 
+def commutator_gram(basis) -> list[list]:
+    """Gram matrix of scalar commutator exponents of the lifts of
+    projective elements, computed with monomial matrices."""
+    return [
+        [heisenberg.scalar_exponent(heisenberg.commutator(x.lift, y.lift)) for y in basis]
+        for x in basis
+    ]
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
 def suite_isometry(seed: int = 0) -> list[Check]:
     def gram_equality():
+        # the matrix model as oracle: scalar commutators of the basis lifts
+        # against the standard module and against the lattice alpha_H
         count = 0
         for inv in iter_abelian_types(8):
             a = make_group(inv)
-            w = heisenberg.alpha_form(heisenberg.phi_image(a))
+            h = heisenberg.phi_image(a)
+            group, basis = h.abstract()
+            w = qzforms.SkewForm(group, commutator_gram(basis))
             sm = qzforms.standard_module(a)
-            if w.group != sm.group or w.gram != sm.gram:
+            if w != sm or heisenberg.alpha_form(h) != w:
                 return False, count
             count += 1
         return True, count

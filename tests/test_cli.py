@@ -78,6 +78,38 @@ def test_depth_above_enum_limit():
     assert out == '{"depth": 7}\n'
 
 
+def test_pgl_depth_beyond_matrix_sizes():
+    # depth is read off the lattice S, so |A| = 2^20 builds no 2^20-sized
+    # matrix and 16 x 16 given as --elements needs no closure
+    code, out, _ = invoke(["pgl", "depth", "--group", "1048576"])
+    assert (code, out) == (0, '{"depth": 20}\n')
+    gens = "(1,0|0,0);(0,1|0,0);(0,0|1,0);(0,0|0,1)"
+    code, out, _ = invoke(["pgl", "depth", "--group", "16,16", "--elements", gens])
+    assert (code, out) == (0, '{"depth": 8}\n')
+
+
+def test_thm13_bound_beyond_the_digit_limit():
+    # p^(2r-2) is refused before it is computed once it has more decimal
+    # digits than the interpreter prints; the largest printable one answers
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", "10000"])
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"]["kind"] == "output-bound"
+    cap = 10 ** limit  # 2^e prints iff 2^e < cap
+    exp = 2
+    while 2 ** (exp + 2) < cap:
+        exp += 2
+    r = exp // 2 + 1
+    code, out, _ = invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", str(r)])
+    assert code == 0 and json.loads(out) == {"bound": 2 ** exp}
+    code, out, _ = invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", str(r + 1)])
+    assert code == 2 and json.loads(out)["error"]["kind"] == "output-bound"
+
+
 # -- schema conformance -----------------------------------------------------------
 
 CASES = [
@@ -131,6 +163,19 @@ CASES = [
 
 @pytest.mark.parametrize("key,argv", CASES, ids=[c[0] for c in CASES])
 def test_schema(key, argv):
+    code, out, _ = invoke(argv)
+    assert code == 0, out
+    check_schema(key, json.loads(out))
+
+
+ELEMENT_CASES = [
+    ("pgl depth", ["pgl", "depth", "--group", "2,4", "--elements", "(1,0|0,1);(0,1|1,2)"]),
+    ("pgl alpha", ["pgl", "alpha", "--group", "2,4", "--elements", "(1,0|0,1);(0,1|1,2)"]),
+]
+
+
+@pytest.mark.parametrize("key,argv", ELEMENT_CASES, ids=[c[0] for c in ELEMENT_CASES])
+def test_schema_with_elements(key, argv):
     code, out, _ = invoke(argv)
     assert code == 0, out
     check_schema(key, json.loads(out))

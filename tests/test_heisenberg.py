@@ -3,7 +3,13 @@ from itertools import product
 
 import pytest
 
-from splitbound.errors import NotAbelianInPglError, NotPGroupError, NotScalarError
+from splitbound.errors import (
+    AmbientMismatchError,
+    NotAbelianInPglError,
+    NotPGroupError,
+    NotScalarError,
+    SplitboundError,
+)
 from splitbound.finabel import (
     QmodZ,
     _factorize,
@@ -25,10 +31,35 @@ from splitbound.heisenberg import (
     perm_matrix,
     phi,
     phi_image,
+    phi_span,
     scalar_exponent,
 )
-from splitbound.qzforms import is_isotropic, is_nondegenerate, standard_module
-from splitbound.verify import iter_abelian_types
+from splitbound.qzforms import (
+    SkewForm,
+    is_isotropic,
+    is_nondegenerate,
+    radical,
+    standard_module,
+)
+from splitbound.verify import commutator_gram, iter_abelian_types
+
+
+def matrix_closure(gens):
+    """Reference model: canonical key -> ProjectiveElement for every
+    product of the generators, by breadth-first search over matrices."""
+    one = ProjectiveElement(identity_matrix(gens[0].lift.group))
+    seen = {one.key: one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for pe in frontier:
+            for g in gens:
+                cand = pe * g
+                if cand.key not in seen:
+                    seen[cand.key] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return seen
 
 
 def test_perm_matrix_examples():
@@ -280,7 +311,7 @@ def test_phi_image_tables_match_eager_table():
         assert all(pe.key == key for key, pe in elems.items())
 
 
-def test_generic_peeling_matches_natural_coordinates():
+def test_lattice_identification_matches_natural_coordinates():
     for inv in ([2], [4], [2, 2], [2, 4]):
         a = make_group(inv)
         dual = dual_group(a)
@@ -304,3 +335,90 @@ def test_serialized_element_layout():
     lift = pe.canonical_lift()
     assert lift.perm == (1, 0)
     assert lift.diag[0] == 0  # first moved index normalized to zero
+
+
+def test_lattice_model_matches_matrix_closure():
+    # seeded random generator sets over every A with |A| <= 16: the lattice
+    # S against the matrix closure, and alpha_H, torality and depth against
+    # the commutator Gram of the basis lifts
+    rng = random.Random(47)
+    checked = 0
+    for inv in iter_abelian_types(16):
+        a = make_group(inv)
+        dual = dual_group(a)
+        for _ in range(6):
+            pairs = [
+                (
+                    a.element(tuple(rng.randrange(d) for d in a.invariants)),
+                    dual.element(tuple(rng.randrange(d) for d in a.invariants)),
+                )
+                for _ in range(rng.randrange(1, 4))
+            ]
+            gens = [phi(x, chi) for x, chi in pairs]
+            closure = matrix_closure(gens)
+            h = PglSubgroup(gens)
+            assert h.lattice == phi_span(a, pairs).lattice
+            assert h.order == len(closure)
+            assert h.elements().keys() == closure.keys()
+            group, basis = h.abstract()
+            assert tuple(pe.key for pe in basis) == tuple(
+                phi(a.element(e.coords[0::2]), dual.element(e.coords[1::2])).key
+                for e in h.lattice.canonical_basis()
+            )
+            gram = SkewForm(group, commutator_gram(basis))
+            assert alpha_form(h) == gram
+            assert is_toral(h) == gram.is_zero()
+            fact = _factorize(h.order)
+            if len(fact) > 1:
+                with pytest.raises(NotPGroupError):
+                    depth(h)
+                continue
+            p = min(fact, default=2)
+            want, ratio = 0, h.order // radical(gram).order
+            while ratio > 1:
+                ratio //= p * p
+                want += 1
+            assert depth(h) == want, (inv, pairs)
+            checked += 1
+    assert checked > 50
+
+
+def test_generator_outside_phi_image_is_refused():
+    # a coordinate transposition commutes with itself but is no P_a D_chi;
+    # neither is a diagonal that is not a character
+    a = make_group([2, 2])
+    swap = ProjectiveElement(MonomialMatrix(a, (0, 2, 1, 3), (0, 0, 0, 0)))
+    odd = ProjectiveElement(MonomialMatrix(a, (0, 1, 2, 3), (0, 1, 0, 0)))
+    for bad in (swap, odd):
+        with pytest.raises(AmbientMismatchError) as info:
+            PglSubgroup([phi(a.zero(), dual_group(a).zero()), bad])
+        assert isinstance(info.value, SplitboundError)
+        assert info.value.kind == "ambient-mismatch"
+    # a scalar multiple of a lift is the same projective element
+    pe = phi(a.element((1, 0)), dual_group(a).element((1, 1)))
+    twisted = PglSubgroup([ProjectiveElement(pe.lift.scale(1))])
+    assert twisted.lattice == PglSubgroup([pe]).lattice and twisted.order == 2
+
+
+def test_phi_image_alpha_is_the_standard_module():
+    # the canonical basis of all of A x A* is the unit basis, so alpha of
+    # the full image is the standard module bit for bit, also far beyond
+    # the sizes a matrix could have
+    for inv in list(iter_abelian_types(256)) + [(2 ** 20,), (2,) * 20, (3, 9, 27, 81)]:
+        a = make_group(inv)
+        assert alpha_form(phi_image(a)) == standard_module(a)
+
+
+def test_pgl_queries_build_no_matrix(monkeypatch):
+    # depth, toral and alpha, with and without --elements, are lattice
+    # algebra: a MonomialMatrix constructor that refuses must not matter
+    from splitbound import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a monomial matrix was built")
+
+    monkeypatch.setattr(MonomialMatrix, "__init__", refuse)
+    for act in ("depth", "toral", "alpha"):
+        for extra in ([], ["--elements", "(1,0|0,1);(0,2|1,0)"]):
+            assert cli.run(["pgl", act, "--group", "2,4", *extra]) == 0
+    assert cli.run(["pgl", "depth", "--group", "1048576"]) == 0

@@ -421,3 +421,66 @@ def test_isotropic_transfer_exhaustive(inv):
                 embed_cache[ekey] = _embeds_types(ekey[0], list(ekey[1]))
             assert embed_cache[ekey], (inv, h1.basis, iso.basis)
     assert pairs > 0
+
+
+def subgroup_quotient_type_oracle(h1, inner):
+    """H1/inner through an |H1|-element table: coordinates of every element
+    of inner over H1's canonical basis, then the quotient of that span."""
+    from itertools import product
+
+    from splitbound.finabel import Element, FinAbGroup
+
+    basis = h1.canonical_basis()
+    a1 = FinAbGroup(h1.sub_invariants)
+    if not basis:
+        return ()
+    table = {}
+    for coords in product(*(range(d) for d in a1.invariants)):
+        total = None
+        for c, b in zip(coords, basis):
+            term = c * b
+            total = term if total is None else total + term
+        table[total.coords] = coords
+    gens = [Element(a1, table[e.coords]) for e in inner.elements()]
+    return quotient(a1, subgroup_from_generators(a1, gens)).invariants
+
+
+def test_subgroup_quotient_type_matches_element_table():
+    # the cokernel of inner's rows over H1's Hermite basis against the
+    # element-table oracle, every nested pair of every group of order <= 32
+    from splitbound.qzforms import _subgroup_quotient_type
+
+    pairs = 0
+    for inv in iter_abelian_types(32):
+        subs = enumerate_subgroups(make_group(inv))
+        for h1 in subs:
+            for inner in subs:
+                if not h1.contains_subgroup(inner):
+                    continue
+                want = subgroup_quotient_type_oracle(h1, inner)
+                assert _subgroup_quotient_type(h1, inner) == want, (inv, h1, inner)
+                pairs += 1
+    assert pairs == 9754
+
+
+def test_isotropic_transfer_checks_nondegeneracy_once(monkeypatch):
+    # the radical is computed until a workspace exists, and never after;
+    # a degenerate form builds no workspace, so it is refused every time
+    import splitbound.qzforms as qz
+
+    calls = []
+    orig = qz.is_nondegenerate
+    monkeypatch.setattr(qz, "is_nondegenerate", lambda w: calls.append(w) or orig(w))
+    w = standard_module(make_group([2]))
+    g = w.group
+    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    triv = subgroup_from_generators(g, [])
+    for _ in range(3):
+        isotropic_transfer(w, full, triv)
+    assert len(calls) == 1
+    z = zero_form(make_group([2, 2]))
+    triv2 = subgroup_from_generators(z.group, [])
+    for _ in range(2):
+        with pytest.raises(DegenerateFormError):
+            isotropic_transfer(z, triv2, triv2)
+    assert len(calls) == 3
