@@ -19,6 +19,7 @@ from .finabel import (
     FinAbGroup,
     QmodZ,
     Subgroup,
+    _check_limit,
     dual_group,
     embeds_into,
     enumerate_subgroups,
@@ -222,10 +223,11 @@ def _cmd_pgl(args) -> dict:
     act = args.action
     if act == "element":
         a = _parse_group(args.group)
-        pe = heisenberg.phi(
-            _parse_element(a, args.a), _parse_element(dual_group(a), args.chi)
-        )
-        lift = pe.canonical_lift()
+        x = _parse_element(a, args.a)
+        chi = _parse_element(dual_group(a), args.chi)
+        # the lift and its printed perm and diag have |A| entries each
+        _check_limit(a.order, args.enum_limit)
+        lift = heisenberg.phi(x, chi).canonical_lift()
         return {
             "perm": list(lift.perm),
             "diag": list(lift.diag),
@@ -306,14 +308,14 @@ def _cmd_obstruct(args) -> dict:
             raise InputError("--rank1 must be even")
         el = qzforms.standard_module(make_group([args.p] * (rank1 // 2)))
         cy = qzforms.standard_module(make_group([args.p ** args.r]))
-        _o1, types1 = obstruction.splitting_group_isotropic_bound(
+        o1, types1 = obstruction.splitting_group_isotropic_bound(
             el, min(args.e, rank1 // 2), args.enum_limit
         )
-        _o2, types2 = obstruction.splitting_group_isotropic_bound(
+        o2, types2 = obstruction.splitting_group_isotropic_bound(
             cy, min(args.e, args.r), args.enum_limit
         )
         return {
-            "bound": obstruction.comparison_bound(el, cy, args.e, args.enum_limit),
+            "bound": obstruction.comparison_from_types(o1, types1, o2, types2, args.p),
             "types": {
                 "first": [list(t) for t in types1],
                 "second": [list(t) for t in types2],

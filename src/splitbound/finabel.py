@@ -687,28 +687,44 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _iter_bases_general(invariants: tuple[int, ...]):
+def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
     """All Hermite bases of lattices between diag(invariants) and Z^k.
 
     Rows are produced bottom-up; each candidate row is kept only if the
     relation d_i * e_i stays inside the partial lattice, which depends on
     rows i..k-1 alone.
+
+    With `order`, only subgroups of that order are produced: row i
+    multiplies the order by d_i / h_i, so a pivot is cut when that does not
+    divide the order still needed or when rows 0..i-1 cannot supply the
+    rest.  With `admit(row, kept)`, a row that is nonzero modulo the
+    invariants (pivot h_i < d_i; such a row is already reduced) is kept
+    only if the predicate accepts it against the nonzero rows kept below
+    it.  Both cuts are exact when the predicate is pairwise, as for
+    isotropy, so no completion of a cut branch is lost.
     """
     k = len(invariants)
     if k == 0:
-        yield ()
+        if order is None or order == 1:
+            yield ()
         return
     divisors = [_divisors(d) for d in invariants]
+    room = [prod(invariants[:i]) for i in range(k)]
 
-    def rec(i: int, rows_below: list[tuple[int, ...]]):
+    def rec(i: int, rows_below: list[tuple[int, ...]], kept: list, need):
         # rows_below[j] is the full row for position i+1+j
         if i < 0:
             yield tuple(rows_below)
             return
-        piv_choices = divisors[i]
+        d = invariants[i]
         below_pivots = [rows_below[j][i + 1 + j] for j in range(k - i - 1)]
-        for h in piv_choices:
-            c = invariants[i] // h
+        for h in divisors[i]:
+            c = d // h
+            rest = need
+            if need is not None:
+                if need % c or need // c > room[i]:
+                    continue
+                rest = need // c
             for tail in product(*(range(p) for p in below_pivots)):
                 # membership of d_i * e_i: residual after subtracting c*row
                 v = [(-c) * t for t in tail]
@@ -727,9 +743,12 @@ def _iter_bases_general(invariants: tuple[int, ...]):
                 if not ok:
                     continue
                 row = (0,) * i + (h,) + tail
-                yield from rec(i - 1, [row] + rows_below)
+                if admit is None or h == d:
+                    yield from rec(i - 1, [row] + rows_below, kept, rest)
+                elif admit(row, kept):
+                    yield from rec(i - 1, [row] + rows_below, kept + [row], rest)
 
-    yield from rec(k - 1, [])
+    yield from rec(k - 1, [], [], order)
 
 
 def _iter_bases_elementary(p: int, k: int):

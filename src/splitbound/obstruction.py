@@ -24,13 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .finabel import Subgroup, _factorize
-from .qzforms import (
-    SkewForm,
-    _isotropic_basis,
-    _iter_bases_with_order,
-    is_nondegenerate,
-    radical,
-)
+from .qzforms import SkewForm, is_nondegenerate, iter_isotropic_bases, radical
 
 MAX_SEARCH_R = 40
 
@@ -44,6 +38,7 @@ __all__ = [
     "index_divisor",
     "splitting_group_isotropic_bound",
     "comparison_bound",
+    "comparison_from_types",
 ]
 
 
@@ -216,19 +211,19 @@ def splitting_group_isotropic_bound(
     """(p^{r-e}, isomorphism types of isotropic subgroups of that order).
 
     Any splitting group of the corresponding algebra extension contains a
-    copy of at least one type from the list.
+    copy of at least one type from the list.  The types are read off the
+    isotropic subgroups of order p^{r-e} alone (iter_isotropic_bases); the
+    enumeration limit still applies to |H|.
     """
     p, r = _symplectic_p_r(w)
     if e < 0 or e > r:
         raise HypothesisViolationError(f"need 0 <= e <= r = {r}")
     target = p ** (r - e)
-    types = set()
     g = w.group
-    for order, basis in _iter_bases_with_order(w, limit):
-        if order != target:
-            continue
-        if _isotropic_basis(w, basis):
-            types.add(Subgroup(g, basis).sub_invariants)
+    types = {
+        Subgroup(g, basis).sub_invariants
+        for basis in iter_isotropic_bases(w, target, limit)
+    }
     assert types, "isotropic subgroups of every order up to p^r exist"
     return target, sorted(types)
 
@@ -254,9 +249,14 @@ def comparison_bound(
     p2, r2 = _symplectic_p_r(w2)
     if p1 != p2:
         raise PreconditionError("modules must share the same prime")
-    p = p1
     o1, types1 = splitting_group_isotropic_bound(w1, min(e, r1), limit)
     o2, types2 = splitting_group_isotropic_bound(w2, min(e, r2), limit)
+    return comparison_from_types(o1, types1, o2, types2, p1)
+
+
+def comparison_from_types(o1: int, types1, o2: int, types2, p: int) -> int:
+    """comparison_bound from the two splitting_group_isotropic_bound
+    results, for callers that already hold the types."""
     best = None
     for t1 in types1:
         for t2 in types2:

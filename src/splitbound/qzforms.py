@@ -26,6 +26,7 @@ from .finabel import (
     Subgroup,
     _check_limit,
     _cokernel_invariants,
+    _iter_bases_general,
     _lattice_coefficients,
     _snf_with_transforms,
     iter_subgroup_bases,
@@ -54,7 +55,7 @@ __all__ = [
 class SkewForm:
     """Alternating Q/Z-valued bilinear form given by its Gram matrix."""
 
-    __slots__ = ("group", "gram", "_scaled", "_ws")
+    __slots__ = ("group", "gram", "_scaled", "_ws", "_radical")
 
     def __init__(self, group: FinAbGroup, gram):
         k = group.rank
@@ -75,6 +76,7 @@ class SkewForm:
         self.gram = rows
         self._scaled = None
         self._ws = None
+        self._radical = None
 
     @property
     def exponent(self) -> int:
@@ -166,19 +168,21 @@ def evaluate(w: SkewForm, x: Element, y: Element) -> QmodZ:
 
 def radical(w: SkewForm) -> Subgroup:
     """Subgroup {h : w(h, .) = 0}, by integer linear algebra on the scaled
-    Gram matrix (cross-checked by enumeration in the test suite)."""
-    g = w.group
-    k = g.rank
-    if k == 0:
-        return subgroup_from_generators(g, [])
-    n = w.exponent
-    mat = [list(row) for row in w.scaled()]
-    diag, u, _uinv, _v = _snf_with_transforms(mat, k)
-    gens = []
-    for i in range(k):
-        scale = n // gcd(abs(diag[i]), n)
-        gens.append(Element(g, tuple(scale * c for c in u[i])))
-    return subgroup_from_generators(g, gens)
+    Gram matrix (cross-checked by enumeration in the test suite).  The form
+    is immutable, so the result is kept on it."""
+    if w._radical is None:
+        g = w.group
+        k = g.rank
+        gens = []
+        if k:
+            n = w.exponent
+            mat = [list(row) for row in w.scaled()]
+            diag, u, _uinv, _v = _snf_with_transforms(mat, k)
+            for i in range(k):
+                scale = n // gcd(abs(diag[i]), n)
+                gens.append(Element(g, tuple(scale * c for c in u[i])))
+        w._radical = subgroup_from_generators(g, gens)
+    return w._radical
 
 
 def is_nondegenerate(w: SkewForm) -> bool:
@@ -268,6 +272,30 @@ def _isotropic_basis(w: SkewForm, basis) -> bool:
     return True
 
 
+def iter_isotropic_bases(w: SkewForm, order: int, limit: int | None = None):
+    """Hermite bases of the isotropic subgroups of the given order, each
+    once (unsorted but deterministic).
+
+    The subgroup recursion grows only isotropic bases of that order: a
+    basis row that pairs nontrivially with a row kept below it is cut with
+    every completion.  The limit applies to the group order, as for
+    exhaustive enumeration.
+    """
+    g = w.group
+    _check_limit(g.order, limit)
+    k = g.rank
+    n = w.exponent
+    scaled = w.scaled()
+
+    def pairs_to_zero(row, kept):
+        for v in kept:
+            if _pair_value(scaled, n, row, v, k):
+                return False
+        return True
+
+    yield from _iter_bases_general(g.invariants, order, pairs_to_zero)
+
+
 def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
     """Largest isotropic order, a canonical witness, and every isomorphism
     type occurring at that order (each exactly once).
@@ -275,16 +303,15 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
     The order is sqrt(|H| * |Rad w|): every maximal isotropic subgroup
     contains the radical, and the nondegenerate module H / Rad has
     Lagrangians of order sqrt|H / Rad| (Wall, Topology 2, 1963).  One pass
-    over the subgroups finds the witness (least canonical basis) and the
-    types at that order.
+    over the isotropic subgroups of that order (iter_isotropic_bases, which
+    never lists the others) finds the witness (least canonical basis) and
+    the types.
     """
     g = w.group
     best = isqrt(g.order * radical(w).order)
     witness_basis = None
     types = set()
-    for order, basis in _iter_bases_with_order(w, limit):
-        if order != best or not _isotropic_basis(w, basis):
-            continue
+    for basis in iter_isotropic_bases(w, best, limit):
         if witness_basis is None or basis < witness_basis:
             witness_basis = basis
         types.add(Subgroup(g, basis).sub_invariants)

@@ -232,9 +232,7 @@ def suite_lagrangian() -> list[Check]:
             mi = qzforms.max_isotropic(w)
             if mi.order * mi.order != g.order:
                 return False, count
-            for order, basis in qzforms._iter_bases_with_order(w, None):
-                if order != mi.order or not qzforms._isotropic_basis(w, basis):
-                    continue
+            for basis in qzforms.iter_isotropic_bases(w, mi.order):
                 lam = Subgroup(g, basis)
                 if qzforms.quotient_by_lagrangian(w, lam).invariants != lam.sub_invariants:
                     return False, count

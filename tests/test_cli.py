@@ -88,6 +88,53 @@ def test_pgl_depth_beyond_matrix_sizes():
     assert (code, out) == (0, '{"depth": 8}\n')
 
 
+def test_pgl_element_is_bounded_by_the_enum_limit():
+    # perm and diag have |A| entries: |A| = 4096 answers, 4097 is refused
+    code, out, _ = invoke(["pgl", "element", "--group", "4096", "--a", "(1)", "--chi", "(0)"])
+    assert code == 0
+    assert json.loads(out)["perm"][:3] == [1, 2, 3]
+    code, out, _ = invoke(["pgl", "element", "--group", "4097", "--a", "(1)", "--chi", "(0)"])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "enumeration-bound"
+
+
+def test_pgl_element_refuses_large_groups_quickly():
+    import time
+
+    t0 = time.perf_counter()
+    code, out, _ = invoke(["pgl", "element", "--group", "1048576", "--a", "(1)", "--chi", "(1)"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "enumeration-bound"
+
+
+def test_isotropic_queries_keep_the_enum_limit():
+    # only isotropic subgroups are grown, but the limit is still on |H|
+    code, std, _ = invoke(["form", "standard", "--group", "2,2,2,2,2,2,2"])
+    assert code == 0
+    for argv in (
+        ["form", "max-isotropic", "--form", std.strip()],
+        ["obstruct", "--mode", "compare", "--p", "2", "--r", "2", "--rank1", "14"],
+    ):
+        code, out, _ = invoke(argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["kind"] == "enumeration-bound", argv
+
+
+def test_compare_enumerates_each_module_once(monkeypatch):
+    import splitbound.obstruction as ob
+
+    calls = []
+    orig = ob.iter_isotropic_bases
+    monkeypatch.setattr(ob, "iter_isotropic_bases", lambda *a: calls.append(a) or orig(*a))
+    code, out, _ = invoke(["obstruct", "--mode", "compare", "--p", "2", "--r", "3", "--rank1", "6"])
+    assert code == 0
+    assert json.loads(out) == {
+        "bound": 16, "types": {"first": [[2, 2, 2]], "second": [[2, 4], [8]]}
+    }
+    assert len(calls) == 2
+
+
 def test_thm13_bound_beyond_the_digit_limit():
     # p^(2r-2) is refused before it is computed once it has more decimal
     # digits than the interpreter prints; the largest printable one answers

@@ -154,6 +154,33 @@ def test_isotropic_bound():
         splitting_group_isotropic_bound(w4, 5)
 
 
+def isotropic_bound_oracle(w, e):
+    """splitting_group_isotropic_bound by filtering every subgroup."""
+    from splitbound.finabel import Subgroup
+    from splitbound.obstruction import _symplectic_p_r
+    from splitbound.qzforms import _isotropic_basis, _iter_bases_with_order
+
+    p, r = _symplectic_p_r(w)
+    target = p ** (r - e)
+    types = {
+        Subgroup(w.group, basis).sub_invariants
+        for order, basis in _iter_bases_with_order(w, None)
+        if order == target and _isotropic_basis(w, basis)
+    }
+    return target, sorted(types)
+
+
+@pytest.mark.parametrize(
+    "p, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+)
+def test_isotropic_bound_matches_filter(p, m):
+    # the standard module on (Z/p)^m is (Z/p)^{2m}; (Z/2)^8 is left out
+    # because the filter alone takes seconds per e there
+    w = standard_module(make_group([p] * m))
+    for e in range(m + 1):
+        assert splitting_group_isotropic_bound(w, e) == isotropic_bound_oracle(w, e)
+
+
 def test_comparison_bound_routes():
     for p in (2, 3):
         for r in (2, 3):

@@ -23,6 +23,7 @@ from splitbound.qzforms import (
     is_lagrangian,
     is_nondegenerate,
     isotropic_transfer,
+    iter_isotropic_bases,
     max_isotropic,
     quotient_by_lagrangian,
     radical,
@@ -273,6 +274,122 @@ def test_max_isotropic_matches_oracle_on_random_forms():
                 degenerate += 1
             assert max_isotropic(w) == max_isotropic_oracle(w), (inv, w.gram)
     assert degenerate and nondegenerate, (degenerate, nondegenerate)
+
+
+def isotropic_bases_by_filter(w):
+    """Exhaustive oracle: {order: set of isotropic Hermite bases}, from
+    every subgroup basis and the pairwise isotropy filter."""
+    from collections import defaultdict
+
+    from splitbound.qzforms import _isotropic_basis, _iter_bases_with_order
+
+    out = defaultdict(set)
+    for order, basis in _iter_bases_with_order(w, None):
+        if _isotropic_basis(w, basis):
+            out[order].add(basis)
+    return out
+
+
+def sparse_random_form(rng, g, zero_share=0.3):
+    """Alternating form whose upper entries are zero with probability
+    zero_share and uniform otherwise."""
+    from math import gcd as _gcd
+
+    k = g.rank
+    gram = [[QmodZ.zero()] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < zero_share:
+                continue
+            cap = _gcd(g.invariants[i], g.invariants[j])
+            v = QmodZ(rng.randrange(cap), cap)
+            gram[i][j] = v
+            gram[j][i] = -v
+    return SkewForm(g, gram)
+
+
+def assert_same_bases(got, expected, context):
+    assert len(set(got)) == len(got), ("duplicate basis", context)
+    assert set(got) == expected, context
+
+
+def test_isotropic_bases_match_filter_on_standard_modules():
+    # the Lagrangians of every standard module of order <= 256
+    from math import isqrt
+
+    for inv in iter_abelian_types(16):
+        w = standard_module(make_group(inv))
+        lag = isqrt(w.group.order)
+        expected = isotropic_bases_by_filter(w)[lag]
+        assert_same_bases(list(iter_isotropic_bases(w, lag)), expected, inv)
+
+
+def test_isotropic_bases_match_filter_on_random_forms():
+    # every order dividing |H|, degenerate forms included
+    import random
+
+    from splitbound.finabel import _divisors
+
+    rng = random.Random(31)
+    degenerate = nondegenerate = 0
+    for inv in iter_abelian_types(64):
+        g = make_group(inv)
+        for _ in range(4):
+            w = sparse_random_form(rng, g)
+            if is_nondegenerate(w):
+                nondegenerate += 1
+            else:
+                degenerate += 1
+            by_order = isotropic_bases_by_filter(w)
+            for order in _divisors(g.order):
+                got = list(iter_isotropic_bases(w, order))
+                assert_same_bases(got, by_order.get(order, set()), (inv, order, w.gram))
+    assert degenerate and nondegenerate, (degenerate, nondegenerate)
+
+
+def test_isotropic_counts_match_taylor():
+    # totally isotropic k-subspaces of the symplectic space (Z/p)^{2n}:
+    # [n choose k]_p * prod_{i=n-k+1}^{n} (p^i + 1) (Taylor, The Geometry of
+    # the Classical Groups, 1992); no enumeration oracle is needed, so
+    # (Z/2)^8 is checked at every order
+    from math import prod
+
+    def gaussian(n, k, q):
+        num = prod(q ** (n - i) - 1 for i in range(k))
+        return num // prod(q ** (i + 1) - 1 for i in range(k))
+
+    for p, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)):
+        w = standard_module(make_group([p] * n))
+        for k in range(n + 1):
+            expected = gaussian(n, k, p) * prod(p ** i + 1 for i in range(n - k + 1, n + 1))
+            assert sum(1 for _ in iter_isotropic_bases(w, p ** k)) == expected, (p, n, k)
+
+
+def test_isotropic_bases_limit_is_on_the_group_order():
+    # as for the exhaustive filter, the refusal depends on |H| alone
+    w = standard_module(make_group([2, 2]))
+    with pytest.raises(EnumerationBoundError):
+        next(iter_isotropic_bases(w, 1, limit=8))
+    assert len(list(iter_isotropic_bases(w, 4, limit=16))) == 15
+
+
+def test_radical_is_kept_on_the_form(monkeypatch):
+    import splitbound.qzforms as qz
+
+    calls = []
+    orig = qz._snf_with_transforms
+    monkeypatch.setattr(
+        qz, "_snf_with_transforms", lambda m, k: calls.append(k) or orig(m, k)
+    )
+    w = standard_module(make_group([2, 4]))
+    lam = base_lagrangian(w)
+    for _ in range(3):
+        assert radical(w).order == 1
+        assert quotient_by_lagrangian(w, lam).invariants == (2, 4)
+    assert len(calls) == 1
+    # an equal but distinct form computes its own radical
+    assert radical(standard_module(make_group([2, 4]))) == radical(w)
+    assert len(calls) == 2
 
 
 def test_max_isotropic_square_small():
