@@ -157,7 +157,7 @@ def _cmd_group(args) -> dict:
         return out
     if act == "embeds":
         b = _parse_group(args.into)
-        return {"embeds": embeds_into(a, b, args.enum_limit)}
+        return {"embeds": embeds_into(a, b)}
     if act == "reduce":
         xi = _parse_elements(a, args.tuple)
         log, reduced = reduce_tuple(a, xi)

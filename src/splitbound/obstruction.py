@@ -23,7 +23,7 @@ from .errors import (
     OutputBoundError,
     PreconditionError,
 )
-from .finabel import Subgroup, _factorize
+from .finabel import Subgroup, _factorize, _is_prime
 from .qzforms import SkewForm, is_nondegenerate, iter_isotropic_bases, radical
 
 MAX_SEARCH_R = 40
@@ -53,7 +53,7 @@ class ObstructionQuery:
     def __post_init__(self):
         if self.r < 1 or self.e < 0:
             raise PreconditionError("need r >= 1 and e >= 0")
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, isqrt(self.p) + 1)):
+        if not _is_prime(self.p):
             raise PreconditionError(f"p = {self.p} is not prime")
 
 

@@ -29,6 +29,7 @@ from .finabel import (
     _iter_bases_general,
     _lattice_coefficients,
     _snf_with_transforms,
+    embeds_into,
     iter_subgroup_bases,
     quotient,
     subgroup_from_generators,
@@ -211,29 +212,11 @@ def _pair_value(scaled, n, u, v, k) -> int:
     return total % n
 
 
-def _basis_rows_mod(s: Subgroup):
-    inv = s.ambient.invariants
-    rows = []
-    for row in s.basis:
-        r = tuple(c % d for c, d in zip(row, inv))
-        if any(r):
-            rows.append(r)
-    return rows
-
-
 def is_isotropic(w: SkewForm, s: Subgroup) -> bool:
     """True iff the form vanishes identically on S."""
     if s.ambient != w.group:
         raise AmbientMismatchError("subgroup of a different group")
-    rows = _basis_rows_mod(s)
-    n = w.exponent
-    scaled = w.scaled()
-    k = w.group.rank
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if _pair_value(scaled, n, rows[i], rows[j], k):
-                return False
-    return True
+    return _isotropic_basis(w, s.basis)
 
 
 def is_lagrangian(w: SkewForm, s: Subgroup) -> bool:
@@ -328,7 +311,7 @@ def quotient_by_lagrangian(w: SkewForm, lag: Subgroup) -> FinAbGroup:
     return q
 
 
-def symplectic_submodule(w: SkewForm, s: int, limit: int | None = None) -> Subgroup:
+def symplectic_submodule(w: SkewForm, s: int) -> Subgroup:
     """Rank-2s subgroup of an elementary (Z/p)^{2r} symplectic module on
     which the restricted form stays nondegenerate; built from hyperbolic
     pairs extracted greedily in canonical order."""
@@ -518,7 +501,7 @@ def isotropic_transfer(
         for s, flag in zip(reversed(ws.subgroups), reversed(ws.isotropic)):
             if not flag or (n * s.order) % h1.order:
                 continue
-            if _embeds_by_type(s.sub_invariants, hi_group):
+            if embeds_into(FinAbGroup(s.sub_invariants), hi_group):
                 min_order = s.order
                 break
     result = (i1, TransferWitness(i_max, lag, image_type, min_order))
@@ -527,10 +510,3 @@ def isotropic_transfer(
         ws.transfer_memo[imax_key] = result
     return result
 
-
-def _embeds_by_type(type_a: tuple[int, ...], b: FinAbGroup) -> bool:
-    from .finabel import embeds_into, make_group
-
-    if not type_a:
-        return True
-    return embeds_into(make_group(type_a), b)

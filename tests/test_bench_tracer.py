@@ -1,0 +1,52 @@
+"""The traced benchmark run (perfbench/tracing.py) patches names of the
+program by string; this test fails when one of them is renamed or deleted,
+or when the tracer leaves a wrapper behind."""
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from splitbound import qzforms
+from splitbound.cli import run
+from splitbound.finabel import full_subgroup, make_group, trivial_subgroup
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    import tracing
+finally:
+    sys.path.remove(PERFBENCH)
+
+FORM = '{"group": [2, 2], "gram": [["0/1", "1/2"], ["1/2", "0/1"]]}'
+
+
+def invoke(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def test_tracer_installs_counts_and_restores_every_binding():
+    w = qzforms.standard_module(make_group([2]))
+    full, triv = full_subgroup(w.group), trivial_subgroup(w.group)
+    before = tracing.snapshot_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in (
+            ["group", "subgroups", "2,2"],
+            ["group", "embeds", "2", "--into", "2,4"],
+            ["form", "max-isotropic", "--form", FORM],
+        ):
+            code, out = invoke(argv)
+            assert code == 0, out
+        qzforms.isotropic_transfer(w, full, triv, search_min=True)
+    finally:
+        tracer.uninstall()
+    assert tracing.snapshot_bindings() == before
+    assert tracer.counts["finabel.enum.calls"] > 0
+    assert tracer.counts["finabel.basis_cache.hits"] == 0
+    assert tracer.calls["qzforms.workspace"] > 0
+    assert tracer.calls["finabel.embeds_into"] > 0

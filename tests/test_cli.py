@@ -108,6 +108,17 @@ def test_pgl_element_refuses_large_groups_quickly():
     assert json.loads(out)["error"]["kind"] == "enumeration-bound"
 
 
+def test_embeds_answers_above_the_enum_limit():
+    # decided by partition containment: nothing is enumerated, so no bound
+    argv = ["group", "embeds", "2,4", "--into", "2,2,2,2,2,2,2,2,2,2,2,2,4"]
+    for prefix in ([], ["--enum-limit", "1"]):
+        code, out, _ = invoke(prefix + argv)
+        assert code == 0, out
+        payload = json.loads(out)
+        assert payload == {"embeds": True}
+        check_schema("group embeds", payload)
+
+
 def test_isotropic_queries_keep_the_enum_limit():
     # only isotropic subgroups are grown, but the limit is still on |H|
     code, std, _ = invoke(["form", "standard", "--group", "2,2,2,2,2,2,2"])

@@ -11,11 +11,13 @@ from splitbound.errors import (
 )
 from splitbound.finabel import (
     QmodZ,
+    Subgroup,
     _snf_with_transforms,
     dual_group,
     embeds_into,
     enumerate_subgroups,
     eval_character,
+    iter_subgroup_bases,
     make_group,
     quotient,
     reduce_tuple,
@@ -285,6 +287,26 @@ def test_embeds_into_examples():
     assert embeds_into(make_group([4]), make_group([2, 8]))
     assert not embeds_into(make_group([4]), make_group([2, 2, 2]))
     assert embeds_into(make_group([2]), make_group([2]))
+
+
+def embeds_by_enumeration(a, b):
+    """Enumeration oracle: search every subgroup of B for one of A's order
+    and type."""
+    order = a.order
+    if b.order % order:
+        return False
+    for basis in iter_subgroup_bases(b):
+        s = Subgroup(b, basis)
+        if s.order == order and s.sub_invariants == a.invariants:
+            return True
+    return False
+
+
+def test_embeds_matches_enumeration():
+    groups = [make_group(t) for t in iter_abelian_types(36)]
+    for a in groups:
+        for b in groups:
+            assert embeds_into(a, b) == embeds_by_enumeration(a, b), (a, b)
 
 
 def test_embeds_matches_partition_criterion():
