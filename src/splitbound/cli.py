@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import f2quad, heisenberg, liedata, obstruction, qzforms, verify
-from .errors import InputError, SplitboundError
+from .errors import InputError, PreconditionError, SplitboundError
 from .finabel import (
     Element,
     FinAbGroup,
@@ -96,6 +96,8 @@ def _parse_f2(text: str) -> f2quad.F2QuadForm:
         rows = [int(r, 16) for r in obj["rows"]]
     except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"bad F2 form spec: {ex}") from ex
+    if dim > f2quad.MAX_DIM:
+        raise PreconditionError(f"dimension {dim} above the bound {f2quad.MAX_DIM}")
     return f2quad.F2QuadForm(dim, rows)
 
 
@@ -273,8 +275,8 @@ def _cmd_f2(args) -> dict:
         }
     q = _parse_f2(args.form)
     if act == "count":
-        ones = f2quad.count_anisotropic(q)
-        return {"anisotropic": ones, "isotropic": (1 << q.dim) - ones}
+        zeros, ones = f2quad.count_by_recursion(f2quad.decompose(q))
+        return {"anisotropic": ones, "isotropic": zeros}
     if act == "decompose":
         blocks = f2quad.decompose(q)
         zeros, ones = f2quad.count_by_recursion(blocks)
@@ -297,7 +299,7 @@ def _cmd_obstruct(args) -> dict:
     if mode == "min-partition":
         total, wit = obstruction.min_splitting_exponent(q)
         return {
-            "bound": args.p ** total,
+            "bound": obstruction.checked_power(args.p, total),
             "total": total,
             "witness": list(wit.exponents),
             "fe": obstruction.f_bound(args.r, args.e),

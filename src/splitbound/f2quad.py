@@ -2,9 +2,11 @@
 
 q(x) = x^T Q x with Q stored as one integer mask per row (bits j >= i).
 The polarization b(v, w) = q(v+w) + q(v) + q(w) is bilinear and alternating;
-its kernel is the radical.  Counting anisotropic vectors (q = 1) runs either
-by direct 2^m sweep or by folding the two-line product recursion over a
-block decomposition; the two must always agree.
+its kernel is the radical.  Anisotropic vectors (q = 1) are counted by
+folding the two-line product recursion over the block decomposition, which
+Gram-row elimination finds in O(m^2) operations on m-bit masks.  The
+direct 2^m sweep (`count_anisotropic`, capped at MAX_BRUTE_DIM) is kept as
+the oracle that the censuses and the tests check the decomposition against.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from itertools import product
 from .errors import PreconditionError
 
 MAX_BRUTE_DIM = 24
+# largest dimension the CLI accepts; 2^MAX_DIM has 309 decimal digits, inside
+# every int-to-str limit Python allows (at least 640)
+MAX_DIM = 1024
 
 _BLOCK_COUNTS = {
     "h": (3, 1),  # hyperbolic plane x*y
@@ -188,59 +193,49 @@ def count_by_recursion(blocks) -> tuple[int, int]:
 
 
 def decompose(q: F2QuadForm) -> list[str]:
-    """Block decomposition: split off hyperbolic/anisotropic planes greedily
-    (first basis pair with b = 1 wins), then the radical; normalized so at
-    most one 'a' survives (a+a ~ h+h, and a ~ h in the presence of <1>)."""
-    m = q.dim
-    if m > MAX_BRUTE_DIM:
-        raise PreconditionError(f"dimension {m} above brute-force cap {MAX_BRUTE_DIM}")
-    basis = [1 << i for i in range(m)]
-    n_h = n_a = 0
-    while True:
-        pair = None
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                if bilinear(q, basis[i], basis[j]):
-                    pair = (i, j)
-                    break
-            if pair:
+    """Block decomposition by Gram-row elimination: split off the plane of
+    the last working vector v and the first w with b(v, w) = 1, project the
+    rest orthogonally to it, and set v aside as radical when no w pairs with
+    it; normalized so at most one 'a' survives (a+a ~ h+h, and a ~ h in the
+    presence of <1>).  The result depends only on the dimension, the radical
+    and the count, so it is canonical."""
+    gram = q.gram_rows()
+    # each working vector u carries (u, G u, q(u)), so b(u, w) = |Gu & w| mod 2
+    work = [(1 << i, gram[i], q.rows[i] >> i & 1) for i in range(q.dim)]
+    n_h = n_a = n_rad = 0
+    n_one = 0  # q is additive on the radical: one <1> iff it is nonzero there
+    while work:
+        v, gv, qv = work.pop()
+        for t, (w, gw, qw) in enumerate(work):
+            if (gv & w).bit_count() & 1:
                 break
-        if pair is None:
-            break
-        i, j = pair
-        v, w = basis[i], basis[j]
-        ones = q.value(v) + q.value(w) + q.value(v ^ w)
-        if ones == 1:
+        else:
+            n_rad += 1
+            n_one |= qv
+            continue
+        work[t] = work[-1]
+        work.pop()
+        if qv & qw:
+            n_a += 1  # q(v) = q(w) = q(v+w) = 1
+        else:
             n_h += 1
-        else:
-            n_a += 1
-        rest = []
-        for t, u in enumerate(basis):
-            if t in (i, j):
-                continue
-            if bilinear(q, u, w):
-                u ^= v
-            if bilinear(q, u, v):
-                u ^= w
-            rest.append(u)
-        basis = rest
-    carrier = None
-    n_zero = 0
-    for u in basis:
-        if q.value(u):
-            if carrier is None:
-                carrier = u
-            else:
-                n_zero += 1  # u ^ carrier is isotropic
-        else:
-            n_zero += 1
-    n_one = int(carrier is not None)
+        for k, (u, gu, qu) in enumerate(work):
+            bw = (gu & w).bit_count() & 1
+            bv = (gu & v).bit_count() & 1
+            # u += b(u,w) v, then u += b(u,v) w; adding v leaves b(u,v) as is
+            # and q(u+x) = q(u) + q(x) + b(u,x)
+            if bw:
+                u, gu, qu = u ^ v, gu ^ gv, qu ^ qv ^ bv
+            if bv:
+                u, gu, qu = u ^ w, gu ^ gw, qu ^ qw
+            if bw or bv:
+                work[k] = (u, gu, qu)
     n_h += 2 * (n_a // 2)
     n_a %= 2
     if n_a and n_one:
         n_h += 1
         n_a = 0
-    return ["h"] * n_h + ["a"] * n_a + ["one"] * n_one + ["zero"] * n_zero
+    return ["h"] * n_h + ["a"] * n_a + ["one"] * n_one + ["zero"] * (n_rad - n_one)
 
 
 DIM7_RADICAL1_CLASSES = (

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import os
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import (
     AmbientMismatchError,
     EnumerationBoundError,
+    InputError,
     InvalidInvariantError,
     PairingMismatchError,
     PreconditionError,
@@ -125,27 +126,13 @@ def _canonical_chain(entries) -> tuple[int, ...]:
     for n in entries:
         if n < 2:
             raise InvalidInvariantError(f"invariant factor {n} < 2")
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                buckets.setdefault(p, []).append(e)
-            p += 1
-        if m > 1:
-            buckets.setdefault(m, []).append(1)
-    depth = max((len(v) for v in buckets.values()), default=0)
-    chain = []
-    for level in range(depth):
-        d = 1
-        for p, exps in buckets.items():
-            exps.sort(reverse=True)
-            if level < len(exps):
-                d *= p ** exps[level]
-        chain.append(d)
+        for p, e in _factorize(n).items():
+            buckets.setdefault(p, []).append(e)
+    chain = [1] * max(map(len, buckets.values()), default=0)
+    for p, exps in buckets.items():
+        exps.sort(reverse=True)
+        for level, e in enumerate(exps):
+            chain[level] *= p ** e
     chain.reverse()
     return tuple(chain)
 
@@ -253,27 +240,193 @@ class Element:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+# ---------------------------------------------------------------------------
+# Integer factorization
+# ---------------------------------------------------------------------------
+
+_TRIAL_BOUND = 1024
+_TRIAL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, isqrt(p) + 1))
+)
+# Miller-Rabin to these bases proves primality below _MR_EXACT_BELOW, the
+# least strong pseudoprime to all of them; above it a strong Lucas test
+# joins them (Baillie-PSW: no composite is known to pass both)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+# a cofactor that trial division leaves is settled only up to this size
+FACTOR_MAX_BITS = 1024
+# iterations of x -> x^2 + c that Pollard-Brent rho may spend on one split
+RHO_BUDGET = 1 << 16
+
+
+def _miller_rabin(n: int) -> bool:
+    """Strong-probable-prime test of an odd n > 41 to every base in _MR_BASES."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u, v, qk = 1, 1, q  # U_k, V_k, Q^k for P = 1, from k = 1 up to (n+1) / 2^s
+
+    def half(x):
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _is_large_prime(n: int) -> bool:
+    """Primality of n >= _TRIAL_BOUND^2 with no prime factor below
+    _TRIAL_BOUND; refused (InputError) above FACTOR_MAX_BITS."""
+    if n.bit_length() > FACTOR_MAX_BITS:
+        raise InputError(
+            f"cannot factor {n.bit_length()}-bit cofactor: above {FACTOR_MAX_BITS} bits"
+        )
+    return _miller_rabin(n) and (n < _MR_EXACT_BELOW or _strong_lucas(n))
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    return _is_large_prime(n)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _split(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below
+    _TRIAL_BOUND: a perfect-power root, else Pollard-Brent rho."""
+    for k in _TRIAL_PRIMES:
+        if _TRIAL_BOUND ** k > n:
+            break
+        root = _iroot(n, k)
+        if root ** k == n:
+            return root
+    steps = 0
+    c = 0
+    while steps < RHO_BUDGET:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < RHO_BUDGET:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: step back through it one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    raise InputError(
+        f"cannot factor {n}: no divisor within {RHO_BUDGET} rho iterations"
+    )
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e for n >= 1, primes ascending.  Trial
+    division below _TRIAL_BOUND settles every n < _TRIAL_BOUND^2; a larger
+    cofactor is tested by _is_large_prime and split by _split.  Either may
+    refuse (InputError): a cofactor above FACTOR_MAX_BITS, or a composite
+    that RHO_BUDGET rho iterations do not split."""
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if n < 2:
+        return out
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    if n < _TRIAL_BOUND ** 2:  # 1 or a prime
+        if n > 1:
+            out[n] = 1
+        return out
+    large: dict[int, int] = {}
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        # no prime below _TRIAL_BOUND divides m
+        if m < _TRIAL_BOUND ** 2 or _is_large_prime(m):
+            large[m] = large.get(m, 0) + 1
+        else:
+            d = _split(m)
+            pending += (d, m // d)
+    out.update(sorted(large.items()))
     return out
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "ObstructionQuery",
     "PartitionCandidate",
     "splitting_order_bound",
+    "checked_power",
     "f_bound",
     "partition_feasible",
     "min_splitting_exponent",
@@ -80,15 +81,19 @@ def splitting_order_bound(q: ObstructionQuery) -> int:
     """p^{2r-2e-2} divides the order of every splitting group (e <= r-1)."""
     if q.e > q.r - 1:
         raise HypothesisViolationError(f"requires e <= r - 1, got e={q.e}, r={q.r}")
-    exp = max(0, 2 * q.r - 2 * q.e - 2)
-    # p**exp has floor(exp * log10 p) + 1 digits (p is no power of 10);
-    # refuse before the power is allocated, not when it is printed
+    return checked_power(q.p, max(0, 2 * q.r - 2 * q.e - 2))
+
+
+def checked_power(p: int, exp: int) -> int:
+    """p**exp for a prime p, refused (OutputBoundError) before the power is
+    allocated when it has more decimal digits than the int-to-str limit."""
+    # p**exp has floor(exp * log10 p) + 1 digits (p is no power of 10)
     limit = sys.get_int_max_str_digits()
-    if limit and exp * log10(q.p) >= limit:
+    if limit and exp * log10(p) >= limit:
         raise OutputBoundError(
             f"p^{exp} has more than {limit} decimal digits (the int-to-str limit)"
         )
-    return q.p ** exp
+    return p ** exp
 
 
 def _brace_half(t: int) -> int:

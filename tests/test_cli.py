@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -166,6 +168,49 @@ def test_thm13_bound_beyond_the_digit_limit():
     assert code == 0 and json.loads(out) == {"bound": 2 ** exp}
     code, out, _ = invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", str(r + 1)])
     assert code == 2 and json.loads(out)["error"]["kind"] == "output-bound"
+
+
+# a 100-digit prime: 10^99 + 289
+P100 = 10 ** 99 + 289
+
+
+def test_min_partition_bound_beyond_the_digit_limit():
+    # p^total is refused before it is computed, as in thm13 mode
+    code, out, _ = invoke(["obstruct", "--mode", "min-partition", "--p", str(P100), "--r", "40"])
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"]["kind"] == "output-bound"
+    code, out, _ = invoke(["obstruct", "--mode", "min-partition", "--p", str(P100), "--r", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bound"] == P100 ** payload["total"]
+
+
+def test_group_info_large_prime_answers_fast():
+    t0 = time.perf_counter()
+    code, out, _ = invoke(["group", "info", "1000000000000000003"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert json.loads(out)["invariants"] == [1000000000000000003]
+
+
+def test_group_invariants_beyond_trial_division():
+    # smooth invariants answer from trial division; p^2 from its square
+    # root; a composite whose factors rho cannot reach is refused as input
+    code, out, _ = invoke(["group", "info", str(2 ** 100)])
+    assert code == 0 and json.loads(out)["invariants"] == [2 ** 100]
+    p = 1000000000000000003
+    code, out, _ = invoke(["group", "info", f"{p},{p ** 2}"])
+    assert code == 0 and json.loads(out)["invariants"] == [p, p ** 2]
+    code, out, _ = invoke(["pgl", "depth", "--group", str(p)])
+    assert code == 0 and json.loads(out) == {"depth": 1}
+    # the least strong pseudoprime to the prime bases up to 41 (1287836182261 * 2575672364521)
+    code, out, _ = invoke(["group", "info", "3317044064679887385961981"])
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"]["kind"] == "input"
 
 
 # -- schema conformance -----------------------------------------------------------
@@ -375,6 +420,65 @@ def test_text_format():
     code, out, _ = invoke(["--format", "text", "group", "info", "2,4"])
     assert code == 0
     assert "order: 8" in out and "invariants: [2, 4]" in out
+
+
+def _f2_rows_spec(rows) -> str:
+    return json.dumps({"dim": len(rows), "rows": [format(r, "#x") for r in rows]})
+
+
+def _random_f2_rows(m, rng):
+    return [rng.getrandbits(m) >> i << i for i in range(m)]
+
+
+def test_f2_count_matches_sweep():
+    from splitbound.f2quad import F2QuadForm, count_anisotropic
+
+    rng = random.Random(21)
+    for m in range(17):
+        for _ in range(3):
+            rows = _random_f2_rows(m, rng)
+            ones = count_anisotropic(F2QuadForm(m, rows))
+            code, out, _ = invoke(["f2", "count", "--form", _f2_rows_spec(rows)])
+            assert code == 0
+            assert json.loads(out) == {"anisotropic": ones, "isotropic": (1 << m) - ones}
+
+
+def test_f2_count_does_not_sweep(monkeypatch):
+    # the count comes from the block decomposition: a sweep that refuses
+    # must not change a byte
+    from splitbound import f2quad
+
+    argv = ["f2", "count", "--form", _f2_rows_spec(_random_f2_rows(17, random.Random(23)))]
+    expected = invoke(argv)
+
+    def refuse(q):
+        raise AssertionError("f2 count swept")
+
+    monkeypatch.setattr(f2quad, "count_anisotropic", refuse)
+    assert invoke(argv) == expected
+
+
+@pytest.mark.parametrize("action", ["count", "decompose", "radical"])
+def test_f2_dimension_bound(action, tmp_path):
+    from splitbound.f2quad import MAX_DIM
+
+    rng = random.Random(24)
+    for m in (25, MAX_DIM):
+        path = tmp_path / f"form{m}.json"
+        path.write_text(_f2_rows_spec(_random_f2_rows(m, rng)))
+        code, out, _ = invoke(["f2", action, "--form", f"@{path}"])
+        assert code == 0, out
+        payload = json.loads(out)
+        check_schema(f"f2 {action}", payload)
+        if action == "count":
+            assert payload["anisotropic"] + payload["isotropic"] == 1 << m
+    path = tmp_path / "above.json"
+    path.write_text(_f2_rows_spec(_random_f2_rows(MAX_DIM + 1, rng)))
+    code, out, _ = invoke(["f2", action, "--form", f"@{path}"])
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"]["kind"] == "precondition"
 
 
 def test_f2_census_by_class_rows():

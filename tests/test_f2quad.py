@@ -5,6 +5,7 @@ import pytest
 
 from splitbound.errors import PreconditionError
 from splitbound.f2quad import (
+    MAX_BRUTE_DIM,
     F2QuadForm,
     bilinear,
     census_dim7_radical1,
@@ -35,6 +36,72 @@ def random_form(m, rng):
 
 def brute_count(q):
     return sum(q.value(v) for v in range(1 << q.dim))
+
+
+def decompose_oracle(q):
+    """The pair-scan decomposition: split off the first basis pair with
+    b = 1, project the rest, repeat; the remainder is the radical."""
+    basis = [1 << i for i in range(q.dim)]
+    n_h = n_a = 0
+    while True:
+        pair = None
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                if bilinear(q, basis[i], basis[j]):
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        i, j = pair
+        v, w = basis[i], basis[j]
+        ones = q.value(v) + q.value(w) + q.value(v ^ w)
+        if ones == 1:
+            n_h += 1
+        else:
+            n_a += 1
+        rest = []
+        for t, u in enumerate(basis):
+            if t in (i, j):
+                continue
+            if bilinear(q, u, w):
+                u ^= v
+            if bilinear(q, u, v):
+                u ^= w
+            rest.append(u)
+        basis = rest
+    carrier = None
+    n_zero = 0
+    for u in basis:
+        if q.value(u):
+            if carrier is None:
+                carrier = u
+            else:
+                n_zero += 1  # u ^ carrier is isotropic
+        else:
+            n_zero += 1
+    n_one = int(carrier is not None)
+    n_h += 2 * (n_a // 2)
+    n_a %= 2
+    if n_a and n_one:
+        n_h += 1
+        n_a = 0
+    return ["h"] * n_h + ["a"] * n_a + ["one"] * n_one + ["zero"] * n_zero
+
+
+def degenerate_form(m, rng):
+    """A random block sum with at least one radical block, conjugated by a
+    random invertible matrix so that no basis vector is a block vector."""
+    blocks = []
+    size = 0
+    while size < m:
+        kinds = ("h", "a", "zero", "one") if size + 2 <= m else ("zero", "one")
+        blocks.append(rng.choice(kinds))
+        size += 2 if blocks[-1] in ("h", "a") else 1
+    if not {"zero", "one"} & set(blocks):
+        blocks[-1:] = ["one", "zero"]
+    return _conjugate_form(form_from_blocks(blocks), _random_invertible_f2(m, rng))
 
 
 # -- evaluation and bilinear ----------------------------------------------------
@@ -132,6 +199,31 @@ def test_decompose_counts_everywhere():
         assert zeros == (1 << m) - ones
         assert blocks.count("a") <= 1
         assert not (blocks.count("a") and blocks.count("one"))
+
+
+def test_decompose_matches_pair_scan_oracle():
+    # dense, sparse and degenerate forms of every dimension up to the sweep cap
+    rng = random.Random(13)
+    for m in range(MAX_BRUTE_DIM + 1):
+        sparse = [
+            F2QuadForm(m, [(rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m))
+                           >> i << i for i in range(m)])
+            for _ in range(5)
+        ]
+        forms = [random_form(m, rng) for _ in range(5)] + sparse
+        if m >= 2:
+            forms += [degenerate_form(m, rng) for _ in range(5)]
+        for q in forms:
+            assert decompose(q) == decompose_oracle(q), q
+
+
+def test_decompose_above_the_sweep_cap():
+    # a+a+a ~ h+h+a, and a ~ h beside <1>: 43 planes, <1>, <0>
+    rng = random.Random(14)
+    blocks = ["a"] * 3 + ["h"] * 40 + ["one", "zero"]
+    q = _conjugate_form(form_from_blocks(blocks), _random_invertible_f2(88, rng))
+    assert decompose(q) == ["h"] * 43 + ["one", "zero"]
+    assert count_by_recursion(decompose(q)) == (1 << 87, 1 << 87)
 
 
 def test_ones_count_classifies():

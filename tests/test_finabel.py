@@ -5,6 +5,7 @@ import pytest
 from splitbound.errors import (
     AmbientMismatchError,
     EnumerationBoundError,
+    InputError,
     InvalidInvariantError,
     PairingMismatchError,
     PreconditionError,
@@ -422,3 +423,52 @@ def test_snf_transforms_properties():
         nz = [abs(d) for d in diag if d]
         for x, y in zip(nz, nz[1:]):
             assert y % x == 0
+
+
+# -- factorization ---------------------------------------------------------------
+
+def test_factorize_and_is_prime_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from splitbound.finabel import _factorize, _is_prime
+
+    rng = random.Random(31)
+    samples = list(range(3000))
+    samples += [rng.randrange(2, 10 ** rng.randrange(4, 16)) for _ in range(400)]
+    samples += [(10 ** 9 + 7) * (10 ** 9 + 9), 1000003 ** 3 * 1009, 3 ** 50 * 7, 2 ** 61 - 1]
+    for n in samples:
+        assert _is_prime(n) == sympy.isprime(n), n
+        if n:
+            assert _factorize(n) == dict(sorted(sympy.factorint(n).items())), n
+    # primality alone above trial division: random odd numbers, primes, and
+    # strong pseudoprimes to the bases up to 23, 37 and 41 respectively
+    for _ in range(100):
+        n = rng.getrandbits(rng.randrange(21, 1000)) | 1
+        assert _is_prime(n) == sympy.isprime(n), n
+    for _ in range(20):
+        p = sympy.nextprime(rng.getrandbits(rng.randrange(21, 400)))
+        assert _is_prime(p), p
+    for n in (3825123056546413051, 318665857834031151167461, 3317044064679887385961981):
+        assert not _is_prime(n), n
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites below 30000 that pass are exactly OEIS A217255's
+    from splitbound.finabel import _is_prime, _strong_lucas
+
+    found = [n for n in range(43, 30000, 2) if _strong_lucas(n) and not _is_prime(n)]
+    assert found == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(_strong_lucas(n) for n in range(43, 30000, 2) if _is_prime(n))
+
+
+def test_factorization_refusals():
+    from splitbound.finabel import FACTOR_MAX_BITS, _factorize, _is_prime
+
+    assert _factorize(2 ** 2000 * 3) == {2: 2000, 3: 1}
+    assert _factorize((10 ** 18 + 3) ** 3) == {10 ** 18 + 3: 3}
+    with pytest.raises(InputError):
+        _is_prime(2 ** 1279 - 1)  # a Mersenne prime above FACTOR_MAX_BITS
+    assert (2 ** 1279 - 1).bit_length() > FACTOR_MAX_BITS
+    with pytest.raises(InputError):
+        _factorize(1287836182261 * 2575672364521)  # two 40-bit primes
+    with pytest.raises(InputError):
+        make_group([2, 3317044064679887385961981])
