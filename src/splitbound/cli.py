@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import f2quad, heisenberg, liedata, obstruction, qzforms, verify
-from .errors import InputError, PreconditionError, SplitboundError
+from .errors import InputError, OutputBoundError, PreconditionError, SplitboundError
 from .finabel import (
     Element,
     FinAbGroup,
@@ -72,7 +72,7 @@ def _load_spec(text: str) -> dict:
             text = fh.read()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # malformed, or an integer above the int-to-str limit
         raise InputError(f"bad JSON spec: {ex}") from ex
     if not isinstance(obj, dict):
         raise InputError("form spec must be a JSON object")
@@ -308,6 +308,9 @@ def _cmd_obstruct(args) -> dict:
         rank1 = args.rank1 or 2 * args.r
         if rank1 % 2:
             raise InputError("--rank1 must be even")
+        if rank1 > 0:  # the module orders, checked before either module is built
+            for exp in (rank1, 2 * args.r):
+                _check_limit(obstruction.checked_power(args.p, exp), args.enum_limit)
         el = qzforms.standard_module(make_group([args.p] * (rank1 // 2)))
         cy = qzforms.standard_module(make_group([args.p ** args.r]))
         o1, types1 = obstruction.splitting_group_isotropic_bound(
@@ -474,9 +477,9 @@ _HANDLERS = {
 
 
 def _emit(obj: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-        return
+    """Write obj as one JSON line or as key: value lines.  The text is
+    rendered whole before anything is written, so a result with an integer
+    above the int-to-str limit is refused (OutputBoundError) unprinted."""
     def lines(prefix, val):
         if isinstance(val, dict):
             for key in sorted(val):
@@ -485,8 +488,18 @@ def _emit(obj: dict, fmt: str) -> None:
             yield f"{prefix[:-1]}: {json.dumps(val)}"
         else:
             yield f"{prefix[:-1]}: {val}"
-    for line in lines("", obj):
-        sys.stdout.write(line + "\n")
+    try:
+        if fmt == "json":
+            text = json.dumps(obj, sort_keys=True) + "\n"
+        else:
+            text = "".join(line + "\n" for line in lines("", obj))
+    except ValueError as ex:
+        limit = sys.get_int_max_str_digits()
+        raise OutputBoundError(
+            f"the result has an integer of more than {limit} decimal digits"
+            " (the int-to-str limit)"
+        ) from ex
+    sys.stdout.write(text)
 
 
 def run(argv=None) -> int:
@@ -495,11 +508,10 @@ def run(argv=None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args, args.format)
-        result = _HANDLERS[args.command](args)
+        _emit(_HANDLERS[args.command](args), args.format)
     except SplitboundError as ex:
         _emit({"error": {"kind": ex.kind, "message": str(ex)}}, args.format)
         return 2
-    _emit(result, args.format)
     return 0
 
 

@@ -6,6 +6,8 @@ stable machine-readable `kind` used by the CLI for structured error output.
 
 from __future__ import annotations
 
+from math import log10
+
 
 class SplitboundError(Exception):
     """Base class for all domain errors."""
@@ -38,10 +40,22 @@ class EnumerationBoundError(SplitboundError):
 
     def __init__(self, order: int, bound: int):
         super().__init__(
-            f"group order {order} exceeds the enumeration bound {bound}"
+            f"group order {_int_text(order)} exceeds the enumeration bound {bound}"
         )
         self.order = order
         self.bound = bound
+
+
+def _int_text(n: int) -> str:
+    """n in decimal for a message, or "<d digits>" when its d digits are
+    above the int-to-str limit (sys.get_int_max_str_digits())."""
+    try:
+        return str(n)
+    except ValueError:
+        k = max(0, int((n.bit_length() - 1) * log10(2)) - 1)  # 10^k <= n
+        while 10 ** (k + 1) <= n:
+            k += 1
+        return f"<{k + 1} digits>"
 
 
 class OutputBoundError(SplitboundError):

@@ -7,6 +7,14 @@ with the relation lattice diag(d_1, ..., d_k), so subgroup equality is
 basis equality.  Q/Z values are exact reduced residues; there is no
 floating point anywhere in this package.
 
+No integer is factored.  Chains are merged by gcd/lcm exchanges
+(_canonical_chain), and subgroup and quotient types are cokernels
+diagonalised modulo a multiple of their order (_cokernel_invariants), so
+every group operation is polynomial in the bit length of its input.
+Primality is asked only where a statement needs a prime (elementary
+groups, p-group tests, a given p): _is_prime and _prime_power settle it up
+to FACTOR_MAX_BITS and refuse above.
+
 >>> A = make_group([4, 2])
 >>> A.invariants
 (2, 4)
@@ -17,6 +25,7 @@ floating point anywhere in this package.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from itertools import combinations, product
 from math import gcd, isqrt, prod
 
@@ -121,19 +130,35 @@ class QmodZ:
 
 
 def _canonical_chain(entries) -> tuple[int, ...]:
-    """Merge arbitrary cyclic orders into the invariant-factor chain."""
-    buckets: dict[int, list[int]] = {}
+    """Merge arbitrary cyclic orders into the invariant-factor chain.
+
+    Each entry is carried from the top of the chain down by the exchange
+    diag(a, b) ~ diag(gcd(a, b), lcm(a, b)); at every prime that is one
+    step of an insertion sort of the exponents, so nothing is factored.
+    The entries the carry divides are left as they are, so they are
+    skipped by bisection; every other exchange shrinks the carry to a
+    proper divisor, so an entry costs O(log n) exchanges.
+
+    >>> _canonical_chain([4, 2])
+    (2, 4)
+    >>> _canonical_chain([6, 10, 15])
+    (30, 30)
+    """
+    chain: list[int] = []  # ascending, each entry divides the next
     for n in entries:
         if n < 2:
             raise InvalidInvariantError(f"invariant factor {n} < 2")
-        for p, e in _factorize(n).items():
-            buckets.setdefault(p, []).append(e)
-    chain = [1] * max(map(len, buckets.values()), default=0)
-    for p, exps in buckets.items():
-        exps.sort(reverse=True)
-        for level, e in enumerate(exps):
-            chain[level] *= p ** e
-    chain.reverse()
+        i = len(chain)
+        while n > 1:
+            if i and n % chain[i - 1]:
+                # the entries below i that n divides are a run ending at i
+                i = bisect_left(chain, True, 0, i, key=lambda c: c % n == 0)
+            if i == 0 or n % chain[i - 1] == 0:
+                chain.insert(i, n)
+                break
+            i -= 1
+            g = gcd(chain[i], n)
+            chain[i], n = chain[i] // g * n, g
     return tuple(chain)
 
 
@@ -241,7 +266,7 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# Integer factorization
+# Primes
 # ---------------------------------------------------------------------------
 
 _TRIAL_BOUND = 1024
@@ -253,10 +278,8 @@ _TRIAL_PRIMES = tuple(
 # joins them (Baillie-PSW: no composite is known to pass both)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
-# a cofactor that trial division leaves is settled only up to this size
+# a number that trial division leaves is tested only up to this size
 FACTOR_MAX_BITS = 1024
-# iterations of x -> x^2 + c that Pollard-Brent rho may spend on one split
-RHO_BUDGET = 1 << 16
 
 
 def _miller_rabin(n: int) -> bool:
@@ -323,17 +346,17 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def _is_large_prime(n: int) -> bool:
-    """Primality of n >= _TRIAL_BOUND^2 with no prime factor below
-    _TRIAL_BOUND; refused (InputError) above FACTOR_MAX_BITS."""
+def _check_bits(n: int) -> None:
     if n.bit_length() > FACTOR_MAX_BITS:
         raise InputError(
-            f"cannot factor {n.bit_length()}-bit cofactor: above {FACTOR_MAX_BITS} bits"
+            f"primality of a {n.bit_length()}-bit cofactor is not settled:"
+            f" above {FACTOR_MAX_BITS} bits"
         )
-    return _miller_rabin(n) and (n < _MR_EXACT_BELOW or _strong_lucas(n))
 
 
 def _is_prime(n: int) -> bool:
+    """Trial division below _TRIAL_BOUND, then Baillie-PSW; refused
+    (InputError) for a cofactor above FACTOR_MAX_BITS."""
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
@@ -341,7 +364,8 @@ def _is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return n == p
-    return _is_large_prime(n)
+    _check_bits(n)
+    return _miller_rabin(n) and (n < _MR_EXACT_BELOW or _strong_lucas(n))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -354,80 +378,34 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _split(n: int) -> int:
-    """A proper divisor of a composite n with no prime factor below
-    _TRIAL_BOUND: a perfect-power root, else Pollard-Brent rho."""
-    for k in _TRIAL_PRIMES:
-        if _TRIAL_BOUND ** k > n:
-            break
-        root = _iroot(n, k)
-        if root ** k == n:
-            return root
-    steps = 0
-    c = 0
-    while steps < RHO_BUDGET:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1 and steps < RHO_BUDGET:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            steps += 2 * r
-            r *= 2
-        if g == n:  # the batch overshot: step back through it one by one
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
-    raise InputError(
-        f"cannot factor {n}: no divisor within {RHO_BUDGET} rho iterations"
-    )
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """{p: e} with n = prod p^e for n >= 1, primes ascending.  Trial
-    division below _TRIAL_BOUND settles every n < _TRIAL_BOUND^2; a larger
-    cofactor is tested by _is_large_prime and split by _split.  Either may
-    refuse (InputError): a cofactor above FACTOR_MAX_BITS, or a composite
-    that RHO_BUDGET rho iterations do not split."""
-    out: dict[int, int] = {}
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p^e and p prime, or None.  Trial division below
+    _TRIAL_BOUND settles every n with a small prime factor; otherwise n is
+    m^k for its largest exact root m, and n is a prime power iff m is
+    prime (refused, InputError, above FACTOR_MAX_BITS like _is_prime)."""
     if n < 2:
-        return out
+        return None
     for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-    if n < _TRIAL_BOUND ** 2:  # 1 or a prime
-        if n > 1:
-            out[n] = 1
-        return out
-    large: dict[int, int] = {}
-    pending = [n]
-    while pending:
-        m = pending.pop()
-        # no prime below _TRIAL_BOUND divides m
-        if m < _TRIAL_BOUND ** 2 or _is_large_prime(m):
-            large[m] = large.get(m, 0) + 1
-        else:
-            d = _split(m)
-            pending += (d, m // d)
-    out.update(sorted(large.items()))
-    return out
+            e = _valuation(n, p)
+            return (p, e) if n == p ** e else None
+        if p * p > n:
+            return n, 1
+    _check_bits(n)
+    # every prime factor is above _TRIAL_BOUND = 2^10, so k <= log2(n) / 10
+    k = n.bit_length() // 10
+    while (root := _iroot(n, k)) ** k != n:
+        k -= 1
+    return (root, k) if _is_prime(root) else None
+
+
+def _valuation(n: int, p: int) -> int:
+    """The exponent of p in n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -496,71 +474,55 @@ def _lattice_coefficients(basis, vec, k: int):
     return coeffs
 
 
-def _plocal_cokernel_exponents(mat, k: int, p: int, cap: int) -> list[int]:
-    """Exponent profile of the p-part of coker(mat) via pivoting on the
-    entry of least p-adic valuation, working modulo p**cap.
-
-    Requires every elementary divisor valuation < cap (true here: matrix
-    determinants divide the ambient group order).
-    """
-    m = p ** cap
-    a = [[x % m for x in row] for row in mat]
-    exps = []
-    for step in range(k):
-        best_v = cap + 1
-        bi = bj = -1
-        for i in range(step, k):
-            row = a[i]
-            for j in range(step, k):
-                x = row[j]
-                if x == 0:
-                    continue
-                v = 0
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                if v < best_v:
-                    best_v, bi, bj = v, i, j
-                    if v == 0:
-                        break
-            if best_v == 0:
-                break
-        if bi < 0:
-            raise ArithmeticError("cokernel not finite modulo p**cap")
-        if bi != step:
-            a[bi], a[step] = a[step], a[bi]
-        if bj != step:
-            for row in a:
-                row[bj], row[step] = row[step], row[bj]
-        v = best_v
-        pv = p ** v
-        unit_inv = pow(a[step][step] // pv, -1, m)
-        srow = a[step]
-        for j in range(step, k):
-            srow[j] = (srow[j] * unit_inv) % m
-        for i in range(step + 1, k):
-            row = a[i]
-            x = row[step]
-            if x:
-                f = x // pv
-                for j in range(step, k):
-                    row[j] = (row[j] - f * srow[j]) % m
-        exps.append(v)
-    exps.sort()
-    return exps
+def _eliminator(p: int, x: int) -> tuple[int, int, int, int]:
+    """(c, d, e, f) of determinant 1 with c*p + d*x = gcd(p, x) and
+    e*p + f*x = 0; the identity on p when p divides x."""
+    if p and x % p == 0:
+        return 1, 0, -(x // p), 1
+    g, c, d = _xgcd(p, x)
+    return c, d, -x // g, p // g
 
 
 def _cokernel_invariants(mat, k: int, order: int) -> tuple[int, ...]:
     """Invariant factors (> 1, ascending) of Z^k / rowspan(mat) where the
-    cokernel order is known to divide `order`."""
+    cokernel order is known to divide `order`.
+
+    Then order * Z^k lies in the row lattice, so the cokernel is that of
+    mat over Z/order.  Row and column xgcd steps diagonalise it there
+    (Cohen, GTM 138, section 2.4); a diagonal entry x gives the cyclic
+    factor Z/gcd(x, order), and _canonical_chain merges the factors.  No
+    integer is factored.
+    """
     if k == 0 or order == 1:
         return ()
-    chain = [1] * k
-    for p, e in _factorize(order).items():
-        exps = _plocal_cokernel_exponents(mat, k, p, e + 1)
-        for i, v in enumerate(exps):
-            chain[i] *= p ** v
-    return tuple(d for d in chain if d > 1)
+    n = order
+    a = [[x % n for x in row] for row in mat]
+    cyclic = []
+    for s in range(k):
+        # rows and columns before s are zero outside the diagonal
+        refilled = True
+        while refilled:
+            for i in range(s + 1, len(a)):  # clear column s by row steps
+                if a[i][s]:
+                    c, d, e, f = _eliminator(a[s][s], a[i][s])
+                    u, v = a[s], a[i]
+                    if d:
+                        a[s] = [(c * x + d * y) % n for x, y in zip(u, v)]
+                    a[i] = [(e * x + f * y) % n for x, y in zip(u, v)]
+            refilled = False
+            for j in range(s + 1, k):  # clear row s by column steps
+                if a[s][j]:
+                    c, d, e, f = _eliminator(a[s][s], a[s][j])
+                    if not d:  # a multiple of the pivot, whose column is clear
+                        a[s][j] = 0
+                        continue
+                    for row in a[s:]:
+                        x, y = row[s], row[j]
+                        row[s], row[j] = (c * x + d * y) % n, (e * x + f * y) % n
+                    refilled = True  # the pivot shrank; clear column s again
+                    break
+        cyclic.append(gcd(a[s][s], n))
+    return _canonical_chain(d for d in cyclic if d > 1)
 
 
 def _snf_with_transforms(mat, k: int):

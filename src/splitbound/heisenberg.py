@@ -23,6 +23,7 @@ negate exponents; nothing in this package depends on the choice.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -31,13 +32,15 @@ from .errors import (
     NotAbelianInPglError,
     NotPGroupError,
     NotScalarError,
+    _int_text,
 )
 from .finabel import (
     Element,
     FinAbGroup,
     QmodZ,
     Subgroup,
-    _factorize,
+    _prime_power,
+    _valuation,
     dual_group,
     eval_character,
     full_subgroup,
@@ -65,8 +68,6 @@ __all__ = [
 class _IndexTable:
     """Element order and translation data for one index group."""
 
-    _cache: dict[tuple[int, ...], "_IndexTable"] = {}
-
     def __init__(self, group: FinAbGroup):
         self.group = group
         self.coords = [e.coords for e in group.elements()]
@@ -75,12 +76,9 @@ class _IndexTable:
         self.modulus = group.exponent
 
     @classmethod
+    @lru_cache(maxsize=8)
     def of(cls, group: FinAbGroup) -> "_IndexTable":
-        table = cls._cache.get(group.invariants)
-        if table is None:
-            table = cls(group)
-            cls._cache[group.invariants] = table
-        return table
+        return cls(group)
 
     def translation(self, a: Element) -> tuple[int, ...]:
         inv = self.group.invariants
@@ -100,12 +98,12 @@ class MonomialMatrix:
     def __init__(self, group: FinAbGroup, perm, diag):
         self.group = group
         self.perm = tuple(perm)
-        n = _IndexTable.of(group).modulus
+        n = group.exponent
         self.diag = tuple(d % n for d in diag)
 
     @property
     def modulus(self) -> int:
-        return _IndexTable.of(self.group).modulus
+        return self.group.exponent
 
     def _check(self, other: "MonomialMatrix") -> None:
         if self.group != other.group:
@@ -433,14 +431,10 @@ def depth(h: PglSubgroup) -> int:
     order = h.order
     if order == 1:
         return 0
-    fact = _factorize(order)
-    if len(fact) != 1:
-        raise NotPGroupError(f"|H| = {order} is not a prime power")
-    (p, _e), = fact.items()
+    pe = _prime_power(order)
+    if pe is None:
+        raise NotPGroupError(f"|H| = {_int_text(order)} is not a prime power")
     ratio = isqrt(order // radical(alpha_form(h)).order)
-    d = 0
-    while ratio > 1:
-        assert ratio % p == 0
-        ratio //= p
-        d += 1
+    d = _valuation(ratio, pe[0])
+    assert ratio == pe[0] ** d
     return d

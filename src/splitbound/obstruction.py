@@ -22,8 +22,9 @@ from .errors import (
     HypothesisViolationError,
     OutputBoundError,
     PreconditionError,
+    _int_text,
 )
-from .finabel import Subgroup, _factorize, _is_prime
+from .finabel import Subgroup, _is_prime, _prime_power, _valuation
 from .qzforms import SkewForm, is_nondegenerate, iter_isotropic_bases, radical
 
 MAX_SEARCH_R = 40
@@ -199,10 +200,10 @@ def index_divisor(w: SkewForm) -> int:
 
 def _symplectic_p_r(w: SkewForm) -> tuple[int, int]:
     order = w.group.order
-    fact = _factorize(order)
-    if len(fact) != 1:
-        raise PreconditionError(f"module order {order} is not a prime power")
-    (p, e2), = fact.items()
+    pe = _prime_power(order)
+    if pe is None:
+        raise PreconditionError(f"module order {_int_text(order)} is not a prime power")
+    p, e2 = pe
     if e2 % 2:
         raise PreconditionError("symplectic module order must be a square")
     if not is_nondegenerate(w):
@@ -235,8 +236,8 @@ def splitting_group_isotropic_bound(
 
 def _meet_exponent(t1: tuple[int, ...], t2: tuple[int, ...], p: int) -> int:
     """log_p of the largest common subgroup type (componentwise meet)."""
-    e1 = sorted((_factorize(d)[p] for d in t1), reverse=True)
-    e2 = sorted((_factorize(d)[p] for d in t2), reverse=True)
+    e1 = sorted((_valuation(d, p) for d in t1), reverse=True)
+    e2 = sorted((_valuation(d, p) for d in t2), reverse=True)
     return sum(min(a, b) for a, b in zip(e1, e2))
 
 
@@ -269,8 +270,8 @@ def comparison_from_types(o1: int, types1, o2: int, types2, p: int) -> int:
                 exact = o1 * o2
             else:
                 exact = o1 * o2 // p ** _meet_exponent(t1, t2, p)
-                e1 = [_factorize(d)[p] for d in t1]
-                e2 = [_factorize(d)[p] for d in t2]
+                e1 = [_valuation(d, p) for d in t1]
+                e2 = [_valuation(d, p) for d in t2]
                 coarse_cap = min(len(e1), len(e2)) * min(max(e1), max(e2))
                 coarse = o1 * o2 // p ** coarse_cap
                 assert exact >= max(coarse, 1)

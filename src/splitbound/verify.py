@@ -21,8 +21,8 @@ from .finabel import (
     Subgroup,
     _canonical_chain,
     _cokernel_invariants,
-    _factorize,
     _relation_matrix,
+    _valuation,
     iter_subgroup_bases,
     make_group,
     replay_ops,
@@ -68,8 +68,13 @@ def iter_abelian_types(max_order: int):
     """Invariant chains of every abelian group of order <= max_order."""
     for n in range(1, max_order + 1):
         per_prime = []
-        for p, e in _factorize(n).items():
-            per_prime.append([[p ** a for a in part] for part in _partitions(e)])
+        m, p = n, 2
+        while m > 1:  # the least divisor of m above 1 is a prime
+            e = _valuation(m, p)
+            if e:
+                per_prime.append([[p ** a for a in part] for part in _partitions(e)])
+                m //= p ** e
+            p += 1
         for combo in product(*per_prime):
             orders = [x for block in combo for x in block]
             yield _canonical_chain(orders)
@@ -103,13 +108,12 @@ def subquot_profile(invariants: tuple[int, ...]):
 
 
 def random_group(rng: random.Random, max_order: int) -> FinAbGroup:
-    types = _RANDOM_TYPES.get(max_order)
-    if types is None:
-        types = _RANDOM_TYPES[max_order] = list(iter_abelian_types(max_order))
-    return make_group(rng.choice(types))
+    return make_group(rng.choice(_abelian_types(max_order)))
 
 
-_RANDOM_TYPES: dict[int, list] = {}
+@lru_cache(maxsize=4)
+def _abelian_types(max_order: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(iter_abelian_types(max_order))
 
 
 def _random_f2_form(m: int, rng: random.Random) -> f2quad.F2QuadForm:

@@ -196,8 +196,8 @@ def test_group_info_large_prime_answers_fast():
 
 
 def test_group_invariants_beyond_trial_division():
-    # smooth invariants answer from trial division; p^2 from its square
-    # root; a composite whose factors rho cannot reach is refused as input
+    # invariants come from gcd/lcm merging and factor nothing: smooth ones,
+    # p and p^2, and a composite with no small factor all answer
     code, out, _ = invoke(["group", "info", str(2 ** 100)])
     assert code == 0 and json.loads(out)["invariants"] == [2 ** 100]
     p = 1000000000000000003
@@ -207,10 +207,82 @@ def test_group_invariants_beyond_trial_division():
     assert code == 0 and json.loads(out) == {"depth": 1}
     # the least strong pseudoprime to the prime bases up to 41 (1287836182261 * 2575672364521)
     code, out, _ = invoke(["group", "info", "3317044064679887385961981"])
+    assert code == 0
+    assert json.loads(out) == {
+        "exponent": 3317044064679887385961981,
+        "invariants": [3317044064679887385961981],
+        "order": 3317044064679887385961981,
+        "rank": 1,
+    }
+
+
+def test_semiprime_order_answers_and_is_no_p_group():
+    # |A| = p * q with two 60-bit primes: the cokernel is reduced modulo
+    # |A| itself, and the p-group test takes the exact square root of |H|
+    p, q = 1000000000000000003, 1000000000000000009
+    code, out, _ = invoke(["group", "span", f"{p},{q}", "--gens", "(2)"])
+    assert code == 0
+    assert json.loads(out) == {"basis": [[1]], "invariants": [p * q], "order": p * q}
+    code, out, _ = invoke(["group", "quotient", f"{p},{q}", "--gens", f"({q})"])
+    assert code == 0 and json.loads(out) == {"invariants": [q]}
+    code, out, _ = invoke(["pgl", "depth", "--group", f"{p},{q}"])
     assert code == 2
     payload = json.loads(out)
     check_schema("error", payload)
-    assert payload["error"]["kind"] == "input"
+    assert payload["error"]["kind"] == "not-p-group"
+
+
+def _refused_fast(argv, kind):
+    t0 = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - t0 < 1.0, argv[:3]
+    assert code == 2 and err == ""
+    payload = json.loads(out)
+    check_schema("error", payload)
+    assert payload["error"]["kind"] == kind
+    return payload["error"]["message"]
+
+
+def test_results_above_the_int_to_str_limit_are_refused():
+    big = str(10 ** 4000)
+    msg = _refused_fast(["group", "info", f"{big},{big}"], "output-bound")
+    assert msg == "the result has an integer of more than 4300 decimal digits (the int-to-str limit)"
+    # text output is rendered whole first: nothing but the error is printed
+    code, out, _ = invoke(["--format", "text", "group", "info", f"{big},{big}"])
+    assert code == 2 and out.startswith("error.kind: output-bound\n")
+
+
+def test_enumeration_refusals_name_long_orders_by_digit_count():
+    big = str(10 ** 2200)
+    want = "group order <4401 digits> exceeds the enumeration bound 4096"
+    assert _refused_fast(["group", "subgroups", f"{big},{big}"], "enumeration-bound") == want
+    argv = ["pgl", "element", "--group", f"{big},{big}", "--a", "(0,0)", "--chi", "(0,0)"]
+    assert _refused_fast(argv, "enumeration-bound") == want
+    msg = _refused_fast(["pgl", "depth", "--group", f"{big},3"], "not-p-group")
+    assert msg == "|H| = <4401 digits> is not a prime power"  # 9 * 10^4400
+    # a printable order is still printed in full
+    msg = _refused_fast(["group", "subgroups", "4096,2"], "enumeration-bound")
+    assert msg == "group order 8192 exceeds the enumeration bound 4096"
+
+
+def test_json_specs_with_integers_above_the_int_to_str_limit_are_refused():
+    big = "1" + "0" * 4400
+    _refused_fast(["f2", "count", "--form", f'{{"dim": {big}, "rows": []}}'], "input")
+    spec = f'{{"group": [{big}], "gram": [["0/1"]]}}'
+    _refused_fast(["form", "radical", "--form", spec], "input")
+
+
+def test_compare_checks_the_limit_before_building_modules():
+    argv = ["obstruct", "--mode", "compare", "--p", "2"]
+    msg = _refused_fast(argv + ["--r", "20000"], "output-bound")
+    assert msg == "p^40000 has more than 4300 decimal digits (the int-to-str limit)"
+    msg = _refused_fast(argv + ["--r", "1", "--rank1", "1000"], "enumeration-bound")
+    assert msg == f"group order {2 ** 1000} exceeds the enumeration bound 4096"
+    msg = _refused_fast(argv + ["--r", "2", "--rank1", "14"], "enumeration-bound")
+    assert msg == "group order 16384 exceeds the enumeration bound 4096"
+    # the second module is checked after the first, as when both were built
+    msg = _refused_fast(argv + ["--r", "7", "--rank1", "2"], "enumeration-bound")
+    assert msg == "group order 16384 exceeds the enumeration bound 4096"
 
 
 # -- schema conformance -----------------------------------------------------------

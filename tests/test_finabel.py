@@ -62,11 +62,11 @@ def _conjugate(part):
 
 def subgroup_count_oracle(invariants):
     """Classical subgroup-counting formula, one prime at a time."""
-    from splitbound.finabel import _factorize
+    factorint = pytest.importorskip("sympy").factorint
 
     per_prime = {}
     for d in invariants:
-        for p, e in _factorize(d).items():
+        for p, e in factorint(d).items():
             per_prime.setdefault(p, []).append(e)
 
     def count_subgroups_of_type(lam, mu, p):
@@ -312,15 +312,15 @@ def test_embeds_matches_enumeration():
 
 def test_embeds_matches_partition_criterion():
     # p-group oracle: embedding iff exponent partitions dominate pointwise
-    from splitbound.finabel import _factorize
+    factorint = pytest.importorskip("sympy").factorint
 
     def embeds_oracle(ainv, binv):
         pa, pb = {}, {}
         for d in ainv:
-            for p, e in _factorize(d).items():
+            for p, e in factorint(d).items():
                 pa.setdefault(p, []).append(e)
         for d in binv:
-            for p, e in _factorize(d).items():
+            for p, e in factorint(d).items():
                 pb.setdefault(p, []).append(e)
         for p, exps in pa.items():
             lam = sorted(pb.get(p, []), reverse=True)
@@ -425,20 +425,164 @@ def test_snf_transforms_properties():
             assert y % x == 0
 
 
+def cokernel_oracle(mat, k, *factors):
+    """Invariant factors of Z^k / rowspan(mat) one prime at a time: pivot on
+    the entry of least p-adic valuation modulo p^(e+1), where p^e exactly
+    divides the product of `factors` (a multiple of the cokernel order)."""
+    factorint = pytest.importorskip("sympy").factorint
+    fact = {}
+    for n in factors:  # each factor alone: sympy is slow on a product of large primes
+        for p, e in factorint(n).items():
+            fact[p] = fact.get(p, 0) + e
+    chain = [1] * k
+    for p, e in fact.items():
+        m = p ** (e + 1)
+        a = [[x % m for x in row] for row in mat]
+        exps = []
+        for step in range(k):
+            best = None
+            for i in range(step, len(a)):
+                for j in range(step, k):
+                    x, v = a[i][j], 0
+                    if x == 0:
+                        continue
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+            assert best is not None, "cokernel not finite modulo p^(e+1)"
+            v, bi, bj = best
+            a[bi], a[step] = a[step], a[bi]
+            for row in a:
+                row[bj], row[step] = row[step], row[bj]
+            pv = p ** v
+            unit_inv = pow(a[step][step] // pv, -1, m)
+            a[step] = [x * unit_inv % m for x in a[step]]
+            for i in range(step + 1, len(a)):
+                f = a[i][step] // pv
+                a[i] = [(x - f * y) % m for x, y in zip(a[i], a[step])]
+            exps.append(v)
+        for i, v in enumerate(sorted(exps)):
+            chain[i] *= p ** v
+    return tuple(d for d in chain if d > 1)
+
+
+def test_cokernel_matches_plocal_oracle_on_every_small_subgroup():
+    # the quotient and subgroup matrices of every subgroup, |A| <= 64
+    from splitbound.finabel import _cokernel_invariants, _relation_matrix
+
+    checked = 0
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        k = a.rank
+        for basis in iter_subgroup_bases(a):
+            det = 1
+            for i in range(k):
+                det *= basis[i][i]
+            rows = [list(r) for r in basis]
+            assert _cokernel_invariants(rows, k, det) == cokernel_oracle(rows, k, det)
+            rel = _relation_matrix(a.invariants, basis, k)
+            sub = a.order // det
+            assert _cokernel_invariants(rel, k, sub) == cokernel_oracle(rel, k, sub)
+            checked += 1
+    assert checked == 6022  # Birkhoff's count summed over the 117 types
+
+
+def _unimodular(rng, k):
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        if i != j:
+            q = rng.randrange(-5, 6)
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def test_cokernel_matches_plocal_oracle_on_random_matrices():
+    # full-rank U * D * V with known |det|, some diagonals carrying two
+    # primes above 2^60; half the calls pass a proper multiple of the order
+    sympy = pytest.importorskip("sympy")
+    from splitbound.finabel import _cokernel_invariants
+
+    rng = random.Random(57)
+    big = [sympy.nextprime(2 ** 60 + rng.randrange(2 ** 40)) for _ in range(4)]
+    for trial in range(300):
+        k = rng.randrange(1, 6)
+        pool = [2, 3, 4, 6, 8, 9, 12, 25, 27] + (big if trial % 3 == 0 else [])
+        diag = [rng.choice(pool) if rng.random() < 0.7 else 1 for _ in range(k)]
+        d = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        mat = _matmul(_matmul(_unimodular(rng, k), d), _unimodular(rng, k))
+        factors = diag + ([rng.choice([2, 3, 5, big[0]])] if trial % 2 else [])
+        order = 1
+        for x in factors:
+            order *= x
+        assert _cokernel_invariants(mat, k, order) == cokernel_oracle(mat, k, *factors), (mat, order)
+
+
+def test_canonical_chain_matches_bucket_oracle():
+    factorint = pytest.importorskip("sympy").factorint
+    from splitbound.finabel import _canonical_chain
+
+    def bucket_oracle(entries):
+        buckets = {}
+        for n in entries:
+            for p, e in factorint(n).items():
+                buckets.setdefault(p, []).append(e)
+        chain = [1] * max(map(len, buckets.values()), default=0)
+        for p, exps in buckets.items():
+            for level, e in enumerate(sorted(exps, reverse=True)):
+                chain[level] *= p ** e
+        return tuple(reversed(chain))
+
+    rng = random.Random(8)
+    for _ in range(2000):
+        entries = [rng.choice([rng.randrange(2, 50), rng.randrange(2, 10 ** 6),
+                               2 ** rng.randrange(1, 40), 6 ** rng.randrange(1, 9)])
+                   for _ in range(rng.randrange(0, 30))]
+        assert _canonical_chain(entries) == bucket_oracle(entries), entries
+
+
+def test_canonical_chain_is_near_linear_in_the_rank():
+    # a carry walked entry by entry down the chain would take minutes here
+    import time
+
+    t0 = time.perf_counter()
+    chain = make_group([4] * 5000 + [2] * 5000 + [3] * 5000 + [2] * 5000).invariants
+    assert time.perf_counter() - t0 < 1.0
+    assert chain == (2,) * 10000 + (12,) * 5000
+
+
+def test_iter_abelian_types_sequence_pinned():
+    # the sequence (not only the set) feeds the seeded random_group draws
+    import hashlib
+
+    types = list(iter_abelian_types(256))
+    assert len(types) == 516
+    digest = hashlib.sha256(repr(types).encode()).hexdigest()
+    assert digest == "64d6e8fe486fc4d55724246902b3e73e118cca2b7a8b9d3a6bdcfc63659ca7ee"
+
+
 # -- factorization ---------------------------------------------------------------
 
 def test_factorize_and_is_prime_match_sympy():
+    # _prime_power against sympy's factorization on the same samples
     sympy = pytest.importorskip("sympy")
-    from splitbound.finabel import _factorize, _is_prime
+    from splitbound.finabel import _is_prime, _prime_power
 
     rng = random.Random(31)
     samples = list(range(3000))
     samples += [rng.randrange(2, 10 ** rng.randrange(4, 16)) for _ in range(400)]
     samples += [(10 ** 9 + 7) * (10 ** 9 + 9), 1000003 ** 3 * 1009, 3 ** 50 * 7, 2 ** 61 - 1]
+    samples += [1000003 ** 3, (10 ** 18 + 3) ** 2, (2 ** 61 - 1) ** 5, ((10 ** 9 + 7) * (10 ** 9 + 9)) ** 2]
     for n in samples:
         assert _is_prime(n) == sympy.isprime(n), n
-        if n:
-            assert _factorize(n) == dict(sorted(sympy.factorint(n).items())), n
+        fact = sympy.factorint(n) if n > 1 else {}
+        assert _prime_power(n) == (next(iter(fact.items())) if len(fact) == 1 else None), n
     # primality alone above trial division: random odd numbers, primes, and
     # strong pseudoprimes to the bases up to 23, 37 and 41 respectively
     for _ in range(100):
@@ -461,14 +605,17 @@ def test_strong_lucas_pseudoprimes():
 
 
 def test_factorization_refusals():
-    from splitbound.finabel import FACTOR_MAX_BITS, _factorize, _is_prime
+    # primality is refused above FACTOR_MAX_BITS; nothing else is
+    from splitbound.finabel import FACTOR_MAX_BITS, _is_prime, _prime_power
 
-    assert _factorize(2 ** 2000 * 3) == {2: 2000, 3: 1}
-    assert _factorize((10 ** 18 + 3) ** 3) == {10 ** 18 + 3: 3}
+    assert _prime_power(2 ** 2000) == (2, 2000)
+    assert _prime_power(2 ** 2000 * 3) is None
+    assert _prime_power((10 ** 18 + 3) ** 3) == (10 ** 18 + 3, 3)
     with pytest.raises(InputError):
         _is_prime(2 ** 1279 - 1)  # a Mersenne prime above FACTOR_MAX_BITS
+    with pytest.raises(InputError):
+        _prime_power(2 ** 1279 - 1)
     assert (2 ** 1279 - 1).bit_length() > FACTOR_MAX_BITS
-    with pytest.raises(InputError):
-        _factorize(1287836182261 * 2575672364521)  # two 40-bit primes
-    with pytest.raises(InputError):
-        make_group([2, 3317044064679887385961981])
+    assert _prime_power(1287836182261 * 2575672364521) is None  # two 40-bit primes
+    # the least strong pseudoprime to the prime bases up to 41 is odd
+    assert make_group([2, 3317044064679887385961981]).invariants == (2 * 3317044064679887385961981,)

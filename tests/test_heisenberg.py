@@ -12,7 +12,6 @@ from splitbound.errors import (
 )
 from splitbound.finabel import (
     QmodZ,
-    _factorize,
     dual_group,
     enumerate_subgroups,
     eval_character,
@@ -259,6 +258,7 @@ def test_depth_upper_bound_over_subgroups():
 def test_depth_matches_exhaustive_search():
     # radical-based depth vs log_p(|H| / largest isotropic order found by
     # enumerating every subgroup), for random generated subgroups, |A| <= 9
+    factorint = pytest.importorskip("sympy").factorint
     rng = random.Random(31)
     checked = 0
     for inv in iter_abelian_types(9):
@@ -273,7 +273,7 @@ def test_depth_matches_exhaustive_search():
                 for _ in range(rng.randrange(1, 4))
             ]
             h = PglSubgroup(gens)
-            fact = _factorize(h.order)
+            fact = factorint(h.order)
             if len(fact) > 1:
                 with pytest.raises(NotPGroupError):
                     depth(h)
@@ -341,6 +341,7 @@ def test_lattice_model_matches_matrix_closure():
     # seeded random generator sets over every A with |A| <= 16: the lattice
     # S against the matrix closure, and alpha_H, torality and depth against
     # the commutator Gram of the basis lifts
+    factorint = pytest.importorskip("sympy").factorint
     rng = random.Random(47)
     checked = 0
     for inv in iter_abelian_types(16):
@@ -368,7 +369,7 @@ def test_lattice_model_matches_matrix_closure():
             gram = SkewForm(group, commutator_gram(basis))
             assert alpha_form(h) == gram
             assert is_toral(h) == gram.is_zero()
-            fact = _factorize(h.order)
+            fact = factorint(h.order)
             if len(fact) > 1:
                 with pytest.raises(NotPGroupError):
                     depth(h)
