@@ -491,11 +491,10 @@ def test_cokernel_matches_plocal_oracle_on_every_small_subgroup():
 
 def _unimodular(rng, k):
     m = [[int(i == j) for j in range(k)] for i in range(k)]
-    for _ in range(3 * k):
-        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
-        if i != j:
-            q = rng.randrange(-5, 6)
-            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    for _ in range(3 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        q = rng.randrange(-5, 6)
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
     return m
 
 
