@@ -66,10 +66,21 @@ def _parse_elements(group: FinAbGroup, text: str) -> list[Element]:
     return [_parse_element(group, part) for part in text.split(";") if part.strip()]
 
 
+def _need(args, flag: str):
+    """The value of --flag, which the command's action cannot do without."""
+    value = getattr(args, flag)
+    if value is None:
+        raise InputError(f"{args.command} {args.action} needs --{flag}")
+    return value
+
+
 def _load_spec(text: str) -> dict:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as ex:
+            raise InputError(f"cannot read spec file: {ex}") from ex
     try:
         obj = json.loads(text)
     except ValueError as ex:  # malformed, or an integer above the int-to-str limit
@@ -82,6 +93,9 @@ def _load_spec(text: str) -> dict:
 def _parse_form(text: str) -> qzforms.SkewForm:
     obj = _load_spec(text)
     try:
+        # JSON numbers load as int or float; a float is no invariant factor
+        if any(isinstance(d, float) for d in obj["group"]):
+            raise InputError("bad form spec: group entries must be integers")
         group = make_group(obj["group"])
         gram = [[QmodZ.parse(entry) for entry in row] for row in obj["gram"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as ex:
@@ -94,7 +108,7 @@ def _parse_f2(text: str) -> f2quad.F2QuadForm:
     try:
         dim = int(obj["dim"])
         rows = [int(r, 16) for r in obj["rows"]]
-    except (KeyError, TypeError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError, OverflowError) as ex:
         raise InputError(f"bad F2 form spec: {ex}") from ex
     if dim > f2quad.MAX_DIM:
         raise PreconditionError(f"dimension {dim} above the bound {f2quad.MAX_DIM}")
@@ -139,8 +153,8 @@ def _cmd_group(args) -> dict:
     if act == "dual":
         return {"invariants": list(dual_group(a).invariants)}
     if act == "char":
-        chi = _parse_element(dual_group(a), args.chi)
-        x = _parse_element(a, args.a)
+        chi = _parse_element(dual_group(a), _need(args, "chi"))
+        x = _parse_element(a, _need(args, "a"))
         return {"value": str(eval_character(chi, x))}
     if act == "span":
         s = subgroup_from_generators(a, _parse_elements(a, args.gens or ""))
@@ -158,10 +172,10 @@ def _cmd_group(args) -> dict:
             out["types"] = [list(t) for t in out["types"]]
         return out
     if act == "embeds":
-        b = _parse_group(args.into)
+        b = _parse_group(_need(args, "into"))
         return {"embeds": embeds_into(a, b)}
     if act == "reduce":
-        xi = _parse_elements(a, args.tuple)
+        xi = _parse_elements(a, _need(args, "tuple"))
         log, reduced = reduce_tuple(a, xi)
         return {
             "ops": [[kind, i, j] for kind, i, j in log],
@@ -174,15 +188,15 @@ def _cmd_group(args) -> dict:
 def _cmd_form(args) -> dict:
     act = args.action
     if act == "standard":
-        return _form_obj(qzforms.standard_module(_parse_group(args.group)))
-    w = _parse_form(args.form)
+        return _form_obj(qzforms.standard_module(_parse_group(_need(args, "group"))))
+    w = _parse_form(_need(args, "form"))
     if act == "radical":
         return _subgroup_obj(qzforms.radical(w))
     if act == "nondegenerate":
         return {"nondegenerate": qzforms.is_nondegenerate(w)}
     if act == "evaluate":
-        x = _parse_element(w.group, args.x)
-        y = _parse_element(w.group, args.y)
+        x = _parse_element(w.group, _need(args, "x"))
+        y = _parse_element(w.group, _need(args, "y"))
         return {"value": str(qzforms.evaluate(w, x, y))}
     if act == "max-isotropic":
         mi = qzforms.max_isotropic(w, args.enum_limit)
@@ -225,8 +239,8 @@ def _cmd_pgl(args) -> dict:
     act = args.action
     if act == "element":
         a = _parse_group(args.group)
-        x = _parse_element(a, args.a)
-        chi = _parse_element(dual_group(a), args.chi)
+        x = _parse_element(a, _need(args, "a"))
+        chi = _parse_element(dual_group(a), _need(args, "chi"))
         # the lift and its printed perm and diag have |A| entries each
         _check_limit(a.order, args.enum_limit)
         lift = heisenberg.phi(x, chi).canonical_lift()
@@ -273,7 +287,7 @@ def _cmd_f2(args) -> dict:
             "hyperplane_max_typeA": best,
             "hyperplane_min_missed": missed,
         }
-    q = _parse_f2(args.form)
+    q = _parse_f2(_need(args, "form"))
     if act == "count":
         zeros, ones = f2quad.count_by_recursion(f2quad.decompose(q))
         return {"anisotropic": ones, "isotropic": zeros}
@@ -342,11 +356,12 @@ def _cmd_tables(args) -> dict:
             out["resolution"] = resolution
         return out
     if act == "check":
-        return {"divides": liedata.depth_consistency(_descriptor(args), args.p, args.d)}
+        desc = _descriptor(args)
+        return {"divides": liedata.depth_consistency(desc, _need(args, "p"), _need(args, "d"))}
     if act == "divisors":
         return dict(liedata.fixed_divisors())
     if act == "quadform":
-        upper, lower = liedata.quadform_split_exponents(args.n, args.det_one)
+        upper, lower = liedata.quadform_split_exponents(_need(args, "n"), args.det_one)
         return {"upper_l": upper, "lower_exp": lower}
     if act == "dump":
         return liedata.table_rows()

@@ -462,14 +462,14 @@ def _lattice_coefficients(basis, vec, k: int):
     v = list(vec)
     coeffs = [0] * k
     for i in range(k):
-        p = basis[i][i]
-        if v[i] % p:
-            return None
-        c = v[i] // p
-        coeffs[i] = c
-        if c:
+        x = v[i]
+        if x:
             row = basis[i]
-            for t in range(i, k):
+            c, r = divmod(x, row[i])
+            if r:
+                return None
+            coeffs[i] = c
+            for t in range(i + 1, k):
                 v[t] -= c * row[t]
     return coeffs
 
@@ -652,11 +652,13 @@ class Subgroup:
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroups of different groups")
-        k = self.ambient.rank
-        return all(
-            _lattice_coefficients(self.basis, row, k) is not None
-            for row in other.basis
-        )
+        inv = self.ambient.invariants
+        k = len(inv)
+        for i, row in enumerate(other.basis):
+            # a Hermite row with pivot d_i is d_i * e_i, which every lattice holds
+            if row[i] != inv[i] and _lattice_coefficients(self.basis, row, k) is None:
+                return False
+        return True
 
     def elements(self):
         """All elements of the subgroup (each exactly once)."""

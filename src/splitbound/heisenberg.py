@@ -431,7 +431,8 @@ def depth(h: PglSubgroup) -> int:
     order = h.order
     if order == 1:
         return 0
-    pe = _prime_power(order)
+    # an abelian group is a p-group iff its exponent is a power of p
+    pe = _prime_power(h.lattice.sub_invariants[-1])
     if pe is None:
         raise NotPGroupError(f"|H| = {_int_text(order)} is not a prime power")
     ratio = isqrt(order // radical(alpha_form(h)).order)

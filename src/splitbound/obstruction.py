@@ -200,10 +200,12 @@ def index_divisor(w: SkewForm) -> int:
 
 def _symplectic_p_r(w: SkewForm) -> tuple[int, int]:
     order = w.group.order
-    pe = _prime_power(order)
+    # an abelian group is a p-group iff its exponent is a power of p
+    pe = _prime_power(w.group.exponent)
     if pe is None:
         raise PreconditionError(f"module order {_int_text(order)} is not a prime power")
-    p, e2 = pe
+    p = pe[0]
+    e2 = _valuation(order, p)
     if e2 % 2:
         raise PreconditionError("symplectic module order must be a square")
     if not is_nondegenerate(w):

@@ -42,11 +42,15 @@ def test_tracer_installs_counts_and_restores_every_binding():
         ):
             code, out = invoke(argv)
             assert code == 0, out
-        qzforms.isotropic_transfer(w, full, triv, search_min=True)
+        # the second call is answered from the workspace's transfer memo
+        for _ in range(2):
+            qzforms.isotropic_transfer(w, full, triv, search_min=True)
     finally:
         tracer.uninstall()
     assert tracing.snapshot_bindings() == before
     assert tracer.counts["finabel.enum.calls"] > 0
     assert tracer.counts["finabel.basis_cache.hits"] == 0
-    assert tracer.calls["qzforms.workspace"] > 0
+    assert tracer.calls["qzforms.workspace"] == 1
+    assert tracer.calls["qzforms.transfer"] == 2
+    assert tracer.counts["qzforms.transfer.memo_hits"] == 1
     assert tracer.calls["finabel.embeds_into"] > 0

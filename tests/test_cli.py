@@ -216,6 +216,27 @@ def test_group_invariants_beyond_trial_division():
     }
 
 
+M607 = 2 ** 607 - 1  # a Mersenne prime
+
+
+def test_p_group_test_reads_the_exponent():
+    # |H| = P^2 and P^4 are above the 1024-bit primality bound; the exponent
+    # P is not
+    for group, depth in ((str(M607), 1), (f"{M607},{M607}", 2)):
+        t0 = time.perf_counter()
+        code, out, _ = invoke(["pgl", "depth", "--group", group])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and json.loads(out) == {"depth": depth}
+    # refusals keep their messages, which name the order
+    msg = _refused_fast(["pgl", "depth", "--group", "6"], "not-p-group")
+    assert msg == "|H| = 36 is not a prime power"
+    p, q = 1000000000000000003, 1000000000000000009
+    msg = _refused_fast(["pgl", "depth", "--group", f"{p},{q}"], "not-p-group")
+    assert msg == f"|H| = {(p * q) ** 2} is not a prime power"
+    argv = ["obstruct", "--mode", "compare", "--r", "1", "--rank1", "-2"]
+    assert _refused_fast(argv, "precondition") == "module order 1 is not a prime power"
+
+
 def test_semiprime_order_answers_and_is_no_p_group():
     # |A| = p * q with two 60-bit primes: the cokernel is reduced modulo
     # |A| itself, and the p-group test takes the exact square root of |H|
@@ -354,6 +375,57 @@ def test_schema_with_elements(key, argv):
     code, out, _ = invoke(argv)
     assert code == 0, out
     check_schema(key, json.loads(out))
+
+
+# the flags an action cannot do without (beyond those argparse requires)
+NEEDED_FLAGS = {
+    "group char": ("--chi", "--a"),
+    "group embeds": ("--into",),
+    "group reduce": ("--tuple",),
+    "form standard": ("--group",),
+    "form radical": ("--form",),
+    "form nondegenerate": ("--form",),
+    "form evaluate": ("--form", "--x", "--y"),
+    "form max-isotropic": ("--form",),
+    "form lagrangian": ("--form",),
+    "form quotient-lagrangian": ("--form",),
+    "pgl element": ("--a", "--chi"),
+    "f2 count": ("--form",),
+    "f2 decompose": ("--form",),
+    "f2 radical": ("--form",),
+    "tables check": ("--p", "--d"),
+    "tables quadform": ("--n",),
+}
+MISSING = [(key, flag) for key, flags in NEEDED_FLAGS.items() for flag in flags]
+
+
+@pytest.mark.parametrize("key,flag", MISSING, ids=[f"{k} {f}" for k, f in MISSING])
+def test_missing_flag_is_an_input_error(key, flag):
+    # the complete command is a schema case above; without the flag it is
+    # refused with a message naming the flag, not a traceback
+    argv = dict(CASES)[key]
+    i = argv.index(flag)
+    assert _refused_fast(argv[:i] + argv[i + 2:], "input") == f"{key} needs {flag}"
+
+
+# specs that cannot be read or hold a number that is no integer; {tmp} is a
+# scratch directory holding binary.json, which is not UTF-8
+MALFORMED_SPECS = {
+    "missing file": ["form", "radical", "--form", "@{tmp}/missing.json"],
+    "directory": ["form", "radical", "--form", "@{tmp}"],
+    "not utf-8": ["f2", "count", "--form", "@{tmp}/binary.json"],
+    "dim 1e400": ["f2", "count", "--form", '{"dim": 1e400, "rows": []}'],
+    "group 4.0": ["form", "radical", "--form", '{"group": [4.0], "gram": [["0/1"]]}'],
+    "group 1e400": ["form", "radical", "--form", '{"group": [1e400], "gram": [["0/1"]]}'],
+    "group NaN": ["form", "radical", "--form", '{"group": [NaN], "gram": [["0/1"]]}'],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SPECS))
+def test_malformed_spec_is_an_input_error(case, tmp_path):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in MALFORMED_SPECS[case]]
+    _refused_fast(argv, "input")
 
 
 # -- specific output values ---------------------------------------------------------

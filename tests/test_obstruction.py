@@ -154,18 +154,34 @@ def test_isotropic_bound():
         splitting_group_isotropic_bound(w4, 5)
 
 
+def test_symplectic_p_r_reads_the_exponent():
+    # |H| = P^2 and P^4 are above the 1024-bit primality bound; the exponent
+    # P is not.  Refusals still name the order.
+    from splitbound.obstruction import _symplectic_p_r
+
+    p = 2 ** 607 - 1  # a Mersenne prime
+    assert _symplectic_p_r(standard_module(make_group([p]))) == (p, 1)
+    assert _symplectic_p_r(standard_module(make_group([p, p]))) == (p, 2)
+    with pytest.raises(PreconditionError, match="^module order 36 is not a prime power$"):
+        _symplectic_p_r(standard_module(make_group([6])))
+    with pytest.raises(PreconditionError, match="^symplectic module order must be a square$"):
+        _symplectic_p_r(zero_form(make_group([8])))
+
+
 def isotropic_bound_oracle(w, e):
     """splitting_group_isotropic_bound by filtering every subgroup."""
     from splitbound.finabel import Subgroup
     from splitbound.obstruction import _symplectic_p_r
-    from splitbound.qzforms import _isotropic_basis, _iter_bases_with_order
+    from splitbound.finabel import iter_subgroup_bases
+    from splitbound.qzforms import _isotropic_basis
 
     p, r = _symplectic_p_r(w)
     target = p ** (r - e)
+    subgroups = (Subgroup(w.group, basis) for basis in iter_subgroup_bases(w.group))
     types = {
-        Subgroup(w.group, basis).sub_invariants
-        for order, basis in _iter_bases_with_order(w, None)
-        if order == target and _isotropic_basis(w, basis)
+        s.sub_invariants
+        for s in subgroups
+        if s.order == target and _isotropic_basis(w, s.basis)
     }
     return target, sorted(types)
 

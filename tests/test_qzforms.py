@@ -11,6 +11,7 @@ from splitbound.finabel import (
     QmodZ,
     Subgroup,
     enumerate_subgroups,
+    iter_subgroup_bases,
     make_group,
     quotient,
     subgroup_from_generators,
@@ -43,19 +44,26 @@ def base_lagrangian(w):
     return subgroup_from_generators(g, gens)
 
 
+def bases_with_order(w):
+    """(order, Hermite basis) of every subgroup of the form's group."""
+    g = w.group
+    for basis in iter_subgroup_bases(g):
+        yield Subgroup(g, basis).order, basis
+
+
 def max_isotropic_oracle(w):
     """Two-pass exhaustive search: the largest isotropic order, then the
     least canonical basis and every type at that order."""
-    from splitbound.qzforms import _isotropic_basis, _iter_bases_with_order
+    from splitbound.qzforms import _isotropic_basis
 
     g = w.group
     best = 0
-    for order, basis in _iter_bases_with_order(w, None):
+    for order, basis in bases_with_order(w):
         if order > best and _isotropic_basis(w, basis):
             best = order
     witness_basis = None
     types = set()
-    for order, basis in _iter_bases_with_order(w, None):
+    for order, basis in bases_with_order(w):
         if order != best or not _isotropic_basis(w, basis):
             continue
         if witness_basis is None or basis < witness_basis:
@@ -281,10 +289,10 @@ def isotropic_bases_by_filter(w):
     every subgroup basis and the pairwise isotropy filter."""
     from collections import defaultdict
 
-    from splitbound.qzforms import _isotropic_basis, _iter_bases_with_order
+    from splitbound.qzforms import _isotropic_basis
 
     out = defaultdict(set)
-    for order, basis in _iter_bases_with_order(w, None):
+    for order, basis in bases_with_order(w):
         if _isotropic_basis(w, basis):
             out[order].add(basis)
     return out
@@ -506,24 +514,27 @@ def test_isotropic_transfer_checks_limit_on_every_call():
         isotropic_transfer(w, full, triv, limit=2)
 
 
-@pytest.mark.parametrize("inv", [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)])
+# every (H1, I isotropic in H1) pair of the standard module on A x A*
+TRANSFER_PAIRS = {
+    (2,): 11, (3,): 14, (4,): 62, (2, 2): 382, (5,): 20,
+    (6,): 154, (7,): 26, (8,): 256, (2, 4): 2788, (2, 2, 2): 49652,
+}
+
+
+@pytest.mark.parametrize("inv", list(TRANSFER_PAIRS))
 def test_isotropic_transfer_exhaustive(inv):
-    # every (H1, I isotropic in H1) pair of the standard module on A x A*
     w = standard_module(make_group(list(inv)))
     g = w.group
     n = make_group(list(inv)).order
-    from splitbound.qzforms import _workspace
-
-    ws = _workspace(w, None)
-    iso_list = [
-        (s, m) for s, m, flag in zip(ws.subgroups, ws.masks, ws.isotropic) if flag
-    ]
+    subs = enumerate_subgroups(g)
+    members = {s.basis: frozenset(e.coords for e in s.elements()) for s in subs}
+    iso_list = [s for s in subs if is_isotropic(w, s)]
     embed_cache = {}
     quot_cache = {}
     pairs = 0
-    for h1, h1_mask in zip(ws.subgroups, ws.masks):
-        for iso, iso_mask in iso_list:
-            if iso_mask & ~h1_mask:
+    for h1 in subs:
+        for iso in iso_list:
+            if not members[iso.basis] <= members[h1.basis]:
                 continue
             pairs += 1
             i1, wit = isotropic_transfer(w, h1, iso)
@@ -537,7 +548,129 @@ def test_isotropic_transfer_exhaustive(inv):
             if ekey not in embed_cache:
                 embed_cache[ekey] = _embeds_types(ekey[0], list(ekey[1]))
             assert embed_cache[ekey], (inv, h1.basis, iso.basis)
-    assert pairs > 0
+    assert pairs == TRANSFER_PAIRS[inv]
+
+
+class BitmaskWorkspace:
+    """Element-indexed tables of a form: every subgroup in canonical order,
+    the bitmask of its elements and its isotropy flag."""
+
+    def __init__(self, w):
+        g = w.group
+        self.index = {e.coords: i for i, e in enumerate(g.elements())}
+        self.subgroups = enumerate_subgroups(g)
+        self.masks = [self.mask(s) for s in self.subgroups]
+        self.isotropic = [is_isotropic(w, s) for s in self.subgroups]
+
+    def mask(self, s):
+        m = 0
+        for e in s.elements():
+            m |= 1 << self.index[e.coords]
+        return m
+
+    def pairs(self):
+        """Every (H1, I) with I isotropic and contained in H1."""
+        iso = [(s, m) for s, m, f in zip(self.subgroups, self.masks, self.isotropic) if f]
+        return [
+            (h1, s)
+            for h1, h1_mask in zip(self.subgroups, self.masks)
+            for s, m in iso
+            if not m & ~h1_mask
+        ]
+
+
+def transfer_oracle(ws, n, h1, iso, search_min=False):
+    """isotropic_transfer by containment of element bitmasks over every
+    subgroup, with no memo; n = sqrt|H|."""
+    from splitbound.finabel import FinAbGroup, embeds_into
+    from splitbound.qzforms import TransferWitness, _subgroup_quotient_type
+
+    h1_mask, iso_mask = ws.mask(h1), ws.mask(iso)
+    i_max = next(
+        s for s, m, f in zip(ws.subgroups, ws.masks, ws.isotropic)
+        if f and not m & ~h1_mask and not iso_mask & ~m
+    )
+    imax_mask = ws.mask(i_max)
+    lag = next(
+        s for s, m, f in zip(ws.subgroups, ws.masks, ws.isotropic)
+        if f and s.order == n and not imax_mask & ~m
+    )
+    lag_mask = ws.mask(lag)
+    assert lag_mask & h1_mask == imax_mask
+    image_type = _subgroup_quotient_type(h1, i_max)
+    i1 = next(
+        s for s, m in zip(ws.subgroups, ws.masks)
+        if not m & ~lag_mask and s.sub_invariants == image_type
+    )
+    min_order = None
+    if search_min:
+        hi_group = FinAbGroup(_subgroup_quotient_type(h1, iso))
+        for s, f in zip(reversed(ws.subgroups), reversed(ws.isotropic)):
+            if f and (n * s.order) % h1.order == 0 and embeds_into(
+                FinAbGroup(s.sub_invariants), hi_group
+            ):
+                min_order = s.order
+                break
+    return i1, TransferWitness(i_max, lag, image_type, min_order)
+
+
+def assert_transfer_matches_oracle(w, pairs, ws):
+    from math import isqrt
+
+    n = isqrt(w.group.order)
+    for h1, iso in pairs:
+        for search_min in (False, True):
+            got = isotropic_transfer(w, h1, iso, search_min=search_min)
+            assert got == transfer_oracle(ws, n, h1, iso, search_min), (h1, iso, search_min)
+
+
+def test_isotropic_transfer_matches_oracle_on_every_small_pair():
+    # every pair of every standard module with |A| <= 8 but (Z/2)^3, whose
+    # 49,652 pairs are sampled below
+    modules = 0
+    for inv in iter_abelian_types(8):
+        if inv == (2, 2, 2):
+            continue
+        w = standard_module(make_group(inv))
+        ws = BitmaskWorkspace(w)
+        assert_transfer_matches_oracle(w, ws.pairs(), ws)
+        modules += 1
+    assert modules == 10
+
+
+def test_isotropic_transfer_matches_oracle_on_seeded_pairs():
+    import random
+
+    w = standard_module(make_group([2, 2, 2]))
+    ws = BitmaskWorkspace(w)
+    pairs = ws.pairs()
+    assert len(pairs) == TRANSFER_PAIRS[(2, 2, 2)]
+    assert_transfer_matches_oracle(w, random.Random(8).sample(pairs, 2000), ws)
+
+
+def test_transfer_workspace_lists_the_isotropic_subgroups():
+    # the workspace is the isotropy filter of the canonical subgroup list,
+    # on every standard module with |A| <= 16 and on random symplectic forms
+    import random
+
+    from splitbound.qzforms import _Workspace
+
+    def check(w):
+        want = [s for s in enumerate_subgroups(w.group) if is_isotropic(w, s)]
+        assert _Workspace(w, None).isotropic == want, w.gram
+
+    for inv in iter_abelian_types(16):
+        check(standard_module(make_group(inv)))
+    rng = random.Random(41)
+    nondegenerate = 0
+    for inv in iter_abelian_types(64):
+        g = make_group(inv)
+        for _ in range(6):
+            w = random_form(rng, g)
+            if is_nondegenerate(w):
+                check(w)
+                nondegenerate += 1
+    assert nondegenerate >= 20, nondegenerate
 
 
 def subgroup_quotient_type_oracle(h1, inner):
