@@ -106,10 +106,13 @@ def _parse_form(text: str) -> qzforms.SkewForm:
 def _parse_f2(text: str) -> f2quad.F2QuadForm:
     obj = _load_spec(text)
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         rows = [int(r, 16) for r in obj["rows"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as ex:
+    except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"bad F2 form spec: {ex}") from ex
+    # JSON numbers load as int, float or bool; only an int is a dimension
+    if type(dim) is not int:
+        raise InputError("bad F2 form spec: dim must be an integer")
     if dim > f2quad.MAX_DIM:
         raise PreconditionError(f"dimension {dim} above the bound {f2quad.MAX_DIM}")
     return f2quad.F2QuadForm(dim, rows)
@@ -131,7 +134,7 @@ def _subgroup_obj(s: Subgroup) -> dict:
 
 
 def _descriptor(args) -> liedata.GroupDescriptor:
-    series = args.type
+    series = _need(args, "type")
     n = getattr(args, "rank", None)
     return liedata.GroupDescriptor(series, n, not getattr(args, "adjoint", False))
 

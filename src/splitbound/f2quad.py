@@ -124,8 +124,8 @@ def bilinear(q: F2QuadForm, v: int, w: int) -> int:
     return q.value(v ^ w) ^ q.value(v) ^ q.value(w)
 
 
-def f2_rank(vectors) -> int:
-    """Rank of a list of bitmask vectors over F_2."""
+def _echelon(vectors) -> list[int]:
+    """Reduced echelon basis (descending) of the span of bitmask vectors."""
     basis: list[int] = []
     for v in vectors:
         for b in basis:
@@ -133,7 +133,12 @@ def f2_rank(vectors) -> int:
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-    return len(basis)
+    return basis
+
+
+def f2_rank(vectors) -> int:
+    """Rank of a list of bitmask vectors over F_2."""
+    return len(_echelon(vectors))
 
 
 def radical_basis(q: F2QuadForm) -> list[int]:
@@ -155,14 +160,7 @@ def radical_basis(q: F2QuadForm) -> list[int]:
         else:
             kernel.append(tag)
     # reduce kernel to echelon form for a canonical answer
-    basis: list[int] = []
-    for v in kernel:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return sorted(basis)
+    return sorted(_echelon(kernel))
 
 
 def count_anisotropic(q: F2QuadForm) -> int:

@@ -59,11 +59,16 @@ __all__ = [
 
 
 def enum_limit(override: int | None = None) -> int:
-    """Active exhaustive-enumeration bound (env SPLITBOUND_ENUM_LIMIT wins)."""
+    """Active exhaustive-enumeration bound: the override (--enum-limit), else
+    env SPLITBOUND_ENUM_LIMIT (refused, InputError, if no integer), else the
+    default."""
     if override is not None:
         return override
     raw = os.environ.get("SPLITBOUND_ENUM_LIMIT")
-    return int(raw) if raw else DEFAULT_ENUM_LIMIT
+    try:
+        return int(raw) if raw else DEFAULT_ENUM_LIMIT
+    except ValueError as ex:
+        raise InputError(f"SPLITBOUND_ENUM_LIMIT={raw!r} is not an integer") from ex
 
 
 def _check_limit(order: int, override: int | None = None) -> None:
@@ -563,11 +568,6 @@ def _snf_with_transforms(mat, k: int):
             a[t][i], a[t][j] = a[t][j], a[t][i]
             V[t][i], V[t][j] = V[t][j], V[t][i]
 
-    def col_neg(i):
-        for t in range(k):
-            a[t][i] = -a[t][i]
-            V[t][i] = -V[t][i]
-
     for s in range(k):
         while True:
             bi = bj = -1
@@ -967,16 +967,12 @@ def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
             else:
                 op_sub(tail, lead)
 
-    def reduce_block(first: int, ncoords: int):
-        # entries first..s-1 live in the subgroup with coordinates < ncoords
-        if ncoords == 0 or first >= s:
-            return
-        c = ncoords - 1
+    # entries first..s-1 live in the subgroup with coordinates <= c; the
+    # pivot entry `first` clears coordinate c from every later one
+    for first in range(k):
+        c = k - 1 - first
         for j in range(first + 1, s):
             clear_pair(first, j, c)
-        reduce_block(first + 1, ncoords - 1)
-
-    reduce_block(0, k)
     reduced = [Element(a, cs) for cs in coords]
     nonzero = sum(1 for el in reduced if not el.is_zero())
     assert nonzero <= k

@@ -46,7 +46,7 @@ from .finabel import (
     full_subgroup,
     subgroup_from_generators,
 )
-from .qzforms import SkewForm, radical, restrict, standard_module
+from .qzforms import SkewForm, is_isotropic, radical, restrict, standard_module
 
 __all__ = [
     "MonomialMatrix",
@@ -413,8 +413,9 @@ def alpha_form(h: PglSubgroup) -> SkewForm:
 
 
 def is_toral(h: PglSubgroup) -> bool:
-    """Toral in PGL_n means the commutator pairing vanishes identically."""
-    return alpha_form(h).is_zero()
+    """Toral in PGL_n means the commutator pairing vanishes identically,
+    that is, S is isotropic in the standard module."""
+    return is_isotropic(standard_module(h.index_group), h.lattice)
 
 
 def depth(h: PglSubgroup) -> int:

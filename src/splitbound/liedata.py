@@ -13,6 +13,7 @@ from importlib import resources
 from math import prod
 
 from .errors import PreconditionError, UnsupportedTypeError
+from .finabel import _valuation
 
 _EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
 _SERIES = ("A", "B", "C", "D") + _EXCEPTIONAL
@@ -56,14 +57,6 @@ class GroupDescriptor:
         return base + ("" if self.simply_connected else " (adjoint form)")
 
 
-def _v2(n: int) -> int:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
 # formula tokens appearing in the table, mapped to exact evaluators
 _FORMULAS = {
     "1": lambda n: 1,
@@ -74,8 +67,8 @@ _FORMULAS = {
     "2^n": lambda n: 2 ** n,
     "2^max(1,n-4)": lambda n: 2 ** max(1, n - 4),
     "2^max(1,n-5)": lambda n: 2 ** max(1, n - 5),
-    "2^(v2(n)+1)": lambda n: 2 ** (_v2(n) + 1),
-    "2^(v2(n)+n)": lambda n: 2 ** (_v2(n) + n),
+    "2^(v2(n)+1)": lambda n: 2 ** (_valuation(n, 2) + 1),
+    "2^(v2(n)+n)": lambda n: 2 ** (_valuation(n, 2) + n),
     "2*3^4": lambda n: 2 * 3 ** 4,
     "2^5*3": lambda n: 2 ** 5 * 3,
     "2^7*3^3*5": lambda n: 2 ** 7 * 3 ** 3 * 5,
@@ -168,8 +161,10 @@ def tits_n(g: GroupDescriptor) -> int:
 
 def depth_consistency(g: GroupDescriptor, p: int, d: int) -> bool:
     """Whether a depth-d abelian p-subgroup is consistent with n(G):
-    p^d must divide the tabulated splitting bound."""
-    return tits_n(g) % p ** d == 0
+    p^d must divide the tabulated splitting bound (d <= its p-exponent)."""
+    if p < 2 or d < 0:
+        raise PreconditionError("need p >= 2 and d >= 0")
+    return d <= _valuation(tits_n(g), p)
 
 
 def quadform_split_exponents(n: int, det_one: bool) -> tuple[int, int]:

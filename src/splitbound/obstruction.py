@@ -97,11 +97,6 @@ def checked_power(p: int, exp: int) -> int:
     return p ** exp
 
 
-def _brace_half(t: int) -> int:
-    """Smallest nonnegative integer >= t/2."""
-    return (t + 1) // 2 if t > 0 else 0
-
-
 def f_bound(r: int, e: int = 0) -> int:
     """Divisibility exponent r - e + sum_{v>=3} {([r/v] - e)/2}, clamped
     at 0; negative summands contribute nothing."""
@@ -109,7 +104,7 @@ def f_bound(r: int, e: int = 0) -> int:
         raise PreconditionError("need r >= 1 and e >= 0")
     total = r - e
     for v in range(3, r + 1):
-        total += _brace_half(r // v - e)
+        total += max(0, (r // v - e + 1) // 2)  # {t/2}: ceil(t/2), 0 for t <= 0
     return max(0, total)
 
 
@@ -127,16 +122,14 @@ def partition_feasible(q: ObstructionQuery, c: PartitionCandidate) -> bool:
     return True
 
 
-def min_splitting_exponent(
-    q: ObstructionQuery, max_r: int = MAX_SEARCH_R
-) -> tuple[int, PartitionCandidate]:
+def min_splitting_exponent(q: ObstructionQuery) -> tuple[int, PartitionCandidate]:
     """Minimal total exponent over feasible partitions, with the first
     witness in (total ascending, lexicographic) search order.
 
     The pairwise constraints alone force total >= f_e(r), which is asserted.
     """
-    if q.r > max_r:
-        raise PreconditionError(f"r = {q.r} above the search bound {max_r}")
+    if q.r > MAX_SEARCH_R:
+        raise PreconditionError(f"r = {q.r} above the search bound {MAX_SEARCH_R}")
     r, e = q.r, q.e
 
     def need_at(v: int) -> int:
@@ -144,46 +137,29 @@ def min_splitting_exponent(
         return max(0, r // v - e) if 1 <= v <= r else 0
 
     @lru_cache(maxsize=None)
-    def tail_min(v: int, prev: int):
-        """Least achievable sum over positions >= v given n_{v-1} = prev,
-        or None when no nonincreasing completion satisfies the constraints."""
+    def best(v: int, prev: int):
+        """(least sum over positions >= v, least n_v reaching it) given
+        n_{v-1} = prev, or None when no nonincreasing completion satisfies
+        the constraints.  n_v = 0 means an all-zero tail."""
         lo = max(0, need_at(v - 1) - prev)
         if lo > prev:
             return None
         if lo == 0 and need_at(v) == 0:
-            return 0  # an all-zero tail is feasible, hence optimal
-        best = None
+            return 0, 0  # an all-zero tail is feasible, hence optimal
+        found = None
         for val in range(max(lo, 1), prev + 1):
-            rest = tail_min(v + 1, val)
-            if rest is not None and (best is None or val + rest < best):
-                best = val + rest
-        return best
+            rest = best(v + 1, val)
+            if rest is not None and (found is None or val + rest[0] < found[0]):
+                found = (val + rest[0], val)
+        return found
 
-    total = tail_min(1, r)
-    assert total is not None, "the constant partition (r, ..., r) is feasible"
-
+    # the least n_v at every position gives the lexicographically least
+    # witness of the least total
+    total, val = best(1, r)  # the constant partition (r, ..., r) is feasible
     witness: list[int] = []
-
-    def dfs(v: int, prev: int, remaining: int) -> bool:
-        # positions are filled in lexicographic order, so the first success
-        # is the lexicographically least witness of this exact total
-        lo = max(0, need_at(v - 1) - prev)
-        if remaining == 0:
-            return lo == 0 and need_at(v) == 0
-        if lo > prev:
-            return False
-        for val in range(max(lo, 1), min(prev, remaining) + 1):
-            tail = tail_min(v + 1, val)
-            if tail is None or tail > remaining - val:
-                continue
-            witness.append(val)
-            if dfs(v + 1, val, remaining - val):
-                return True
-            witness.pop()
-        return False
-
-    found = dfs(1, r, total)
-    assert found
+    while val:
+        witness.append(val)
+        val = best(len(witness) + 1, val)[1]
     cand = PartitionCandidate(tuple(witness))
     assert partition_feasible(q, cand)
     assert total >= f_bound(r, e)

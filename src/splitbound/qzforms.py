@@ -26,7 +26,6 @@ from .finabel import (
     Subgroup,
     _check_limit,
     _cokernel_invariants,
-    _divisors,
     _iter_bases_general,
     _lattice_coefficients,
     _snf_with_transforms,
@@ -158,16 +157,7 @@ def evaluate(w: SkewForm, x: Element, y: Element) -> QmodZ:
     if x.group != w.group or y.group != w.group:
         raise AmbientMismatchError("element does not live on the form's group")
     n = w.exponent
-    scaled = w.scaled()
-    total = 0
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        row = scaled[i]
-        for j, yj in enumerate(y.coords):
-            if yj:
-                total += xi * yj * row[j]
-    return QmodZ(total, n)
+    return QmodZ(_pair_value(w.scaled(), n, x.coords, y.coords, w.group.rank), n)
 
 
 def radical(w: SkewForm) -> Subgroup:
@@ -247,14 +237,14 @@ def _isotropic_basis(w: SkewForm, basis) -> bool:
     return True
 
 
-def iter_isotropic_bases(w: SkewForm, order: int, limit: int | None = None):
-    """Hermite bases of the isotropic subgroups of the given order, each
-    once (unsorted but deterministic).
+def iter_isotropic_bases(w: SkewForm, order: int | None, limit: int | None = None):
+    """Hermite bases of the isotropic subgroups of the given order (of
+    every order when it is None), each once (unsorted but deterministic).
 
-    The subgroup recursion grows only isotropic bases of that order: a
-    basis row that pairs nontrivially with a row kept below it is cut with
-    every completion.  The limit applies to the group order, as for
-    exhaustive enumeration.
+    The subgroup recursion grows only isotropic bases: a basis row that
+    pairs nontrivially with a row kept below it is cut with every
+    completion.  The limit applies to the group order, as for exhaustive
+    enumeration.
     """
     g = w.group
     _check_limit(g.order, limit)
@@ -357,23 +347,14 @@ def symplectic_submodule(w: SkewForm, s: int) -> Subgroup:
 
 class _Workspace:
     """The isotropic subgroups of a nondegenerate form, in canonical order
-    (descending order, then basis).
-
-    Every isotropic order divides n = sqrt|H|: each p-part of H has order
-    p^(2a), and its isotropic subgroups have order at most p^a.  So one
-    pruned pass of iter_isotropic_bases per divisor of n lists them all,
-    and no other subgroup is ever built.
-    """
+    (descending order, then basis), from one pruned pass of
+    iter_isotropic_bases; no other subgroup is ever built."""
 
     def __init__(self, w: SkewForm, limit):
         g = w.group
-        entries = [
-            (-d, basis)
-            for d in _divisors(isqrt(g.order))
-            for basis in iter_isotropic_bases(w, d, limit)
-        ]
-        entries.sort()
-        self.isotropic = [Subgroup(g, basis) for _negorder, basis in entries]
+        subs = [Subgroup(g, basis) for basis in iter_isotropic_bases(w, None, limit)]
+        subs.sort(key=lambda s: (-s.order, s.basis))
+        self.isotropic = subs
         self.transfer_memo: dict[tuple, tuple] = {}
 
 

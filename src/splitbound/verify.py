@@ -20,11 +20,10 @@ from .finabel import (
     FinAbGroup,
     Subgroup,
     _canonical_chain,
-    _cokernel_invariants,
-    _relation_matrix,
     _valuation,
     iter_subgroup_bases,
     make_group,
+    quotient,
     replay_ops,
     reduce_tuple,
     subgroup_from_generators,
@@ -87,7 +86,6 @@ def subquot_profile(invariants: tuple[int, ...]):
     a = make_group(invariants)
     inv = a.invariants
     k = len(inv)
-    order = a.order
     subs: Counter = Counter()
     quots: Counter = Counter()
     if a.is_elementary():
@@ -98,12 +96,9 @@ def subquot_profile(invariants: tuple[int, ...]):
             quots[(p,) * (k - r)] += 1
         return subs, quots
     for basis in iter_subgroup_bases(a):
-        det = 1
-        for i in range(k):
-            det *= basis[i][i]
-        quots[_cokernel_invariants([list(r) for r in basis], k, det)] += 1
-        rel = _relation_matrix(inv, basis, k)
-        subs[_cokernel_invariants(rel, k, order // det)] += 1
+        s = Subgroup(a, basis)
+        subs[s.sub_invariants] += 1
+        quots[quotient(a, s).invariants] += 1
     return subs, quots
 
 

@@ -393,7 +393,9 @@ NEEDED_FLAGS = {
     "f2 count": ("--form",),
     "f2 decompose": ("--form",),
     "f2 radical": ("--form",),
-    "tables check": ("--p", "--d"),
+    "tables torsion": ("--type",),
+    "tables tits": ("--type",),
+    "tables check": ("--type", "--p", "--d"),
     "tables quadform": ("--n",),
 }
 MISSING = [(key, flag) for key, flags in NEEDED_FLAGS.items() for flag in flags]
@@ -418,6 +420,9 @@ MALFORMED_SPECS = {
     "group 4.0": ["form", "radical", "--form", '{"group": [4.0], "gram": [["0/1"]]}'],
     "group 1e400": ["form", "radical", "--form", '{"group": [1e400], "gram": [["0/1"]]}'],
     "group NaN": ["form", "radical", "--form", '{"group": [NaN], "gram": [["0/1"]]}'],
+    "dim 2.5": ["f2", "count", "--form", '{"dim": 2.5, "rows": ["0x2", "0x0"]}'],
+    "dim string": ["f2", "count", "--form", '{"dim": "2", "rows": ["0x2", "0x0"]}'],
+    "dim true": ["f2", "count", "--form", '{"dim": true, "rows": ["0x2"]}'],
 }
 
 
@@ -557,6 +562,15 @@ def test_enum_limit_flag_and_env(monkeypatch):
     code, out, _ = invoke(["group", "subgroups", "2,2,2,2"])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "enumeration-bound"
+    # the flag wins over the variable, and a value that is no integer is
+    # refused with a message naming the variable
+    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2,2,2,2"])
+    assert code == 0 and json.loads(out)["count"] == 67
+    monkeypatch.setenv("SPLITBOUND_ENUM_LIMIT", "abc")
+    msg = _refused_fast(["group", "subgroups", "2"], "input")
+    assert msg == "SPLITBOUND_ENUM_LIMIT='abc' is not an integer"
+    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2"])
+    assert code == 0 and json.loads(out)["count"] == 2
     monkeypatch.delenv("SPLITBOUND_ENUM_LIMIT")
 
 

@@ -1,0 +1,265 @@
+"""Seeded fuzz of the whole CLI: every subcommand and action, with small
+literals and malformed specs, under --enum-limit 256.  Each call must exit
+0 or 2 (a traceback fails the test) and print JSON that validates against
+schemas.json: the action's schema on exit 0, the error schema on exit 2.
+
+No per-call time is asserted: inside the limit some queries still list
+many objects (see the ROADMAP Baseline), and the literals are kept small
+enough that the ones drawn here stay quick.
+"""
+
+import json
+from math import gcd
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, Phase, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from splitbound.errors import InvalidInvariantError  # noqa: E402
+from splitbound.finabel import make_group  # noqa: E402
+from splitbound.qzforms import standard_module  # noqa: E402
+from test_cli import check_schema, invoke  # noqa: E402
+
+
+@st.composite
+def _mostly(draw, valid, malformed):
+    """A draw from `valid`, or one in four times a malformed literal."""
+    if draw(st.integers(0, 3)) == 3:
+        return draw(st.sampled_from(malformed))
+    return draw(valid)
+
+
+def _ints(items) -> str:
+    return ",".join(str(x) for x in items)
+
+
+def _coords(k):
+    """Element literals of rank k (coordinates need not be reduced)."""
+    return st.lists(st.integers(-3, 12), min_size=k, max_size=k).map(lambda xs: f"({_ints(xs)})")
+
+
+def _element(k):
+    return _mostly(_coords(k), ["", "()", "(1,2,3,4)", "1,2", "(a)", "(1,", "(1;2)"])
+
+
+def _elements(k):
+    return _mostly(
+        st.lists(_coords(k), max_size=k + 3).map(";".join),
+        [";", "(1);(a)", "(0,0,0,0,0);(1)", "()"],
+    )
+
+
+@st.composite
+def _group(draw):
+    """(literal, rank): a group of order <= 1728 or a malformed literal."""
+    literal = draw(_mostly(
+        st.lists(st.integers(2, 12), min_size=1, max_size=3).map(_ints),
+        ["", "x", "2,,4", "-4", "0", "1", "2.5", "1e3"],
+    ))
+    try:
+        return literal, make_group(int(x) for x in literal.split(",")).rank
+    except (ValueError, InvalidInvariantError):
+        return literal, 1
+
+
+def _flags(draw, argv, flags):
+    """Append each flag with its drawn value, three times in four."""
+    for flag, strategy in flags.items():
+        if draw(st.integers(0, 3)) != 3:
+            argv += [flag, draw(strategy)]
+    return argv
+
+
+MAX_EXAMPLES = 30
+
+# invariant chains of order <= 64, so every form is small
+CHAINS = [(2,), (3,), (4,), (6,), (8,), (2, 2), (2, 4), (3, 3), (4, 4), (2, 6),
+          (2, 2, 2), (2, 2, 4), (2, 2, 2, 2)]
+
+
+@st.composite
+def _skew_form(draw):
+    chain = draw(st.sampled_from(CHAINS))
+    k = len(chain)
+    gram = [["0/1"] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            den = gcd(chain[i], chain[j])
+            num = draw(st.integers(0, den - 1))
+            gram[i][j] = f"{num}/{den}"
+            gram[j][i] = f"{-num}/{den}"
+    return json.dumps({"group": list(chain), "gram": gram}), k
+
+
+@st.composite
+def _standard_form(draw):
+    w = standard_module(make_group(draw(st.sampled_from([(2,), (3,), (4,), (2, 2), (2, 4)]))))
+    spec = {"group": list(w.group.invariants), "gram": [[str(e) for e in row] for row in w.gram]}
+    return json.dumps(spec), w.group.rank
+
+
+MALFORMED_FORMS = [
+    "", "nope", "[]", "{}", '{"group": [2]}', '{"group": "2", "gram": []}',
+    '{"group": [2], "gram": [["1/2"]]}',
+    '{"group": [2, 2], "gram": [["0/1", "1/2"], ["0/1", "0/1"]]}',
+    '{"group": [4], "gram": [["0/1", "3/4"], ["1/4", "0/1"]]}',
+    '{"group": [2], "gram": [["0/0"]]}',
+    '{"group": [4.0], "gram": [["0/1"]]}', '{"group": [true], "gram": [["0/1"]]}',
+    '{"group": [NaN], "gram": [["0/1"]]}', '{"group": [1e400], "gram": [["0/1"]]}',
+    '{"group": [1], "gram": [["0/1"]]}', "@no-such-dir/spec.json",
+]
+
+
+@st.composite
+def _f2_form(draw):
+    dim = draw(st.integers(0, 10))
+    rows = [draw(st.integers(0, (1 << dim) - 1)) >> i << i for i in range(dim)]
+    if draw(st.integers(0, 3)) == 0:  # sometimes not upper triangular
+        rows = [draw(st.integers(0, (1 << dim) - 1)) for _ in range(dim)]
+    return json.dumps({"dim": dim, "rows": [format(r, "#x") for r in rows]})
+
+
+F2_SPECS = _mostly(_f2_form(), [
+    "", "{}", '{"rows": []}', '{"dim": 2.5, "rows": ["0x2", "0x0"]}',
+    '{"dim": "2", "rows": ["0x2", "0x0"]}', '{"dim": true, "rows": ["0x2"]}',
+    '{"dim": 1e400, "rows": []}', '{"dim": -1, "rows": []}',
+    '{"dim": 2000, "rows": []}', '{"dim": 2, "rows": [2, 0]}',
+    '{"dim": 1, "rows": ["zz"]}', '{"dim": 1, "rows": ["0x4"]}',
+])
+
+
+@st.composite
+def group_call(draw, action):
+    literal, k = draw(_group())
+    argv = _flags(draw, ["group", action, literal], {
+        "--chi": _element(k), "--a": _element(k), "--gens": _elements(k),
+        "--tuple": _elements(k), "--into": _group().map(lambda g: g[0]),
+    })
+    if draw(st.booleans()):
+        argv.append("--list")
+    return f"group {action}", argv
+
+
+@st.composite
+def form_call(draw, action):
+    spec, k = draw(_mostly(
+        st.one_of(_standard_form(), _skew_form()),
+        [(text, 1) for text in MALFORMED_FORMS],
+    ))
+    # the A factor of a standard module, a Lagrangian of it
+    a_factor = ";".join(f"({_ints(int(j == i) for j in range(k))})" for i in range(0, k, 2))
+    argv = _flags(draw, ["form", action], {
+        "--group": _group().map(lambda g: g[0]), "--form": st.just(spec),
+        "--x": _element(k), "--y": _element(k),
+        "--gens": st.one_of(_elements(k), st.just(a_factor)),
+    })
+    return f"form {action}", argv
+
+
+@st.composite
+def pgl_call(draw, action):
+    literal, k = draw(_group())
+    coords = st.lists(st.integers(0, 8), min_size=k, max_size=k).map(_ints)
+    pair = _mostly(
+        st.tuples(coords, coords).map(lambda ac: f"({ac[0]}|{ac[1]})"),
+        ["(1)", "1|1", "(|)", "(a|b)"],
+    )
+    argv = _flags(draw, ["pgl", action, "--group", literal], {
+        "--a": _element(k), "--chi": _element(k),
+        "--elements": st.lists(pair, max_size=3).map(";".join),
+    })
+    return f"pgl {action}", argv
+
+
+@st.composite
+def f2_call(draw, action):
+    argv = ["f2", action]
+    key = f"f2 {action}"
+    if draw(st.booleans()):
+        argv += ["--lemma", "quad"]
+    if draw(st.booleans()):
+        argv.append("--by-class")
+    if draw(st.booleans()):
+        argv.append("--e8-torus")
+    if action == "census":
+        if "--lemma" in argv:
+            key += " --lemma" + (" --by-class" if "--by-class" in argv else "")
+        else:
+            key += " --e8-torus"
+    return key, _flags(draw, argv, {"--form": F2_SPECS})
+
+
+@st.composite
+def obstruct_call(draw, mode):
+    argv = ["obstruct", "--mode", mode, "--r", draw(_mostly(st.integers(1, 6).map(str), ["-1", "0"]))]
+    return f"obstruct {mode}", _flags(draw, argv, {
+        "--p": _mostly(st.sampled_from(["2", "3", "5"]), ["-1", "0", "1", "4"]),
+        "--e": _mostly(st.integers(0, 4).map(str), ["-1"]),
+        "--rank1": _mostly(st.sampled_from(["2", "4", "6", "8"]), ["-2", "0", "3"]),
+    })
+
+
+@st.composite
+def tables_call(draw, action):
+    series = draw(_mostly(
+        st.sampled_from(["A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8"]),
+        ["X", "e8", ""],
+    ))
+    argv = _flags(draw, ["tables", action], {
+        "--type": st.just(series),
+        "--p": _mostly(st.integers(2, 7).map(str), ["-1", "0", "1"]),
+        "--d": _mostly(st.integers(0, 4).map(str), ["-1"]),
+        "--n": _mostly(st.integers(1, 12).map(str), ["-1", "0"]),
+    })
+    if series in ("A", "B", "C", "D") or not draw(st.integers(0, 3)):
+        argv += ["--rank", draw(_mostly(st.integers(1, 9).map(str), ["-1", "0"]))]
+    if not draw(st.integers(0, 3)):
+        argv.append("--adjoint")
+    if draw(st.booleans()):
+        argv.append("--det-one")
+    return f"tables {action}", argv
+
+
+def verify_call(_suite):
+    # verify lagrangian and verify all take seconds (test_verify_all_exits_zero
+    # runs them), so one of the quick suites is drawn
+    return st.tuples(
+        st.sampled_from(["isometry", "ec8", "partitions"]), st.integers(0, 3)
+    ).map(lambda sd: ("verify", ["verify", sd[0], "--seed", str(sd[1])]))
+
+
+# every (command, action) the parser accepts; obstruct takes --mode
+ACTIONS = [
+    (group_call, ["info", "dual", "char", "span", "quotient", "subgroups", "embeds", "reduce"]),
+    (form_call, ["standard", "radical", "nondegenerate", "evaluate", "max-isotropic",
+                 "lagrangian", "quotient-lagrangian"]),
+    (pgl_call, ["depth", "toral", "alpha", "element"]),
+    (f2_call, ["census", "ec8", "count", "decompose", "radical"]),
+    (obstruct_call, ["thm13", "f", "fe", "min-partition", "compare"]),
+    (tables_call, ["torsion", "tits", "check", "divisors", "quadform", "dump"]),
+    (verify_call, ["any"]),
+]
+
+
+# no shrinking: a failing example is reported as drawn, call by call, and a
+# shrink over dozens of CLI calls per example would take minutes
+@settings(max_examples=MAX_EXAMPLES, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
+    # each example runs every action once, on freshly drawn literals
+    for builder, actions in ACTIONS:
+        for action in actions:
+            key, argv = data.draw(builder(action))
+            code, out, _ = invoke(["--enum-limit", "256"] + argv)
+            assert code in (0, 2), (argv, out)
+            payload = json.loads(out)
+            if code == 2:
+                check_schema("error", payload)
+                assert isinstance(payload["error"]["kind"], str), argv
+                assert isinstance(payload["error"]["message"], str), argv
+            else:
+                check_schema(key, payload)

@@ -401,6 +401,50 @@ def test_reduce_tuple_replay_and_span():
         assert subgroup_from_generators(a, xi) == subgroup_from_generators(a, red)
 
 
+def reduce_tuple_oracle(a, xi):
+    """The recursive form reduce_tuple replaced: (op log, reduced coords)."""
+    coords = [list(x.coords) for x in xi]
+    inv = a.invariants
+    k, s = a.rank, len(coords)
+    log = []
+
+    def op_sub(i, j):
+        coords[i] = [(x - y) % d for x, y, d in zip(coords[i], coords[j], inv)]
+        log.append(("sub", i, j))
+
+    def clear_pair(lead, tail, c):
+        while coords[tail][c] != 0:
+            if coords[lead][c] == 0:
+                coords[lead], coords[tail] = coords[tail], coords[lead]
+                log.append(("swap", lead, tail))
+                break
+            if coords[lead][c] >= coords[tail][c]:
+                op_sub(lead, tail)
+            else:
+                op_sub(tail, lead)
+
+    def reduce_block(first, ncoords):
+        if ncoords == 0 or first >= s:
+            return
+        for j in range(first + 1, s):
+            clear_pair(first, j, ncoords - 1)
+        reduce_block(first + 1, ncoords - 1)
+
+    reduce_block(0, k)
+    return log, [tuple(c) for c in coords]
+
+
+def test_reduce_tuple_matches_recursive_oracle():
+    rng = random.Random(29)
+    types = [tuple(t) for t in iter_abelian_types(64)]
+    for _ in range(2000):
+        a = make_group(rng.choice(types))
+        s = a.rank + rng.randrange(0, 4)
+        xi = [a.element(tuple(rng.randrange(d) for d in a.invariants)) for _ in range(s)]
+        log, red = reduce_tuple(a, xi)
+        assert (log, [e.coords for e in red]) == reduce_tuple_oracle(a, xi)
+
+
 # -- integer normal form internals ---------------------------------------------
 
 def test_snf_transforms_properties():

@@ -226,6 +226,29 @@ def test_is_toral_examples():
     assert not is_toral(phi_image(make_group([2])))
 
 
+def test_is_toral_matches_alpha_form_zero():
+    # the isotropy test against the zero test of the restricted Gram
+    # matrix, on seeded phi_span subgroups for every |A| <= 64
+    rng = random.Random(37)
+    seen = {True: 0, False: 0}
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        dual = dual_group(a)
+        for _ in range(8):
+            pairs = [
+                (
+                    a.element(tuple(rng.randrange(d) for d in a.invariants)),
+                    dual.element(tuple(rng.randrange(d) for d in a.invariants)),
+                )
+                for _ in range(rng.randrange(1, 4))
+            ]
+            h = phi_span(a, pairs)
+            toral = is_toral(h)
+            assert toral == alpha_form(h).is_zero(), (inv, pairs)
+            seen[toral] += 1
+    assert seen[True] > 100 and seen[False] > 100, seen
+
+
 def test_depth_examples():
     cases = [([2], 1), ([4], 2), ([2, 2], 2), ([8], 3), ([2, 4], 3), ([9], 2), ([3, 3], 2)]
     for inv, want in cases:

@@ -102,6 +102,22 @@ def test_depth_consistency_fixtures():
     assert not depth_consistency(GroupDescriptor("G2"), 2, 2)
 
 
+def test_depth_consistency_is_p_adic_divisibility():
+    # d is at most the p-exponent of n(G): the same answer as p^d | n(G)
+    # for every p >= 2 (composite too), with no power of p formed
+    for desc in (GroupDescriptor("E8"), GroupDescriptor("E7", simply_connected=False),
+                 GroupDescriptor("D", 8, False), GroupDescriptor("C", 12, False)):
+        n = tits_n(desc)
+        for p in range(2, 13):
+            for d in range(0, 8):
+                assert depth_consistency(desc, p, d) == (n % p ** d == 0), (desc, p, d)
+    assert not depth_consistency(GroupDescriptor("E8"), 2, 10 ** 18)
+    # p = 0 raised ZeroDivisionError, d < 0 compared against a float
+    for p, d in ((0, 2), (1, 1), (-2, 1), (2, -1)):
+        with pytest.raises(PreconditionError):
+            depth_consistency(GroupDescriptor("E8"), p, d)
+
+
 def test_quadform_split_exponents():
     assert quadform_split_exponents(5, False) == (3, 3)
     assert quadform_split_exponents(4, True) == (1, 1)

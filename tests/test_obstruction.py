@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from splitbound.errors import (
@@ -109,6 +111,64 @@ def test_min_splitting_against_formula_sweep():
                 total, wit = min_splitting_exponent(q)
                 assert total >= f_bound(r, e)
                 assert partition_feasible(q, wit)
+
+
+def partition_search_oracle(q):
+    """The two-pass search min_splitting_exponent replaced: the least
+    total by memoized tail minima, then the witness by a depth-first
+    search in lexicographic order for a partition of exactly that total."""
+    r, e = q.r, q.e
+
+    def need_at(v):
+        return max(0, r // v - e) if 1 <= v <= r else 0
+
+    @lru_cache(maxsize=None)
+    def tail_min(v, prev):
+        lo = max(0, need_at(v - 1) - prev)
+        if lo > prev:
+            return None
+        if lo == 0 and need_at(v) == 0:
+            return 0
+        best = None
+        for val in range(max(lo, 1), prev + 1):
+            rest = tail_min(v + 1, val)
+            if rest is not None and (best is None or val + rest < best):
+                best = val + rest
+        return best
+
+    total = tail_min(1, r)
+    witness = []
+
+    def dfs(v, prev, remaining):
+        lo = max(0, need_at(v - 1) - prev)
+        if remaining == 0:
+            return lo == 0 and need_at(v) == 0
+        if lo > prev:
+            return False
+        for val in range(max(lo, 1), min(prev, remaining) + 1):
+            tail = tail_min(v + 1, val)
+            if tail is None or tail > remaining - val:
+                continue
+            witness.append(val)
+            if dfs(v + 1, val, remaining - val):
+                return True
+            witness.pop()
+        return False
+
+    assert dfs(1, r, total)
+    return total, tuple(witness)
+
+
+def test_min_splitting_exponent_matches_two_pass_search():
+    # every (r, e) the search bound admits, e up to r + 1 (all needs <= 0)
+    cases = 0
+    for r in range(1, 41):
+        for e in range(0, r + 2):
+            q = ObstructionQuery(2, r, e)
+            total, wit = min_splitting_exponent(q)
+            assert (total, wit.exponents) == partition_search_oracle(q), (r, e)
+            cases += 1
+    assert cases == 900
 
 
 def test_index_divisor():
