@@ -31,6 +31,7 @@ from .finabel import (
     quotient,
     reduce_tuple,
     replay_ops,
+    subgroup_census,
     subgroup_from_generators,
 )
 from .qzforms import (

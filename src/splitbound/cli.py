@@ -13,13 +13,15 @@ import json
 import sys
 
 from . import f2quad, heisenberg, liedata, obstruction, qzforms, verify
-from .errors import InputError, OutputBoundError, PreconditionError, SplitboundError
+from .errors import InputError, OutputBoundError, PreconditionError, SplitboundError, _int_text
 from .finabel import (
+    MAX_LISTED,
     Element,
     FinAbGroup,
     QmodZ,
     Subgroup,
     _check_limit,
+    _is_prime,
     dual_group,
     embeds_into,
     enumerate_subgroups,
@@ -27,6 +29,7 @@ from .finabel import (
     make_group,
     quotient,
     reduce_tuple,
+    subgroup_census,
     subgroup_from_generators,
 )
 
@@ -166,14 +169,17 @@ def _cmd_group(args) -> dict:
         s = subgroup_from_generators(a, _parse_elements(a, args.gens or ""))
         return {"invariants": list(quotient(a, s).invariants)}
     if act == "subgroups":
+        if not args.list:
+            count, types = subgroup_census(a)
+            return {"count": count, "types": [list(t) for t in types]}
+        _check_limit(a.order, args.enum_limit)
+        count, _ = subgroup_census(a)
+        if count > MAX_LISTED:
+            raise OutputBoundError(
+                f"{_int_text(count)} subgroups are more than the listing bound {MAX_LISTED}"
+            )
         subs = enumerate_subgroups(a, args.enum_limit)
-        out = {"count": len(subs)}
-        if args.list:
-            out["subgroups"] = [_subgroup_obj(s) for s in subs]
-        else:
-            out["types"] = sorted({s.sub_invariants for s in subs})
-            out["types"] = [list(t) for t in out["types"]]
-        return out
+        return {"count": len(subs), "subgroups": [_subgroup_obj(s) for s in subs]}
     if act == "embeds":
         b = _parse_group(_need(args, "into"))
         return {"embeds": embeds_into(a, b)}
@@ -360,7 +366,10 @@ def _cmd_tables(args) -> dict:
         return out
     if act == "check":
         desc = _descriptor(args)
-        return {"divides": liedata.depth_consistency(desc, _need(args, "p"), _need(args, "d"))}
+        p, d = _need(args, "p"), _need(args, "d")
+        if p >= 2 and not _is_prime(p):  # p < 2 is depth_consistency's precondition
+            raise InputError(f"--p {p} is not prime")
+        return {"divides": liedata.depth_consistency(desc, p, d)}
     if act == "divisors":
         return dict(liedata.fixed_divisors())
     if act == "quadform":

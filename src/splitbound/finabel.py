@@ -7,13 +7,15 @@ with the relation lattice diag(d_1, ..., d_k), so subgroup equality is
 basis equality.  Q/Z values are exact reduced residues; there is no
 floating point anywhere in this package.
 
-No integer is factored.  Chains are merged by gcd/lcm exchanges
-(_canonical_chain), and subgroup and quotient types are cokernels
-diagonalised modulo a multiple of their order (_cokernel_invariants), so
-every group operation is polynomial in the bit length of its input.
-Primality is asked only where a statement needs a prime (elementary
-groups, p-group tests, a given p): _is_prime and _prime_power settle it up
-to FACTOR_MAX_BITS and refuse above.
+Only the subgroup census factors an integer, and only the exponent: by
+trial division below _TRIAL_BOUND, with a cofactor that must be 1 or a
+prime power (_exponent_partitions).  Chains are merged by gcd/lcm
+exchanges (_canonical_chain), and subgroup and quotient types are
+cokernels diagonalised modulo a multiple of their order
+(_cokernel_invariants), so every group operation is polynomial in the bit
+length of its input.  Primality is asked only where a statement needs a
+prime (elementary groups, p-group tests, a given p): _is_prime and
+_prime_power settle it up to FACTOR_MAX_BITS and refuse above.
 
 >>> A = make_group([4, 2])
 >>> A.invariants
@@ -25,8 +27,9 @@ to FACTOR_MAX_BITS and refuse above.
 from __future__ import annotations
 
 import os
+import sys
 from bisect import bisect_left
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd, isqrt, prod
 
 from .errors import (
@@ -34,8 +37,10 @@ from .errors import (
     EnumerationBoundError,
     InputError,
     InvalidInvariantError,
+    OutputBoundError,
     PairingMismatchError,
     PreconditionError,
+    _int_text,
 )
 
 DEFAULT_ENUM_LIMIT = 4096
@@ -52,6 +57,7 @@ __all__ = [
     "quotient",
     "enumerate_subgroups",
     "embeds_into",
+    "subgroup_census",
     "reduce_tuple",
     "replay_ops",
     "enum_limit",
@@ -921,6 +927,144 @@ def embeds_into(a: FinAbGroup, b: FinAbGroup) -> bool:
     """
     ia, ib = a.invariants, b.invariants
     return len(ia) <= len(ib) and all(y % x == 0 for x, y in zip(reversed(ia), reversed(ib)))
+
+
+# -- closed-form subgroup census --------------------------------------------
+
+# the most subgroup types (subgroup_census) or subgroups (`group subgroups
+# --list`) that one query may list
+MAX_LISTED = 65536
+
+
+def _exponent_partitions(a: FinAbGroup) -> list[tuple[int, tuple[int, ...]]]:
+    """[(p, lambda_p)] over the primes p of the exponent, ascending;
+    lambda_p is the nonincreasing partition of the p-exponents of the
+    invariant factors.
+
+    The primes are found by trial division below _TRIAL_BOUND.  The
+    cofactor left is 1 or, by _prime_power, a prime power; anything else
+    (two primes above _TRIAL_BOUND, so an exponent above 2^20) is refused
+    with InputError.
+    """
+    n = a.exponent
+    primes = []
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            primes.append(p)
+            n //= p ** _valuation(n, p)
+    else:
+        if n > 1:
+            power = _prime_power(n)
+            if power is None:
+                raise InputError(
+                    f"the primes of the exponent are not found: the cofactor"
+                    f" {_int_text(n)} left by trial division below {_TRIAL_BOUND}"
+                    " is not a prime power"
+                )
+            n = power[0]
+    if n > 1:
+        primes.append(n)
+    inv = a.invariants[::-1]
+    return [(p, tuple(v for d in inv if (v := _valuation(d, p)))) for p in primes]
+
+
+def _count_subpartitions(lam: tuple[int, ...]) -> int:
+    """#{nu : nu_j <= lambda_j, nu nonincreasing}, part by part from the
+    largest: ways[v] counts the choices so far whose last part is v."""
+    if not lam:
+        return 1
+    ways = [1] * (lam[0] + 1)
+    for cap in lam[1:]:
+        ways = list(accumulate(reversed(ways)))[::-1][: cap + 1]  # sum over v >= w
+    return sum(ways)
+
+
+def _subpartitions(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nu inside lambda, as the tuple of its positive parts."""
+    nus = frontier = [()]
+    for cap in lam:
+        frontier = [nu + (v,) for nu in frontier for v in range(1, min((cap, *nu[-1:])) + 1)]
+        nus = nus + frontier
+    return nus
+
+
+def _gaussian_binomial(n: int, m: int, q: int) -> int:
+    num = den = 1
+    for i in range(m):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _birkhoff_count(lam: tuple[int, ...], nu: tuple[int, ...], p: int) -> int:
+    """alpha_lambda(nu; p), the number of subgroups of type nu in the
+    abelian p-group of type lambda (Birkhoff, Proc. LMS 38, 1935):
+
+        prod_{i>=1} p^{nu'_{i+1}(lambda'_i - nu'_i)}
+                    [lambda'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_p
+
+    with ' the conjugate partition.  The factor of column i depends only
+    on (lambda'_i, nu'_i, nu'_{i+1}), which is constant between the parts
+    of lambda and nu, so the product runs over those parts, not the columns.
+    """
+    exp, total, lo = 0, 1, 0
+    for hi in sorted(set(lam) | set(nu)):
+        big = sum(1 for x in lam if x >= hi)  # lambda'_i on lo < i <= hi
+        mid = sum(1 for x in nu if x >= hi)  # nu'_i there
+        top = sum(1 for x in nu if x > hi)  # nu'_{hi+1}
+        exp += (hi - lo - 1) * mid * (big - mid) + top * (big - mid)
+        total *= _gaussian_binomial(big - top, mid - top, p)
+        lo = hi
+    return total * p ** exp
+
+
+def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
+    """(number of subgroups, sorted list of their types) in closed form.
+
+    At each prime p of the exponent the subgroup types are the partitions
+    nu inside lambda_p (as for embeds_into) and the count is the sum of
+    Birkhoff's alpha_lambda(nu; p); the primes multiply the counts, and
+    _canonical_chain combines the types, aligning their factors at the
+    largest one.  Nothing
+    is enumerated, so there is no enumeration limit.  Refused
+    (OutputBoundError) before anything is listed when there are more than
+    MAX_LISTED types, or when the count is known to have more decimal
+    digits than the int-to-str limit.
+    """
+    parts = _exponent_partitions(a)
+    n_types = prod(_count_subpartitions(lam) for _, lam in parts)
+    if n_types > MAX_LISTED:
+        raise OutputBoundError(
+            f"{_int_text(n_types)} subgroup types are more than the listing"
+            f" bound {MAX_LISTED}"
+        )
+    # A lower bound refuses an unprintable count before it is formed.  The
+    # type with nu'_i = floor(lambda'_i / 2) alone has alpha >=
+    # p^{sum_i floor(lambda'_i^2 / 4)}, as [n choose m]_p >= p^{m(n-m)};
+    # lambda'_i = j + 1 on the columns lambda_{j+1} < i <= lambda_j.  So the
+    # count is at least 2^bits, which is above 10^limit once 3 * bits > 10 * limit.
+    limit = sys.get_int_max_str_digits()
+    bits = sum(
+        (p.bit_length() - 1)
+        * sum((x - y) * ((j + 1) ** 2 // 4) for j, (x, y) in enumerate(zip(lam, lam[1:] + (0,))))
+        for p, lam in parts
+    )
+    if limit and 3 * bits > 10 * limit:
+        raise OutputBoundError(
+            f"the subgroup count has more than {limit} decimal digits"
+            " (the int-to-str limit)"
+        )
+    count = 1
+    per_prime = []
+    for p, lam in parts:
+        nus = _subpartitions(lam)
+        count *= sum(_birkhoff_count(lam, nu, p) for nu in nus)
+        per_prime.append([[p ** v for v in nu] for nu in nus])
+    types = sorted(_canonical_chain(q for powers in combo for q in powers)
+                   for combo in product(*per_prime))
+    return count, types
 
 
 # -- elementary-operation tuple reduction -----------------------------------

@@ -99,12 +99,17 @@ def checked_power(p: int, exp: int) -> int:
 
 def f_bound(r: int, e: int = 0) -> int:
     """Divisibility exponent r - e + sum_{v>=3} {([r/v] - e)/2}, clamped
-    at 0; negative summands contribute nothing."""
+    at 0; negative summands contribute nothing.  The summand depends on v
+    only through q = [r/v], which is constant on the O(sqrt r) runs
+    v .. r // q, so the sum runs over those runs."""
     if r < 1 or e < 0:
         raise PreconditionError("need r >= 1 and e >= 0")
     total = r - e
-    for v in range(3, r + 1):
-        total += max(0, (r // v - e + 1) // 2)  # {t/2}: ceil(t/2), 0 for t <= 0
+    v = 3
+    while v <= r and (q := r // v) > e:  # q <= e adds nothing, and q falls with v
+        last = r // q
+        total += (last - v + 1) * ((q - e + 1) // 2)  # {t/2}: ceil(t/2) for t > 0
+        v = last + 1
     return max(0, total)
 
 

@@ -36,7 +36,7 @@ def test_tracer_installs_counts_and_restores_every_binding():
     tracer.install()
     try:
         for argv in (
-            ["group", "subgroups", "2,2"],
+            ["group", "subgroups", "2,2", "--list"],
             ["group", "embeds", "2", "--into", "2,4"],
             ["form", "max-isotropic", "--form", FORM],
         ):

@@ -121,6 +121,57 @@ def test_embeds_answers_above_the_enum_limit():
         check_schema("group embeds", payload)
 
 
+def _answered_fast(argv):
+    t0 = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - t0 < 1.0, argv[:3]
+    assert code == 0 and err == "", out
+    return json.loads(out)
+
+
+def test_subgroup_census_answers_above_the_enum_limit():
+    # the plain form is Birkhoff's closed form: nothing is enumerated, so no bound
+    for prefix in ([], ["--enum-limit", "1"]):
+        payload = _answered_fast(prefix + ["group", "subgroups", "2," * 11 + "2"])
+        check_schema("group subgroups", payload)
+        assert payload == {"count": 488176700923, "types": [[2] * k for k in range(13)]}
+        payload = _answered_fast(prefix + ["group", "subgroups", "8,8,16,720720"])
+        check_schema("group subgroups", payload)
+        assert payload["count"] == 6571824 and len(payload["types"]) == 3120
+        assert payload["types"] == sorted(payload["types"])
+
+
+def test_subgroup_census_refusals():
+    # 5^8 types (rank 4 at each of 8 primes) are refused before any is listed
+    msg = _refused_fast(["group", "subgroups", ",".join(["9699690"] * 4)], "output-bound")
+    assert msg == "390625 subgroup types are more than the listing bound 65536"
+    # the type count is a DP over the parts, not a listing: C(4004, 4) types
+    big = str(2 ** 4000)
+    _refused_fast(["group", "subgroups", ",".join([big] * 4)], "output-bound")
+    # (Z/2)^300 has more than 2^22500 subgroups: refused before the count is formed
+    msg = _refused_fast(["group", "subgroups", "2," * 299 + "2"], "output-bound")
+    assert msg == "the subgroup count has more than 4300 decimal digits (the int-to-str limit)"
+    # an exponent with two primes above 2^10 is not factored
+    msg = _refused_fast(["group", "subgroups", str(1031 * 1033)], "input")
+    assert msg == ("the primes of the exponent are not found: the cofactor 1065023"
+                   " left by trial division below 1024 is not a prime power")
+    # one such prime, or a power of it, is found: Z/p^3 x Z/p has 3p + 5
+    # subgroups (types (), (1), (2), (3), (1,1), (2,1), (3,1): 1, p+1, p, p, 1, 1, 1)
+    for literal, count in ((str(1031 * 2), 4), (f"{1031 ** 3},{1031}", 3 * 1031 + 5)):
+        assert _answered_fast(["group", "subgroups", literal])["count"] == count
+
+
+def test_subgroup_list_is_bounded_by_what_it_prints():
+    # (Z/2)^8 is inside the enumeration limit but has 417,199 subgroups
+    msg = _refused_fast(["group", "subgroups", "2," * 7 + "2", "--list"], "output-bound")
+    assert msg == "417199 subgroups are more than the listing bound 65536"
+    # the enumeration limit is checked first, with its own kind
+    msg = _refused_fast(["group", "subgroups", "2," * 12 + "2", "--list"], "enumeration-bound")
+    assert msg == "group order 8192 exceeds the enumeration bound 4096"
+    payload = _answered_fast(["group", "subgroups", "2,4", "--list"])
+    assert payload["count"] == len(payload["subgroups"]) == 8
+
+
 def test_isotropic_queries_keep_the_enum_limit():
     # only isotropic subgroups are grown, but the limit is still on |H|
     code, std, _ = invoke(["form", "standard", "--group", "2,2,2,2,2,2,2"])
@@ -276,13 +327,14 @@ def test_results_above_the_int_to_str_limit_are_refused():
 def test_enumeration_refusals_name_long_orders_by_digit_count():
     big = str(10 ** 2200)
     want = "group order <4401 digits> exceeds the enumeration bound 4096"
-    assert _refused_fast(["group", "subgroups", f"{big},{big}"], "enumeration-bound") == want
+    argv = ["group", "subgroups", f"{big},{big}", "--list"]
+    assert _refused_fast(argv, "enumeration-bound") == want
     argv = ["pgl", "element", "--group", f"{big},{big}", "--a", "(0,0)", "--chi", "(0,0)"]
     assert _refused_fast(argv, "enumeration-bound") == want
     msg = _refused_fast(["pgl", "depth", "--group", f"{big},3"], "not-p-group")
     assert msg == "|H| = <4401 digits> is not a prime power"  # 9 * 10^4400
     # a printable order is still printed in full
-    msg = _refused_fast(["group", "subgroups", "4096,2"], "enumeration-bound")
+    msg = _refused_fast(["group", "subgroups", "4096,2", "--list"], "enumeration-bound")
     assert msg == "group order 8192 exceeds the enumeration bound 4096"
 
 
@@ -516,6 +568,23 @@ def test_tables_values():
     assert json.loads(out) == {"divides": False}
 
 
+def test_tables_check_needs_a_prime():
+    # --p 4 answered {"divides": true}, though the check is on a prime
+    for p in ("4", "6", "91"):
+        argv = ["tables", "check", "--type", "E7", "--p", p, "--d", "1"]
+        assert _refused_fast(argv, "input") == f"--p {p} is not prime"
+    # p < 2 stays the precondition that depth_consistency states
+    argv = ["tables", "check", "--type", "E7", "--p", "1", "--d", "1"]
+    assert _refused_fast(argv, "precondition") == "need p >= 2 and d >= 0"
+
+
+def test_f_bound_sums_over_runs():
+    # one summand per run of equal [r/v]: r = 10^9 takes ~6 * 10^4 steps
+    for mode in ("f", "fe"):
+        payload = _answered_fast(["obstruct", "--mode", mode, "--r", str(10 ** 9), "--e", "3"])
+        assert isinstance(payload["bound"], int) and payload["bound"] > 10 ** 9
+
+
 # -- errors and exit codes ------------------------------------------------------------
 
 def test_error_exit_codes():
@@ -529,7 +598,7 @@ def test_error_exit_codes():
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "invalid-invariant"
 
-    code, out, _ = invoke(["group", "subgroups", "2," * 12 + "2"])
+    code, out, _ = invoke(["group", "subgroups", "2," * 12 + "2", "--list"])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "enumeration-bound"
 
@@ -555,21 +624,21 @@ def test_usage_error_exit_2():
 
 
 def test_enum_limit_flag_and_env(monkeypatch):
-    code, out, _ = invoke(["--enum-limit", "10", "group", "subgroups", "2,2,2,2"])
+    code, out, _ = invoke(["--enum-limit", "10", "group", "subgroups", "2,2,2,2", "--list"])
     assert code == 2
     assert "10" in json.loads(out)["error"]["message"]
     monkeypatch.setenv("SPLITBOUND_ENUM_LIMIT", "8")
-    code, out, _ = invoke(["group", "subgroups", "2,2,2,2"])
+    code, out, _ = invoke(["group", "subgroups", "2,2,2,2", "--list"])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "enumeration-bound"
     # the flag wins over the variable, and a value that is no integer is
     # refused with a message naming the variable
-    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2,2,2,2"])
+    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2,2,2,2", "--list"])
     assert code == 0 and json.loads(out)["count"] == 67
     monkeypatch.setenv("SPLITBOUND_ENUM_LIMIT", "abc")
-    msg = _refused_fast(["group", "subgroups", "2"], "input")
+    msg = _refused_fast(["group", "subgroups", "2", "--list"], "input")
     assert msg == "SPLITBOUND_ENUM_LIMIT='abc' is not an integer"
-    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2"])
+    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2", "--list"])
     assert code == 0 and json.loads(out)["count"] == 2
     monkeypatch.delenv("SPLITBOUND_ENUM_LIMIT")
 

@@ -23,9 +23,10 @@ from splitbound.finabel import (
     quotient,
     reduce_tuple,
     replay_ops,
+    subgroup_census,
     subgroup_from_generators,
 )
-from splitbound.verify import iter_abelian_types
+from splitbound.verify import iter_abelian_types, subquot_profile
 
 
 # -- independent oracles -----------------------------------------------------
@@ -256,6 +257,27 @@ def test_enumeration_matches_counting_formula():
                 [2, 6], [12], [2, 4, 4], [30]):
         got = len(enumerate_subgroups(make_group(inv)))
         assert got == subgroup_count_oracle(tuple(make_group(inv).invariants)), inv
+
+
+def test_census_matches_enumeration_to_order_256():
+    # subquot_profile is the memoized enumeration that criterion 7 fills
+    count = 0
+    for inv in iter_abelian_types(256):
+        subs, _quots = subquot_profile(tuple(inv))
+        assert subgroup_census(make_group(inv)) == (sum(subs.values()), sorted(subs)), inv
+        count += 1
+    assert count == 516
+
+
+def test_census_matches_the_counting_formula_on_larger_groups():
+    rng = random.Random(10)
+    factors = (2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 32, 49, 60, 64, 81, 210, 1031)
+    for _ in range(60):
+        a = make_group([rng.choice(factors) for _ in range(rng.randrange(1, 7))])
+        count, types = subgroup_census(a)
+        assert count == subgroup_count_oracle(a.invariants), a
+        assert types == sorted(set(types)) and types[0] == () and a.invariants in types
+        assert all(embeds_into(make_group(t), a) for t in types), a
 
 
 def test_order_multiplicativity():

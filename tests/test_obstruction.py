@@ -62,6 +62,20 @@ def test_f_values():
     assert f_bound(2, 5) == 0
 
 
+def f_bound_linear(r, e=0):
+    """The defining sum, one summand per v."""
+    total = r - e
+    for v in range(3, r + 1):
+        total += max(0, (r // v - e + 1) // 2)
+    return max(0, total)
+
+
+def test_f_bound_runs_equal_the_linear_sum():
+    for r in range(1, 2001):
+        for e in range(6):
+            assert f_bound(r, e) == f_bound_linear(r, e), (r, e)
+
+
 def test_feasibility_examples():
     q = ObstructionQuery(2, 3, 0)
     assert partition_feasible(q, PartitionCandidate((2, 1, 1)))
