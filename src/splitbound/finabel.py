@@ -30,7 +30,7 @@ import os
 import sys
 from bisect import bisect_left
 from itertools import accumulate, combinations, product
-from math import gcd, isqrt, prod
+from math import ceil, gcd, isqrt, log10, prod
 
 from .errors import (
     AmbientMismatchError,
@@ -783,7 +783,8 @@ def trivial_subgroup(a: FinAbGroup) -> Subgroup:
 
 
 def full_subgroup(a: FinAbGroup) -> Subgroup:
-    return subgroup_from_generators(a, [a.element(row) for row in _unit_rows(a.rank)])
+    # the unit rows are their own Hermite form
+    return Subgroup(a, _unit_rows(a.rank))
 
 
 def _unit_rows(k: int):
@@ -934,6 +935,8 @@ def embeds_into(a: FinAbGroup, b: FinAbGroup) -> bool:
 # the most subgroup types (subgroup_census) or subgroups (`group subgroups
 # --list`) that one query may list
 MAX_LISTED = 65536
+# the most decimal digits that the types of one subgroup_census may print
+MAX_PRINTED_DIGITS = 1 << 20
 
 
 def _exponent_partitions(a: FinAbGroup) -> list[tuple[int, tuple[int, ...]]]:
@@ -1030,8 +1033,9 @@ def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
     largest one.  Nothing
     is enumerated, so there is no enumeration limit.  Refused
     (OutputBoundError) before anything is listed when there are more than
-    MAX_LISTED types, or when the count is known to have more decimal
-    digits than the int-to-str limit.
+    MAX_LISTED types, when the count is known to have more decimal digits
+    than the int-to-str limit, or when the types may print more than
+    MAX_PRINTED_DIGITS digits.
     """
     parts = _exponent_partitions(a)
     n_types = prod(_count_subpartitions(lam) for _, lam in parts)
@@ -1055,6 +1059,15 @@ def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
         raise OutputBoundError(
             f"the subgroup count has more than {limit} decimal digits"
             " (the int-to-str limit)"
+        )
+    # A type has at most max_p len(lambda_p) factors f, of at most
+    # log10(f) + 1 digits each, and their product divides |A|.
+    rank = max((len(lam) for _, lam in parts), default=0)
+    digits = n_types * (sum(sum(lam) * log10(p) for p, lam in parts) + rank)
+    if digits > MAX_PRINTED_DIGITS:
+        raise OutputBoundError(
+            f"the {_int_text(n_types)} subgroup types may print up to {ceil(digits)}"
+            f" decimal digits, more than the bound {MAX_PRINTED_DIGITS}"
         )
     count = 1
     per_prime = []

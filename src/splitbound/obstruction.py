@@ -28,6 +28,9 @@ from .finabel import Subgroup, _is_prime, _prime_power, _valuation
 from .qzforms import SkewForm, is_nondegenerate, iter_isotropic_bases, radical
 
 MAX_SEARCH_R = 40
+# the largest r that f_bound takes: its O(sqrt r) runs answer well within a
+# second there, and a 20-digit r would run for days
+MAX_F_R = 10 ** 11
 
 __all__ = [
     "ObstructionQuery",
@@ -101,9 +104,12 @@ def f_bound(r: int, e: int = 0) -> int:
     """Divisibility exponent r - e + sum_{v>=3} {([r/v] - e)/2}, clamped
     at 0; negative summands contribute nothing.  The summand depends on v
     only through q = [r/v], which is constant on the O(sqrt r) runs
-    v .. r // q, so the sum runs over those runs."""
+    v .. r // q, so the sum runs over those runs.  r above MAX_F_R is
+    refused (PreconditionError)."""
     if r < 1 or e < 0:
         raise PreconditionError("need r >= 1 and e >= 0")
+    if r > MAX_F_R:
+        raise PreconditionError(f"r = {_int_text(r)} above the f bound's limit {MAX_F_R}")
     total = r - e
     v = 3
     while v <= r and (q := r // v) > e:  # q <= e adds nothing, and q falls with v

@@ -26,10 +26,11 @@ from .finabel import (
     Subgroup,
     _check_limit,
     _cokernel_invariants,
+    _hnf,
     _iter_bases_general,
     _lattice_coefficients,
     _snf_with_transforms,
-    embeds_into,
+    full_subgroup,
     # unused here: the benchmark harness test (perfbench/test_harness.py)
     # checks that the tracer rebinds this name in qzforms
     iter_subgroup_bases,  # noqa: F401
@@ -78,7 +79,7 @@ class SkewForm:
         self.group = group
         self.gram = rows
         self._scaled = None
-        self._ws = None
+        self._ws = None  # always None: perfbench's transfer wrapper reads it
         self._radical = None
 
     @property
@@ -166,17 +167,63 @@ def radical(w: SkewForm) -> Subgroup:
     is immutable, so the result is kept on it."""
     if w._radical is None:
         g = w.group
-        k = g.rank
-        gens = []
-        if k:
-            n = w.exponent
-            mat = [list(row) for row in w.scaled()]
-            diag, u, _uinv, _v = _snf_with_transforms(mat, k)
-            for i in range(k):
-                scale = n // gcd(abs(diag[i]), n)
-                gens.append(Element(g, tuple(scale * c for c in u[i])))
-        w._radical = subgroup_from_generators(g, gens)
+        rows = _left_kernel(w.scaled(), g.rank, w.exponent)
+        w._radical = subgroup_from_generators(g, [Element(g, row) for row in rows])
     return w._radical
+
+
+def _left_kernel(mat, k: int, n: int) -> list[list[int]]:
+    """Generators of {c in Z^k : c * mat = 0 mod n}: with U * mat * V = D,
+    the rows (n / gcd(d_i, n)) * U_i."""
+    diag, u, _uinv, _v = _snf_with_transforms(mat, k)
+    return [[n // gcd(abs(d), n) * c for c in row] for d, row in zip(diag, u)]
+
+
+def _annihilated(w: SkewForm, xs, ys) -> Subgroup:
+    """The subgroup of the combinations sum c_i x_i with w(sum c_i x_i, y) = 0
+    for every y, from one Smith form of the pairing matrix (xs and ys are
+    coordinate rows)."""
+    g = w.group
+    inv = g.invariants
+    k = g.rank
+    n = w.exponent
+    scaled = w.scaled()
+    xs = [x for x in xs if any(c % d for c, d in zip(x, inv))]
+    ys = [y for y in ys if any(c % d for c, d in zip(y, inv))]
+    size = max(len(xs), len(ys))
+    mat = [[0] * size for _ in range(size)]
+    wys = [[sum(row[j] * y[j] for j in range(k)) for row in scaled] for y in ys]
+    for i, x in enumerate(xs):
+        for j, wy in enumerate(wys):
+            mat[i][j] = sum(a * b for a, b in zip(x, wy)) % n
+    gens = []
+    for coeffs in _left_kernel(mat, size, n):
+        combo = [0] * k
+        for c, x in zip(coeffs, xs):
+            if c:
+                for t in range(k):
+                    combo[t] += c * x[t]
+        gens.append(Element(g, combo))
+    return subgroup_from_generators(g, gens)
+
+
+def _extend_isotropic(w: SkewForm, s: Subgroup, within: Subgroup) -> Subgroup:
+    """A maximal isotropic subgroup of `within` containing the isotropic
+    s <= within, for a nondegenerate w: add the first Hermite row of
+    within ∩ s^perp that is not in s, until there is none.  Each added row
+    pairs to zero with s and with itself, so every step stays isotropic;
+    a Lagrangian is maximal in the whole module, so the search ends there."""
+    g = w.group
+    k = g.rank
+    while s.order * s.order != g.order:
+        perp = _annihilated(w, within.basis, s.basis)
+        row = next(
+            (r for r in perp.basis if _lattice_coefficients(s.basis, r, k) is None), None
+        )
+        if row is None:
+            break
+        s = Subgroup(g, _hnf([*s.basis, row], k))
+    return s
 
 
 def is_nondegenerate(w: SkewForm) -> bool:
@@ -296,11 +343,12 @@ def quotient_by_lagrangian(w: SkewForm, lag: Subgroup) -> FinAbGroup:
 def symplectic_submodule(w: SkewForm, s: int) -> Subgroup:
     """Rank-2s subgroup of an elementary (Z/p)^{2r} symplectic module on
     which the restricted form stays nondegenerate; built from hyperbolic
-    pairs extracted greedily in canonical order."""
+    pairs extracted greedily: v is the first nonzero Hermite row of the
+    room left, u the first that pairs with it, and the room shrinks to
+    its annihilator of v and u."""
     g = w.group
     if not g.is_elementary() or g.rank % 2:
         raise PreconditionError("group must be elementary abelian of even rank")
-    p = g.invariants[0]
     r = g.rank // 2
     if s > r or s < 0:
         raise PreconditionError(f"requested rank 2*{s} exceeds module rank {2 * r}")
@@ -309,61 +357,24 @@ def symplectic_submodule(w: SkewForm, s: int) -> Subgroup:
     k = g.rank
     n = w.exponent
     scaled = w.scaled()
-    # pairing over F_p: w(x, y) = c(x, y)/p with c computed from scaled / (n/p)
-    unit = n // p
-
-    def c(x, y):
-        return (_pair_value(scaled, n, x, y, k) // unit) % p
-
-    space = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    room = full_subgroup(g)
     pairs = []
     for _ in range(s):
-        v = space[0]
-        u = None
-        for cand in space[1:]:
-            if c(v, cand):
-                u = cand
-                break
-        assert u is not None
+        rows = [row for row in room.basis if any(c % n for c in row)]
+        v = rows[0]
+        u = next(row for row in rows[1:] if _pair_value(scaled, n, v, row, k))
         pairs.extend((v, u))
-        cvu = c(v, u)
-        inv_cvu = pow(cvu, -1, p)
-        new_space = []
-        for x in space:
-            if x is v or x is u:
-                continue
-            lam = (c(x, u) * inv_cvu) % p
-            mu = (-c(x, v) * inv_cvu) % p
-            y = tuple((xi - lam * vi - mu * ui) % p for xi, vi, ui in zip(x, v, u))
-            if any(y):
-                new_space.append(y)
-        space = new_space
+        room = _annihilated(w, room.basis, [v, u])
     return subgroup_from_generators(g, [Element(g, row) for row in pairs])
 
 
 # ---------------------------------------------------------------------------
-# Isotropic transfer (workspace-backed)
+# Isotropic transfer (greedy isotropic extension)
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """The isotropic subgroups of a nondegenerate form, in canonical order
-    (descending order, then basis), from one pruned pass of
-    iter_isotropic_bases; no other subgroup is ever built."""
-
-    def __init__(self, w: SkewForm, limit):
-        g = w.group
-        subs = [Subgroup(g, basis) for basis in iter_isotropic_bases(w, None, limit)]
-        subs.sort(key=lambda s: (-s.order, s.basis))
-        self.isotropic = subs
-        self.transfer_memo: dict[tuple, tuple] = {}
-
-
-def _workspace(w: SkewForm, limit) -> _Workspace:
-    # the cached workspace was built under an earlier call's limit
-    _check_limit(w.group.order, limit)
-    if w._ws is None:
-        w._ws = _Workspace(w, limit)
-    return w._ws
+    def __init__(self):  # empty and never built: perfbench/tracing.py wraps it
+        pass
 
 
 def _subgroup_quotient_type(h1: Subgroup, inner: Subgroup) -> tuple[int, ...]:
@@ -379,33 +390,32 @@ def _subgroup_quotient_type(h1: Subgroup, inner: Subgroup) -> tuple[int, ...]:
 def _sum_order(a: Subgroup, b: Subgroup) -> int:
     """|A + B|, from the Hermite rows of both."""
     g = a.ambient
-    return subgroup_from_generators(g, [Element(g, r) for r in a.basis + b.basis]).order
+    return Subgroup(g, _hnf(a.basis + b.basis, g.rank)).order
 
 
 def isotropic_transfer(
     w: SkewForm,
     h1: Subgroup,
     iso: Subgroup,
-    limit: int | None = None,
+    limit: int | None = None,  # unread: perfbench passes it positionally
     search_min: bool = False,
 ) -> tuple[Subgroup, TransferWitness]:
     """Transfer an isotropic subgroup I <= H1 to an isotropic I1 of the
     whole module with type(I1) embedding in H1/I and |H1| dividing n*|I1|.
 
-    Free choices in the construction (which maximal isotropic extension,
-    which Lagrangian) are resolved by the first candidate in canonical
-    subgroup order.  With search_min=True the witness also reports the
-    smallest isotropic order that satisfies both conclusions.
-
-    Every search scans the workspace's isotropic subgroups and decides
-    containment on the Hermite lattices (Subgroup.contains_subgroup); no
-    element is listed.  The enumeration limit applies to |H|.
+    I_max extends I to a maximal isotropic subgroup of H1, and Lambda
+    extends I_max to one of H (_extend_isotropic).  In a nondegenerate
+    module that is a Lagrangian (Wall, Topology 2, 1963), so Lambda meets
+    H1 in I_max and H1/I_max embeds in H/Lambda, of Lambda's type; I1 is
+    the subgroup of Lambda of type H1/I_max.  With search_min=True the
+    witness also reports the least isotropic order meeting both
+    conclusions, |H1| / gcd(|H1|, n), which a subgroup of I1 has.  Nothing
+    is enumerated, at any |H|.
     """
     g = w.group
     n2 = g.order
     n = isqrt(n2)
-    # a workspace exists only once this check has passed on w
-    if n * n != n2 or (w._ws is None and not is_nondegenerate(w)):
+    if n * n != n2 or not is_nondegenerate(w):
         raise DegenerateFormError("transfer requires a nondegenerate module")
     if h1.ambient != g or iso.ambient != g:
         raise AmbientMismatchError("subgroups of a different group")
@@ -413,52 +423,18 @@ def isotropic_transfer(
         raise PreconditionError("I must be contained in H1")
     if not is_isotropic(w, iso):
         raise PreconditionError("I must be isotropic")
-    ws = _workspace(w, limit)
-    memo_key = (h1.basis, iso.basis, search_min)
-    hit = ws.transfer_memo.get(memo_key)
-    if hit is not None:
-        return hit
 
-    # the first isotropic subgroup between I and H1 in canonical order is
-    # the canonical maximal extension of I in H1
-    i_max = next(
-        s for s in ws.isotropic
-        if h1.order % s.order == 0 and s.order % iso.order == 0
-        and s.contains_subgroup(iso) and h1.contains_subgroup(s)
-    )
-    # the result only depends on (H1, I) through this maximal extension
-    imax_key = (h1.basis, i_max.basis, search_min)
-    hit = ws.transfer_memo.get(imax_key)
-    if hit is not None and not search_min:
-        ws.transfer_memo[memo_key] = hit
-        return hit
-
-    # isotropic subgroups always extend to a Lagrangian
-    lag = next(s for s in ws.isotropic if s.order == n and s.contains_subgroup(i_max))
+    i_max = _extend_isotropic(w, iso, h1)
+    lag = _extend_isotropic(w, i_max, full_subgroup(g))
     assert lag.order * h1.order == _sum_order(lag, h1) * i_max.order, (
         "Lambda meets H1 exactly in I_max"
     )
 
-    # a subgroup of the isotropic Lambda is isotropic, so the list holds I1
+    # the factors of H1/I_max, aligned at the largest, divide Lambda's
     image_type = _subgroup_quotient_type(h1, i_max)
-    i1_order = h1.order // i_max.order
-    i1 = next(
-        s for s in ws.isotropic
-        if s.order == i1_order and lag.contains_subgroup(s)
-        and s.sub_invariants == image_type
-    )
+    aligned = zip(reversed(image_type), reversed(lag.sub_invariants),
+                  reversed(lag.canonical_basis()))
+    i1 = subgroup_from_generators(g, [d // f * x for f, d, x in aligned])
 
-    min_order = None
-    if search_min:
-        hi_group = FinAbGroup(_subgroup_quotient_type(h1, iso))
-        for s in reversed(ws.isotropic):
-            if (n * s.order) % h1.order:
-                continue
-            if embeds_into(FinAbGroup(s.sub_invariants), hi_group):
-                min_order = s.order
-                break
-    result = (i1, TransferWitness(i_max, lag, image_type, min_order))
-    ws.transfer_memo[memo_key] = result
-    if not search_min:
-        ws.transfer_memo[imax_key] = result
-    return result
+    min_order = h1.order // gcd(h1.order, n) if search_min else None
+    return i1, TransferWitness(i_max, lag, image_type, min_order)

@@ -82,7 +82,9 @@ def iter_abelian_types(max_order: int):
 @lru_cache(maxsize=None)
 def subquot_profile(invariants: tuple[int, ...]):
     """(Counter of subgroup types, Counter of quotient types) over every
-    subgroup, computed through the subgroup and quotient code paths."""
+    subgroup: on (Z/p)^k from the pivots of each Hermite basis (pivot 1
+    adds a factor p to the subgroup, pivot p one to the quotient), on other
+    groups through Subgroup.sub_invariants and quotient."""
     a = make_group(invariants)
     inv = a.invariants
     k = len(inv)

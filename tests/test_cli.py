@@ -161,6 +161,17 @@ def test_subgroup_census_refusals():
         assert _answered_fast(["group", "subgroups", literal])["count"] == count
 
 
+def test_subgroup_census_bounds_the_printed_digits():
+    # Z/2^13000 has 13,001 types whose factors reach 3,914 digits (25.5 MB):
+    # refused from the partitions, before any factor is formed
+    msg = _refused_fast(["group", "subgroups", str(2 ** 13000)], "output-bound")
+    assert msg == ("the 13001 subgroup types may print up to 50890984 decimal digits,"
+                   " more than the bound 1048576")
+    # a cyclic group of 500-digit order still answers
+    payload = _answered_fast(["group", "subgroups", str(2 ** 1660)])
+    assert payload["count"] == len(payload["types"]) == 1661
+
+
 def test_subgroup_list_is_bounded_by_what_it_prints():
     # (Z/2)^8 is inside the enumeration limit but has 417,199 subgroups
     msg = _refused_fast(["group", "subgroups", "2," * 7 + "2", "--list"], "output-bound")
@@ -583,6 +594,17 @@ def test_f_bound_sums_over_runs():
     for mode in ("f", "fe"):
         payload = _answered_fast(["obstruct", "--mode", mode, "--r", str(10 ** 9), "--e", "3"])
         assert isinstance(payload["bound"], int) and payload["bound"] > 10 ** 9
+
+
+def test_f_bound_caps_r():
+    from splitbound.obstruction import MAX_F_R
+
+    for mode in ("f", "fe"):
+        payload = _answered_fast(["obstruct", "--mode", mode, "--r", str(MAX_F_R), "--e", "1"])
+        assert payload["bound"] > MAX_F_R
+        for r in (MAX_F_R + 1, 10 ** 14, 10 ** 20):
+            msg = _refused_fast(["obstruct", "--mode", mode, "--r", str(r)], "precondition")
+            assert msg == f"r = {r} above the f bound's limit {MAX_F_R}"
 
 
 # -- errors and exit codes ------------------------------------------------------------

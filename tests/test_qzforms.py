@@ -11,10 +11,12 @@ from splitbound.finabel import (
     QmodZ,
     Subgroup,
     enumerate_subgroups,
+    full_subgroup,
     iter_subgroup_bases,
     make_group,
     quotient,
     subgroup_from_generators,
+    trivial_subgroup,
 )
 from splitbound.qzforms import (
     MaxIsotropic,
@@ -452,6 +454,28 @@ def test_symplectic_submodule():
         symplectic_submodule(standard_module(make_group([4])), 1)
 
 
+def test_symplectic_submodule_on_random_forms():
+    # every prefix of the greedy splitting is a nondegenerate (Z/p)^{2s}
+    import random
+
+    rng = random.Random(17)
+    checked = 0
+    for p, k in ((2, 4), (2, 6), (3, 4), (5, 4)):
+        g = make_group([p] * k)
+        for _ in range(12):
+            w = random_form(rng, g)
+            if not is_nondegenerate(w):
+                with pytest.raises(DegenerateFormError):
+                    symplectic_submodule(w, 1)
+                continue
+            for s in range(k // 2 + 1):
+                sub = symplectic_submodule(w, s)
+                assert sub.sub_invariants == (p,) * (2 * s), (w.gram, s)
+                assert is_nondegenerate(restrict(w, sub)), (w.gram, s)
+            checked += 1
+    assert checked >= 15, checked
+
+
 # -- isotropic transfer ----------------------------------------------------------
 
 def _embeds_types(t1, binv):
@@ -503,15 +527,50 @@ def test_isotropic_transfer_errors():
         )
 
 
-def test_isotropic_transfer_checks_limit_on_every_call():
-    # a cached workspace must not let a later, smaller limit through
+def test_isotropic_transfer_answers_above_the_limit():
+    # the limit is not read, and the (Z/2)^10 standard module (|H| = 2^20,
+    # far above the default limit) transfers at once
+    import time
+
     w = standard_module(make_group([2]))
     g = w.group
-    full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
+    full = full_subgroup(g)
     triv = subgroup_from_generators(g, [])
-    isotropic_transfer(w, full, triv)
-    with pytest.raises(EnumerationBoundError):
-        isotropic_transfer(w, full, triv, limit=2)
+    assert isotropic_transfer(w, full, triv, limit=2) == isotropic_transfer(w, full, triv)
+
+    w = standard_module(make_group([2] * 10))
+    g = w.group
+    start = time.perf_counter()
+    i1, wit = isotropic_transfer(w, full_subgroup(g), trivial_subgroup(g), search_min=True)
+    assert time.perf_counter() - start < 1.0
+    # H1 = H, so I_max is a Lagrangian and I1 is all of it
+    assert is_lagrangian(w, wit.lagrangian) and wit.i_max == wit.lagrangian
+    assert i1 == wit.lagrangian and wit.min_order == 1024
+
+
+def test_isotropic_transfer_answers_without_enumerators(monkeypatch):
+    import random
+
+    import splitbound.qzforms as qz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isotropic_transfer enumerated subgroups")
+
+    monkeypatch.setattr(qz, "iter_isotropic_bases", refuse)
+    monkeypatch.setattr(qz, "_iter_bases_general", refuse)
+    rng = random.Random(12)
+    for inv in ((2, 2), (4, 2), (3, 9), (2, 2, 2), (8, 4, 2)):
+        w = standard_module(make_group(list(inv)))
+        g = w.group
+        for _ in range(12):
+            gens = [
+                g.element([rng.randrange(d) for d in g.invariants])
+                for _ in range(rng.randrange(1, 4))
+            ]
+            h1 = subgroup_from_generators(g, gens)
+            iso = subgroup_from_generators(g, gens[:1])
+            i1, wit = isotropic_transfer(w, h1, iso, search_min=True)
+            assert wit.lagrangian.contains_subgroup(i1) and wit.min_order is not None
 
 
 # every (H1, I isotropic in H1) pair of the standard module on A x A*
@@ -580,8 +639,8 @@ class BitmaskWorkspace:
 
 
 def transfer_oracle(ws, n, h1, iso, search_min=False):
-    """isotropic_transfer by containment of element bitmasks over every
-    subgroup, with no memo; n = sqrt|H|."""
+    """The first-candidate transfer, by containment of element bitmasks over
+    every subgroup in canonical order; n = sqrt|H|."""
     from splitbound.finabel import FinAbGroup, embeds_into
     from splitbound.qzforms import TransferWitness, _subgroup_quotient_type
 
@@ -615,13 +674,43 @@ def transfer_oracle(ws, n, h1, iso, search_min=False):
 
 
 def assert_transfer_matches_oracle(w, pairs, ws):
+    """|I_max| and min_order equal the oracle's; the subgroups themselves
+    may be other choices, so they are checked as the lemma states them."""
     from math import isqrt
 
+    from splitbound.qzforms import _subgroup_quotient_type
+
     n = isqrt(w.group.order)
+    iso_masks = [m for m, f in zip(ws.masks, ws.isotropic) if f]
     for h1, iso in pairs:
+        h1_mask, iso_mask = ws.mask(h1), ws.mask(iso)
+        hi_type = list(_subgroup_quotient_type(h1, iso))
         for search_min in (False, True):
-            got = isotropic_transfer(w, h1, iso, search_min=search_min)
-            assert got == transfer_oracle(ws, n, h1, iso, search_min), (h1, iso, search_min)
+            context = (h1, iso, search_min)
+            i1, wit = isotropic_transfer(w, h1, iso, search_min=search_min)
+            _, want = transfer_oracle(ws, n, h1, iso, search_min)
+            assert wit.i_max.order == want.i_max.order, context
+            assert wit.min_order == want.min_order, context
+            assert search_min or wit.min_order is None, context
+            imax_mask = ws.mask(wit.i_max)
+            lag_mask = ws.mask(wit.lagrangian)
+            # I <= I_max <= H1, isotropic, and no isotropic subgroup of H1
+            # lies strictly above it
+            assert not iso_mask & ~imax_mask and not imax_mask & ~h1_mask, context
+            assert is_isotropic(w, wit.i_max), context
+            assert not any(
+                m != imax_mask and not imax_mask & ~m and not m & ~h1_mask
+                for m in iso_masks
+            ), context
+            # Lambda: isotropic of order n over I_max, meeting H1 in I_max
+            assert wit.lagrangian.order == n and is_isotropic(w, wit.lagrangian), context
+            assert not imax_mask & ~lag_mask and lag_mask & h1_mask == imax_mask, context
+            # I1 <= Lambda of type H1/I_max, which embeds in H1/I
+            assert not ws.mask(i1) & ~lag_mask, context
+            assert wit.image_type == _subgroup_quotient_type(h1, wit.i_max), context
+            assert i1.sub_invariants == wit.image_type, context
+            assert _embeds_types(i1.sub_invariants, hi_type), context
+            assert (n * i1.order) % h1.order == 0, context
 
 
 def test_isotropic_transfer_matches_oracle_on_every_small_pair():
@@ -648,16 +737,22 @@ def test_isotropic_transfer_matches_oracle_on_seeded_pairs():
     assert_transfer_matches_oracle(w, random.Random(8).sample(pairs, 2000), ws)
 
 
-def test_transfer_workspace_lists_the_isotropic_subgroups():
-    # the workspace is the isotropy filter of the canonical subgroup list,
-    # on every standard module with |A| <= 16 and on random symplectic forms
+def test_isotropic_bases_at_every_order_match_the_isotropy_filter():
+    # iter_isotropic_bases at each order d against the is_isotropic filter
+    # of the canonical subgroup list, on every standard module with
+    # |A| <= 16 and on random symplectic forms
     import random
 
-    from splitbound.qzforms import _Workspace
+    from splitbound.finabel import _divisors
 
     def check(w):
-        want = [s for s in enumerate_subgroups(w.group) if is_isotropic(w, s)]
-        assert _Workspace(w, None).isotropic == want, w.gram
+        by_order = {}
+        for s in enumerate_subgroups(w.group):
+            if is_isotropic(w, s):
+                by_order.setdefault(s.order, set()).add(s.basis)
+        for d in _divisors(w.group.order):
+            got = list(iter_isotropic_bases(w, d))
+            assert_same_bases(got, by_order.get(d, set()), (w.gram, d))
 
     for inv in iter_abelian_types(16):
         check(standard_module(make_group(inv)))
@@ -713,24 +808,24 @@ def test_subgroup_quotient_type_matches_element_table():
     assert pairs == 9754
 
 
-def test_isotropic_transfer_checks_nondegeneracy_once(monkeypatch):
-    # the radical is computed until a workspace exists, and never after;
-    # a degenerate form builds no workspace, so it is refused every time
+def test_isotropic_transfer_computes_the_radical_once(monkeypatch):
+    # repeated transfers on one form compute its radical once (it is kept
+    # on the form), and a degenerate form is refused every time
     import splitbound.qzforms as qz
 
-    calls = []
-    orig = qz.is_nondegenerate
-    monkeypatch.setattr(qz, "is_nondegenerate", lambda w: calls.append(w) or orig(w))
+    fresh = []
+    orig = qz.radical
+    monkeypatch.setattr(qz, "radical", lambda w: fresh.append(w._radical is None) or orig(w))
     w = standard_module(make_group([2]))
     g = w.group
     full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
     triv = subgroup_from_generators(g, [])
     for _ in range(3):
         isotropic_transfer(w, full, triv)
-    assert len(calls) == 1
+    assert fresh == [True, False, False]
     z = zero_form(make_group([2, 2]))
     triv2 = subgroup_from_generators(z.group, [])
     for _ in range(2):
         with pytest.raises(DegenerateFormError):
             isotropic_transfer(z, triv2, triv2)
-    assert len(calls) == 3
+    assert fresh == [True, False, False, True, False]
