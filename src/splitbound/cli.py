@@ -328,7 +328,7 @@ def _cmd_obstruct(args) -> dict:
             "fe": obstruction.f_bound(args.r, args.e),
         }
     if mode == "compare":
-        rank1 = args.rank1 or 2 * args.r
+        rank1 = 2 * args.r if args.rank1 is None else args.rank1
         if rank1 % 2:
             raise InputError("--rank1 must be even")
         if rank1 > 0:  # the module orders, checked before either module is built
@@ -493,6 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# One parser serves every run() in the process: parse_args returns a new
+# Namespace each call and keeps nothing from the last.  It is built here, not
+# on first use, so a wrapper around build_parser never ends up on it.
+_PARSER = build_parser()
+
 _HANDLERS = {
     "group": _cmd_group,
     "form": _cmd_form,
@@ -530,8 +535,7 @@ def _emit(obj: dict, fmt: str) -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args, args.format)

@@ -1,12 +1,17 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import splitbound
 from splitbound.cli import run
 
 
@@ -295,8 +300,9 @@ def test_p_group_test_reads_the_exponent():
     p, q = 1000000000000000003, 1000000000000000009
     msg = _refused_fast(["pgl", "depth", "--group", f"{p},{q}"], "not-p-group")
     assert msg == f"|H| = {(p * q) ** 2} is not a prime power"
-    argv = ["obstruct", "--mode", "compare", "--r", "1", "--rank1", "-2"]
-    assert _refused_fast(argv, "precondition") == "module order 1 is not a prime power"
+    for rank1 in ("-2", "0"):
+        argv = ["obstruct", "--mode", "compare", "--r", "1", "--rank1", rank1]
+        assert _refused_fast(argv, "precondition") == "module order 1 is not a prime power"
 
 
 def test_semiprime_order_answers_and_is_no_p_group():
@@ -643,6 +649,83 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         invoke(["no-such-command"])
     assert exc.value.code == 2
+
+
+# -- one parser per process --------------------------------------------------------
+
+ONE_PER_COMMAND = [
+    ["group", "subgroups", "1000"],
+    ["group", "reduce", "2,4", "--tuple", "(1,1);(0,2)"],
+    ["--format", "text", "form", "standard", "--group", "2,4"],
+    ["form", "max-isotropic", "--form", '{"group": [2, 2], "gram": [["0/1", "1/2"], ["1/2", "0/1"]]}'],
+    ["pgl", "depth", "--group", "4,4"],
+    ["f2", "radical", "--form", '{"dim": 3, "rows": ["0x1", "0x2", "0x4"]}'],
+    ["obstruct", "--mode", "compare", "--r", "2"],
+    ["tables", "tits", "--type", "E8"],
+    ["--enum-limit", "16", "group", "subgroups", "2,2", "--list"],
+    ["verify", "partitions", "--seed", "1"],
+]
+
+
+def test_run_builds_no_parser(monkeypatch):
+    import argparse
+
+    from splitbound import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv in ONE_PER_COMMAND:
+        code, out, _ = invoke(argv)
+        assert code == 0 and out, argv
+
+
+def _fresh_process(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(splitbound.__file__).parents[1])}
+    env.pop("SPLITBOUND_ENUM_LIMIT", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "splitbound.cli", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout.decode()
+
+
+def _exit_code(argv):
+    try:
+        return invoke(argv)[0]
+    except SystemExit as exc:  # an argparse usage error
+        return exc.code
+
+
+def _help(parse, argv):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue()
+
+
+def test_the_shared_parser_carries_nothing_between_calls(monkeypatch):
+    from splitbound.cli import build_parser
+
+    monkeypatch.delenv("SPLITBOUND_ENUM_LIMIT", raising=False)
+    census = ["group", "subgroups", "2,2"]
+    # (first call, its exit status, the call after it)
+    pairs = [
+        (["--enum-limit", "1", *census, "--list"], 2, [*census, "--list"]),
+        ([*census, "--list"], 0, census),
+        (["--format", "text", *census], 0, census),
+        (["group", "no-such-action", "2"], 2, census),
+    ]
+    for first, first_code, second in pairs:
+        assert _exit_code(first) == first_code, first
+        code, out, _ = invoke(second)
+        assert (code, out) == _fresh_process(second), first
+    assert "subgroups" not in json.loads(out)
+    # help is rendered at call time, the same as by a fresh parser
+    assert _help(run, ["--help"]) == (0, build_parser().format_help())
+    assert _help(run, ["pgl", "--help"]) == _help(build_parser().parse_args, ["pgl", "--help"])
 
 
 def test_enum_limit_flag_and_env(monkeypatch):
