@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 
 from . import f2quad, heisenberg, liedata, obstruction, qzforms, verify
 from .errors import InputError, OutputBoundError, PreconditionError, SplitboundError, _int_text
@@ -187,7 +188,7 @@ def _cmd_group(args) -> dict:
         xi = _parse_elements(a, _need(args, "tuple"))
         log, reduced = reduce_tuple(a, xi)
         return {
-            "ops": [[kind, i, j] for kind, i, j in log],
+            "ops": _ops_json(log),
             "reduced": [list(el.coords) for el in reduced],
             "nonzero": sum(1 for el in reduced if not el.is_zero()),
         }
@@ -508,6 +509,32 @@ _HANDLERS = {
 }
 
 
+class _JSONText(str):
+    """A value already rendered as JSON: _emit writes it as it is, in
+    either format."""
+
+
+def _ops_json(log) -> _JSONText:
+    """The JSON array json.dumps writes for a reduce_tuple log, a run of
+    equal ops at a time: a Euclidean step can repeat one op hundreds of
+    times, and a run is one string repeated."""
+    text = "".join(f'["{kind}", {i}, {j}], ' * len(list(run))
+                   for (kind, i, j), run in groupby(log))
+    return _JSONText("[" + text[:-2] + "]")
+
+
+def _json_dumps(obj: dict) -> str:
+    """json.dumps(obj, sort_keys=True), with a _JSONText value at the top
+    level written as it is."""
+    if not any(isinstance(val, _JSONText) for val in obj.values()):
+        return json.dumps(obj, sort_keys=True)
+    return "{" + ", ".join(
+        json.dumps(key) + ": "
+        + (val if isinstance(val, _JSONText) else json.dumps(val, sort_keys=True))
+        for key, val in sorted(obj.items())
+    ) + "}"
+
+
 def _emit(obj: dict, fmt: str) -> None:
     """Write obj as one JSON line or as key: value lines.  The text is
     rendered whole before anything is written, so a result with an integer
@@ -522,7 +549,7 @@ def _emit(obj: dict, fmt: str) -> None:
             yield f"{prefix[:-1]}: {val}"
     try:
         if fmt == "json":
-            text = json.dumps(obj, sort_keys=True) + "\n"
+            text = _json_dumps(obj) + "\n"
         else:
             text = "".join(line + "\n" for line in lines("", obj))
     except ValueError as ex:

@@ -1102,27 +1102,32 @@ def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
     inv = a.invariants
     log: list[tuple] = []
 
-    def op_sub(i: int, j: int):
+    def op_sub(i: int, j: int, q: int):
+        # q repeats of xi_i -= xi_j, applied at once and logged one by one
         ci, cj = coords[i], coords[j]
         for t in range(k):
-            ci[t] = (ci[t] - cj[t]) % inv[t]
-        log.append(("sub", i, j))
+            ci[t] = (ci[t] - q * cj[t]) % inv[t]
+        log.extend([("sub", i, j)] * q)
 
     def op_swap(i: int, j: int):
         coords[i], coords[j] = coords[j], coords[i]
         log.append(("swap", i, j))
 
     def clear_pair(lead: int, tail: int, c: int):
-        # Euclidean steps on coordinate c; afterwards coords[tail][c] == 0.
-        # Ties subtract the later position from the earlier one.
-        while coords[tail][c] != 0:
-            if coords[lead][c] == 0:
+        # Subtractive Euclidean steps on coordinate c, a run of equal steps
+        # at a time; afterwards coords[tail][c] == 0.  Ties subtract the
+        # later position from the earlier one, so the lead runs while
+        # x >= y and the tail while y > x.  Both stay in [0, inv[c]), so
+        # coordinate c never wraps.
+        while (y := coords[tail][c]) != 0:
+            x = coords[lead][c]
+            if x == 0:
                 op_swap(lead, tail)
                 break
-            if coords[lead][c] >= coords[tail][c]:
-                op_sub(lead, tail)
+            if x >= y:
+                op_sub(lead, tail, x // y)
             else:
-                op_sub(tail, lead)
+                op_sub(tail, lead, (y - 1) // x)
 
     # entries first..s-1 live in the subgroup with coordinates <= c; the
     # pivot entry `first` clears coordinate c from every later one

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt, log10
 
 from .errors import (
@@ -147,30 +146,48 @@ def min_splitting_exponent(q: ObstructionQuery) -> tuple[int, PartitionCandidate
         # constraint n_v + n_{v+1} >= need_at(v); nonincreasing in v
         return max(0, r // v - e) if 1 <= v <= r else 0
 
-    @lru_cache(maxsize=None)
-    def best(v: int, prev: int):
-        """(least sum over positions >= v, least n_v reaching it) given
-        n_{v-1} = prev, or None when no nonincreasing completion satisfies
-        the constraints.  n_v = 0 means an all-zero tail."""
-        lo = max(0, need_at(v - 1) - prev)
-        if lo > prev:
-            return None
-        if lo == 0 and need_at(v) == 0:
-            return 0, 0  # an all-zero tail is feasible, hence optimal
+    # best[v][prev]: (least sum over positions >= v, least n_v reaching it)
+    # given n_{v-1} = prev, or None when no nonincreasing completion
+    # satisfies the constraints; n_v = 0 means an all-zero tail.  Past
+    # position r + 1 every need is 0, so the rows are filled from r + 1 down.
+    best: list = [None] * (r + 3)
+    best[r + 2] = [(0, 0)] * (r + 1)
+    for v in range(r + 1, 0, -1):
+        below = best[v + 1]
+        cost = [None] + [val + t[0] if (t := below[val]) else None for val in range(1, r + 1)]
+        need_prev = need_at(v - 1)
+        # n_v ranges over [max(need_prev - prev, 1), prev], empty below
+        # prev = start; from prev = stop on an all-zero tail is feasible,
+        # hence optimal.  The window widens on both sides as prev grows, so
+        # its least cost (the least n_v on ties) is kept as it widens.
+        start = (need_prev + 1) // 2
+        stop = need_prev if need_at(v) == 0 else r + 1
+        row = [None] * start
         found = None
-        for val in range(max(lo, 1), prev + 1):
-            rest = best(v + 1, val)
-            if rest is not None and (found is None or val + rest[0] < found[0]):
-                found = (val + rest[0], val)
-        return found
+        left = max(need_prev - start, 1)
+        right = left - 1
+        for prev in range(start, stop):
+            while right < prev:  # a larger n_v wins only when strictly cheaper
+                right += 1
+                c = cost[right]
+                if c is not None and (found is None or c < found[0]):
+                    found = (c, right)
+            while left > need_prev - prev and left > 1:  # a smaller n_v wins ties
+                left -= 1
+                c = cost[left]
+                if c is not None and (found is None or c <= found[0]):
+                    found = (c, left)
+            row.append(found)
+        row += [(0, 0)] * (r + 1 - len(row))
+        best[v] = row
 
     # the least n_v at every position gives the lexicographically least
     # witness of the least total
-    total, val = best(1, r)  # the constant partition (r, ..., r) is feasible
+    total, val = best[1][r]  # the constant partition (r, ..., r) is feasible
     witness: list[int] = []
     while val:
         witness.append(val)
-        val = best(len(witness) + 1, val)[1]
+        val = best[len(witness) + 1][val][1]
     cand = PartitionCandidate(tuple(witness))
     assert partition_feasible(q, cand)
     assert total >= f_bound(r, e)

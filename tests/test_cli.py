@@ -526,6 +526,28 @@ def test_reduce_replay_through_cli():
     assert all(kind in ("sub", "swap") for kind, _i, _j in data["ops"])
 
 
+def test_reduce_ops_print_as_the_expanded_log():
+    # the ops are written a run at a time; the bytes are json.dumps of the
+    # op-by-op log, in both formats, with and without ops
+    from splitbound.finabel import make_group, reduce_tuple
+
+    cases = [("960,960", "(1,959);(958,3);(0,0)"), ("2,2", "(0,0);(0,0)"),
+             ("6", "(2);(3)"), ("1024", "(1023);(1)")]
+    for group, tup in cases:
+        a = make_group([int(d) for d in group.split(",")])
+        xi = [a.element(tuple(int(c) for c in el.strip("()").split(",")))
+              for el in tup.split(";")]
+        log, red = reduce_tuple(a, xi)
+        expect = {"nonzero": sum(1 for e in red if not e.is_zero()), "ops": log,
+                  "reduced": [list(e.coords) for e in red]}
+        code, out, _ = invoke(["group", "reduce", group, "--tuple", tup])
+        assert code == 0
+        assert out == json.dumps(expect, sort_keys=True) + "\n"
+        code, out, _ = invoke(["--format", "text", "group", "reduce", group, "--tuple", tup])
+        assert f"ops: {json.dumps(log)}\n" in out
+    assert invoke(["group", "reduce", "2,2", "--tuple", "(0,0);(0,0)"])[1].count('"ops": []') == 1
+
+
 def test_form_values():
     _, out, _ = invoke(["form", "standard", "--group", "4"])
     data = json.loads(out)

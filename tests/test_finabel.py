@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 
@@ -459,12 +460,18 @@ def reduce_tuple_oracle(a, xi):
 def test_reduce_tuple_matches_recursive_oracle():
     rng = random.Random(29)
     types = [tuple(t) for t in iter_abelian_types(64)]
-    for _ in range(2000):
-        a = make_group(rng.choice(types))
+    # chains up to 1024, where one Euclidean run repeats an op hundreds of
+    # times; the oracle takes every step one by one
+    long_chains = [(1024,), (5, 960), (3, 24, 120, 720), (16, 32, 192, 960), (2, 6, 30, 120, 720)]
+    longest = 0
+    for case in range(2060):
+        a = make_group(rng.choice(types) if case < 2000 else rng.choice(long_chains))
         s = a.rank + rng.randrange(0, 4)
         xi = [a.element(tuple(rng.randrange(d) for d in a.invariants)) for _ in range(s)]
         log, red = reduce_tuple(a, xi)
         assert (log, [e.coords for e in red]) == reduce_tuple_oracle(a, xi)
+        longest = max(longest, max((len(list(run)) for _op, run in groupby(log)), default=0))
+    assert longest >= 100
 
 
 # -- integer normal form internals ---------------------------------------------
