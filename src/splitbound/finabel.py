@@ -1084,11 +1084,14 @@ def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
 
 def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
     """Reduce an s-tuple (s >= rank) to one with at most rank(A) nonzero
-    entries using only ops (i, j): xi_i -= xi_j, plus logged position swaps.
+    entries using only the moves xi_i -= xi_j, plus logged position swaps.
 
-    Returns (ops_log, reduced).  Ops are ("sub", i, j) and ("swap", i, j)
-    with 0-based positions; replaying the log on the input reproduces the
-    output and the generated subgroup never changes along the way.
+    Returns (ops_log, reduced).  Ops are ("sub", i, j, q), q >= 1 repeats
+    of xi_i -= xi_j (one run of equal subtractive Euclidean steps), and
+    ("swap", i, j), with 0-based positions.  Clearing a pair takes
+    O(log d) ops for the invariant factor d it works in.  Replaying the
+    log on the input reproduces the output, and the generated subgroup
+    never changes along the way, not even within a run.
     """
     xs = list(xi)
     for x in xs:
@@ -1103,11 +1106,11 @@ def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
     log: list[tuple] = []
 
     def op_sub(i: int, j: int, q: int):
-        # q repeats of xi_i -= xi_j, applied at once and logged one by one
+        # q repeats of xi_i -= xi_j, applied and logged as one op
         ci, cj = coords[i], coords[j]
         for t in range(k):
             ci[t] = (ci[t] - q * cj[t]) % inv[t]
-        log.extend([("sub", i, j)] * q)
+        log.append(("sub", i, j, q))
 
     def op_swap(i: int, j: int):
         coords[i], coords[j] = coords[j], coords[i]
@@ -1142,14 +1145,26 @@ def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
 
 
 def replay_ops(a: FinAbGroup, xi, ops) -> list[Element]:
-    """Apply a reduce_tuple ops log to a fresh copy of the tuple."""
+    """Apply a reduce_tuple ops log to a fresh copy of the tuple: a
+    ("sub", i, j, q) op sets xi_i -= q * xi_j, a ("swap", i, j) op swaps
+    two positions.  An op of another kind or length, or whose positions
+    are not two distinct indices of the tuple, or whose q is not an int
+    >= 1, is refused with PreconditionError."""
     xs = [Element(a, x.coords) for x in xi]
+    n = len(xs)
     for op in ops:
-        kind, i, j = op
-        if kind == "sub":
-            xs[i] = xs[i] - xs[j]
-        elif kind == "swap":
-            xs[i], xs[j] = xs[j], xs[i]
+        op = tuple(op)
+        if op[:1] == ("sub",) and len(op) == 4:
+            _kind, i, j, q = op
+        elif op[:1] == ("swap",) and len(op) == 3:
+            (_kind, i, j), q = op, 1
         else:
-            raise PreconditionError(f"unknown op {kind!r}")
+            raise PreconditionError(f"malformed op {op!r}")
+        if not (all(type(x) is int for x in (i, j, q)) and q >= 1
+                and i != j and 0 <= i < n and 0 <= j < n):
+            raise PreconditionError(f"malformed op {op!r}")
+        if op[0] == "sub":
+            xs[i] = xs[i] - q * xs[j]
+        else:
+            xs[i], xs[j] = xs[j], xs[i]
     return xs

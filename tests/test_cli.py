@@ -520,16 +520,29 @@ def test_group_values():
 
 
 def test_reduce_replay_through_cli():
+    from splitbound.finabel import make_group, replay_ops
+
     _, out, _ = invoke(["group", "reduce", "2,2", "--tuple", "(1,0);(0,1);(1,1)"])
     data = json.loads(out)
     assert data["nonzero"] <= 2
-    assert all(kind in ("sub", "swap") for kind, _i, _j in data["ops"])
+    for op in data["ops"]:
+        if op[0] == "sub":
+            _kind, i, j, q = op
+            assert q >= 1
+        else:
+            kind, i, j = op
+            assert kind == "swap"
+        assert {i, j} <= {0, 1, 2} and i != j
+    a = make_group([2, 2])
+    xi = [a.element(c) for c in [(1, 0), (0, 1), (1, 1)]]
+    assert [list(e.coords) for e in replay_ops(a, xi, data["ops"])] == data["reduced"]
 
 
 def test_reduce_ops_print_as_the_expanded_log():
-    # the ops are written a run at a time; the bytes are json.dumps of the
-    # op-by-op log, in both formats, with and without ops
+    # the bytes are json.dumps of the returned log, in both formats, with
+    # and without ops, and that log expands to the op-by-op oracle's
     from splitbound.finabel import make_group, reduce_tuple
+    from test_finabel import expand_ops, reduce_tuple_oracle
 
     cases = [("960,960", "(1,959);(958,3);(0,0)"), ("2,2", "(0,0);(0,0)"),
              ("6", "(2);(3)"), ("1024", "(1023);(1)")]
@@ -538,6 +551,7 @@ def test_reduce_ops_print_as_the_expanded_log():
         xi = [a.element(tuple(int(c) for c in el.strip("()").split(",")))
               for el in tup.split(";")]
         log, red = reduce_tuple(a, xi)
+        assert (expand_ops(log), [e.coords for e in red]) == reduce_tuple_oracle(a, xi)
         expect = {"nonzero": sum(1 for e in red if not e.is_zero()), "ops": log,
                   "reduced": [list(e.coords) for e in red]}
         code, out, _ = invoke(["group", "reduce", group, "--tuple", tup])
@@ -546,6 +560,14 @@ def test_reduce_ops_print_as_the_expanded_log():
         code, out, _ = invoke(["--format", "text", "group", "reduce", group, "--tuple", tup])
         assert f"ops: {json.dumps(log)}\n" in out
     assert invoke(["group", "reduce", "2,2", "--tuple", "(0,0);(0,0)"])[1].count('"ops": []') == 1
+
+
+def test_reduce_of_a_large_invariant_factor_prints_three_ops():
+    # 999,998 unit steps are one quotient op, so the log does not grow
+    # with the invariant factor
+    code, out, _ = invoke(["group", "reduce", "1000000", "--tuple", "(1);(999999)"])
+    assert code == 0 and len(out.encode()) < 200
+    assert json.loads(out)["ops"] == [["sub", 1, 0, 999998], ["sub", 0, 1, 1], ["swap", 0, 1]]
 
 
 def test_form_values():

@@ -2,6 +2,8 @@
 literals and malformed specs, under --enum-limit 256.  Each call must exit
 0 or 2 (a traceback fails the test) and print JSON that validates against
 schemas.json: the action's schema on exit 0, the error schema on exit 2.
+A `group reduce` that answers must also print a well-formed op log that
+replays to its `reduced`.
 
 No per-call time is asserted: inside the limit some queries still list
 many objects (see the ROADMAP Baseline), and the literals are kept small
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from splitbound.errors import InvalidInvariantError  # noqa: E402
-from splitbound.finabel import make_group  # noqa: E402
+from splitbound.finabel import make_group, replay_ops  # noqa: E402
 from splitbound.qzforms import standard_module  # noqa: E402
 from test_cli import check_schema, invoke  # noqa: E402
 
@@ -230,6 +232,25 @@ def verify_call(_suite):
     ).map(lambda sd: ("verify", ["verify", sd[0], "--seed", str(sd[1])]))
 
 
+def check_reduce_ops(argv, payload):
+    """Each printed op is ["sub", i, j, q] (i != j in range, q >= 1) or
+    ["swap", i, j], and replaying them gives the printed reduced tuple."""
+    a = make_group(int(x) for x in argv[argv.index("reduce") + 1].split(","))
+    tup = argv[argv.index("--tuple") + 1]
+    xi = [a.element(tuple(int(c) for c in part.strip()[1:-1].split(",")))
+          for part in tup.split(";") if part.strip()]
+    for op in payload["ops"]:
+        if op[0] == "sub":
+            _kind, i, j, q = op
+            assert type(q) is int and q >= 1, (argv, op)
+        else:
+            kind, i, j = op
+            assert kind == "swap", (argv, op)
+        assert i != j and {i, j} <= set(range(len(xi))), (argv, op)
+    replayed = [list(e.coords) for e in replay_ops(a, xi, payload["ops"])]
+    assert replayed == payload["reduced"], argv
+
+
 # every (command, action) the parser accepts; obstruct takes --mode
 ACTIONS = [
     (group_call, ["info", "dual", "char", "span", "quotient", "subgroups", "embeds", "reduce"]),
@@ -263,3 +284,27 @@ def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
                 assert isinstance(payload["error"]["message"], str), argv
             else:
                 check_schema(key, payload)
+                if key == "group reduce":
+                    check_reduce_ops(argv, payload)
+
+
+# the whole-CLI draws above answer few `group reduce` calls (most tuples are
+# malformed or shorter than the rank), so well-formed ones are drawn here,
+# with invariant factors up to 10^6 for long Euclidean runs
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(st.data())
+def test_cli_fuzz_group_reduce_prints_ops_that_replay(data):
+    chain = data.draw(st.lists(st.one_of(st.integers(2, 12), st.integers(2, 10**6)),
+                               min_size=1, max_size=3))
+    k = make_group(chain).rank
+    tup = data.draw(st.lists(
+        st.lists(st.integers(-3, 10**6), min_size=k, max_size=k).map(lambda xs: f"({_ints(xs)})"),
+        min_size=k, max_size=k + 3,
+    ))
+    argv = ["group", "reduce", _ints(chain), "--tuple", ";".join(tup)]
+    code, out, _ = invoke(argv)
+    assert code == 0, (argv, out)
+    payload = json.loads(out)
+    check_schema("group reduce", payload)
+    check_reduce_ops(argv, payload)

@@ -1,5 +1,4 @@
 import random
-from itertools import groupby
 
 import pytest
 
@@ -396,8 +395,21 @@ def test_reduce_tuple_precondition():
         reduce_tuple(a, [a.element((1, 0))])
 
 
+def expand_ops(log):
+    """A reduce_tuple log with each ("sub", i, j, q) written as q unit
+    steps ("sub", i, j): the log of the op-by-op oracle below."""
+    out = []
+    for op in log:
+        if op[0] == "sub":
+            out += [tuple(op[:3])] * op[3]
+        else:
+            out.append(tuple(op))
+    return out
+
+
 def test_reduce_tuple_span_invariant_stepwise():
-    # the generated subgroup is unchanged after every single logged op
+    # the generated subgroup is unchanged after every single unit step,
+    # inside a run as well as between runs
     rng = random.Random(13)
     for _ in range(25):
         a = make_group(rng.choice([(2, 4), (6,), (2, 2, 2), (3, 9)]))
@@ -406,9 +418,10 @@ def test_reduce_tuple_span_invariant_stepwise():
         log, red = reduce_tuple(a, xi)
         span = subgroup_from_generators(a, xi)
         cur = list(xi)
-        for op in log:
-            cur = replay_ops(a, cur, [op])
+        for kind, i, j in expand_ops(log):
+            cur = replay_ops(a, cur, [(kind, i, j, 1) if kind == "sub" else (kind, i, j)])
             assert subgroup_from_generators(a, cur) == span
+        assert cur == red
 
 
 def test_reduce_tuple_replay_and_span():
@@ -422,6 +435,22 @@ def test_reduce_tuple_replay_and_span():
         assert sum(1 for e in red if not e.is_zero()) <= a.rank
         assert replay_ops(a, xi, log) == red
         assert subgroup_from_generators(a, xi) == subgroup_from_generators(a, red)
+
+    # a sub op applies its q at once; a malformed op is refused
+    a = make_group([2, 4])
+    xi = [a.element((1, 1)), a.element((0, 2))]
+    assert replay_ops(a, xi, [("sub", 0, 1, 3), ("swap", 0, 1)]) == [xi[1], a.element((1, 3))]
+    malformed = [
+        ("add", 0, 1), ("add", 0, 1, 1), (), ("swap",),  # unknown kind, no kind
+        ("sub", 0, 1), ("swap", 0, 1, 1), ("sub", 0, 1, 2, 3),  # wrong field count
+        ("sub", 0, 1, 0), ("sub", 0, 1, -2), ("sub", 0, 1, 1.0), ("sub", 0, 1, "2"),
+        ("sub", 0, 1, True),  # q not an int >= 1
+        ("sub", 0, 0, 1), ("swap", 1, 1), ("sub", 0, 2, 1), ("swap", -1, 0),
+        ("sub", "0", 1, 1),  # positions not two distinct indices of the tuple
+    ]
+    for op in malformed:
+        with pytest.raises(PreconditionError):
+            replay_ops(a, xi, [("sub", 0, 1, 1), op])
 
 
 def reduce_tuple_oracle(a, xi):
@@ -460,18 +489,22 @@ def reduce_tuple_oracle(a, xi):
 def test_reduce_tuple_matches_recursive_oracle():
     rng = random.Random(29)
     types = [tuple(t) for t in iter_abelian_types(64)]
-    # chains up to 1024, where one Euclidean run repeats an op hundreds of
-    # times; the oracle takes every step one by one
+    # chains up to 1024, where one Euclidean run takes hundreds of unit
+    # steps; the oracle takes every step one by one, and the log holds
+    # each run as one ("sub", i, j, q) op
     long_chains = [(1024,), (5, 960), (3, 24, 120, 720), (16, 32, 192, 960), (2, 6, 30, 120, 720)]
-    longest = 0
+    largest_q = 0
     for case in range(2060):
         a = make_group(rng.choice(types) if case < 2000 else rng.choice(long_chains))
         s = a.rank + rng.randrange(0, 4)
         xi = [a.element(tuple(rng.randrange(d) for d in a.invariants)) for _ in range(s)]
         log, red = reduce_tuple(a, xi)
-        assert (log, [e.coords for e in red]) == reduce_tuple_oracle(a, xi)
-        longest = max(longest, max((len(list(run)) for _op, run in groupby(log)), default=0))
-    assert longest >= 100
+        assert (expand_ops(log), [e.coords for e in red]) == reduce_tuple_oracle(a, xi)
+        # each run is one op, and a cleared pair costs O(log d) ops
+        assert all(p[:3] != q[:3] for p, q in zip(log, log[1:]))
+        assert len(log) <= a.rank * s * (2 * max(a.invariants, default=1).bit_length() + 2)
+        largest_q = max([largest_q] + [op[3] for op in log if op[0] == "sub"])
+    assert largest_q >= 100
 
 
 # -- integer normal form internals ---------------------------------------------
