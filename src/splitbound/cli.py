@@ -331,19 +331,19 @@ def _cmd_obstruct(args) -> dict:
         rank1 = 2 * args.r if args.rank1 is None else args.rank1
         if rank1 % 2:
             raise InputError("--rank1 must be even")
-        if rank1 > 0:  # the module orders, checked before either module is built
-            for exp in (rank1, 2 * args.r):
-                _check_limit(obstruction.checked_power(args.p, exp), args.enum_limit)
-        el = qzforms.standard_module(make_group([args.p] * (rank1 // 2)))
-        cy = qzforms.standard_module(make_group([args.p ** args.r]))
-        o1, types1 = obstruction.splitting_group_isotropic_bound(
-            el, min(args.e, rank1 // 2), args.enum_limit
-        )
-        o2, types2 = obstruction.splitting_group_isotropic_bound(
-            cy, min(args.e, args.r), args.enum_limit
-        )
+        p, m, r = args.p, rank1 // 2, args.r
+        if m < 1:  # the first module is on the trivial group
+            raise PreconditionError("module order 1 is not a prime power")
+        for exp in (rank1, 2 * r):  # the module orders must be printable
+            obstruction.checked_power(p, exp)
+        # the two standard modules, on (Z/p)^m and on Z/p^r, are never
+        # built: their isotropic types come from those groups alone
+        o1 = p ** (m - min(args.e, m))
+        o2 = p ** (r - min(args.e, r))
+        types1 = qzforms.standard_isotropic_types(make_group([p] * m), o1)
+        types2 = qzforms.standard_isotropic_types(make_group([p ** r]), o2)
         return {
-            "bound": obstruction.comparison_from_types(o1, types1, o2, types2, args.p),
+            "bound": obstruction.comparison_from_types(o1, types1, o2, types2),
             "types": {
                 "first": [list(t) for t in types1],
                 "second": [list(t) for t in types2],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import isqrt, log10
+from math import isqrt, log10, prod
 
 from .errors import (
     DegenerateFormError,
@@ -23,8 +23,8 @@ from .errors import (
     PreconditionError,
     _int_text,
 )
-from .finabel import Subgroup, _is_prime, _prime_power, _valuation
-from .qzforms import SkewForm, is_nondegenerate, iter_isotropic_bases, radical
+from .finabel import _is_prime, _prime_power, _valuation
+from .qzforms import SkewForm, is_nondegenerate, isotropic_types, radical
 
 MAX_SEARCH_R = 40
 # the largest r that f_bound takes: its O(sqrt r) runs answer well within a
@@ -217,39 +217,26 @@ def _symplectic_p_r(w: SkewForm) -> tuple[int, int]:
     return p, e2 // 2
 
 
-def splitting_group_isotropic_bound(
-    w: SkewForm, e: int, limit: int | None = None
-) -> tuple[int, list[tuple[int, ...]]]:
+def splitting_group_isotropic_bound(w: SkewForm, e: int) -> tuple[int, list[tuple[int, ...]]]:
     """(p^{r-e}, isomorphism types of isotropic subgroups of that order).
 
     Any splitting group of the corresponding algebra extension contains a
-    copy of at least one type from the list.  The types are read off the
-    isotropic subgroups of order p^{r-e} alone (iter_isotropic_bases); the
-    enumeration limit still applies to |H|.
+    copy of at least one type from the list.  The types are
+    qzforms.isotropic_types, read off the group type of H by the
+    Littlewood-Richardson rule, so nothing is enumerated and there is no
+    enumeration limit (tests/test_obstruction.py keeps the filter of every
+    subgroup and the isotropic enumeration as oracles).
     """
     p, r = _symplectic_p_r(w)
     if e < 0 or e > r:
         raise HypothesisViolationError(f"need 0 <= e <= r = {r}")
     target = p ** (r - e)
-    g = w.group
-    types = {
-        Subgroup(g, basis).sub_invariants
-        for basis in iter_isotropic_bases(w, target, limit)
-    }
+    types = isotropic_types(w, target)
     assert types, "isotropic subgroups of every order up to p^r exist"
-    return target, sorted(types)
+    return target, types
 
 
-def _meet_exponent(t1: tuple[int, ...], t2: tuple[int, ...], p: int) -> int:
-    """log_p of the largest common subgroup type (componentwise meet)."""
-    e1 = sorted((_valuation(d, p) for d in t1), reverse=True)
-    e2 = sorted((_valuation(d, p) for d in t2), reverse=True)
-    return sum(min(a, b) for a, b in zip(e1, e2))
-
-
-def comparison_bound(
-    w1: SkewForm, w2: SkewForm, e: int, limit: int | None = None
-) -> int:
+def comparison_bound(w1: SkewForm, w2: SkewForm, e: int) -> int:
     """Least order of an abelian p-group containing an order-p^{r_i - e}
     isotropic type from each module: min over type pairs of
     |I_1| |I_2| / |largest common subgroup|.
@@ -261,25 +248,23 @@ def comparison_bound(
     p2, r2 = _symplectic_p_r(w2)
     if p1 != p2:
         raise PreconditionError("modules must share the same prime")
-    o1, types1 = splitting_group_isotropic_bound(w1, min(e, r1), limit)
-    o2, types2 = splitting_group_isotropic_bound(w2, min(e, r2), limit)
-    return comparison_from_types(o1, types1, o2, types2, p1)
+    o1, types1 = splitting_group_isotropic_bound(w1, min(e, r1))
+    o2, types2 = splitting_group_isotropic_bound(w2, min(e, r2))
+    return comparison_from_types(o1, types1, o2, types2)
 
 
-def comparison_from_types(o1: int, types1, o2: int, types2, p: int) -> int:
+def comparison_from_types(o1: int, types1, o2: int, types2) -> int:
     """comparison_bound from the two splitting_group_isotropic_bound
-    results, for callers that already hold the types."""
+    results, for callers that already hold the types.  The types are
+    invariant chains of p-groups, so the largest common subgroup of two,
+    aligned at their largest factors, has the factorwise least entries,
+    and nothing is factored."""
     best = None
     for t1 in types1:
         for t2 in types2:
-            if not t1 or not t2:
-                exact = o1 * o2
-            else:
-                exact = o1 * o2 // p ** _meet_exponent(t1, t2, p)
-                e1 = [_valuation(d, p) for d in t1]
-                e2 = [_valuation(d, p) for d in t2]
-                coarse_cap = min(len(e1), len(e2)) * min(max(e1), max(e2))
-                coarse = o1 * o2 // p ** coarse_cap
+            exact = o1 * o2 // prod(map(min, reversed(t1), reversed(t2)))
+            if t1 and t2:  # a common subgroup has at most the lesser rank and exponent
+                coarse = o1 * o2 // min(t1[-1], t2[-1]) ** min(len(t1), len(t2))
                 assert exact >= max(coarse, 1)
             if best is None or exact < best:
                 best = exact

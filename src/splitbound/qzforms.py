@@ -10,26 +10,34 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from itertools import product, zip_longest
+from math import gcd, isqrt, log10
 from typing import NamedTuple
 
 from .errors import (
     AmbientMismatchError,
     DegenerateFormError,
     InvalidFormError,
+    OutputBoundError,
     PreconditionError,
+    _int_text,
 )
 from .finabel import (
+    MAX_LISTED,
+    MAX_PRINTED_DIGITS,
     Element,
     FinAbGroup,
     QmodZ,
     Subgroup,
+    _canonical_chain,
     _check_limit,
     _cokernel_invariants,
+    _exponent_partitions,
     _hnf,
     _iter_bases_general,
     _lattice_coefficients,
     _snf_with_transforms,
+    _valuation,
     full_subgroup,
     # unused here: the benchmark harness test (perfbench/test_harness.py)
     # checks that the tracer rebinds this name in qzforms
@@ -50,6 +58,8 @@ __all__ = [
     "is_isotropic",
     "is_lagrangian",
     "max_isotropic",
+    "isotropic_types",
+    "standard_isotropic_types",
     "quotient_by_lagrangian",
     "symplectic_submodule",
     "isotropic_transfer",
@@ -314,13 +324,19 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
 
     The order is sqrt(|H| * |Rad w|): every maximal isotropic subgroup
     contains the radical, and the nondegenerate module H / Rad has
-    Lagrangians of order sqrt|H / Rad| (Wall, Topology 2, 1963).  One pass
-    over the isotropic subgroups of that order (iter_isotropic_bases, which
-    never lists the others) finds the witness (least canonical basis) and
-    the types.
+    Lagrangians of order sqrt|H / Rad| (Wall, Topology 2, 1963).  The
+    witness is the least canonical basis among the isotropic subgroups of
+    that order (iter_isotropic_bases, which never lists the others, so the
+    enumeration limit applies).  On a nondegenerate form the types are
+    isotropic_types(w, order), read off the group type; on a degenerate
+    one they come from the same pass, because the radical need not be a
+    direct summand and the types depend on how it sits in H.
     """
     g = w.group
     best = isqrt(g.order * radical(w).order)
+    if is_nondegenerate(w):
+        witness = Subgroup(g, min(iter_isotropic_bases(w, best, limit)))
+        return MaxIsotropic(best, witness, isotropic_types(w, best))
     witness_basis = None
     types = set()
     for basis in iter_isotropic_bases(w, best, limit):
@@ -366,6 +382,189 @@ def symplectic_submodule(w: SkewForm, s: int) -> Subgroup:
         pairs.extend((v, u))
         room = _annihilated(w, room.basis, [v, u])
     return subgroup_from_generators(g, [Element(g, row) for row in pairs])
+
+
+# ---------------------------------------------------------------------------
+# Isotropic types (Littlewood-Richardson rule)
+# ---------------------------------------------------------------------------
+
+def _partitions_inside(cap, k: int):
+    """Every partition of k whose j-th part is at most cap[j] (cap
+    nonincreasing), as tuples of positive parts, each once.  The search
+    keeps its own stack: a partition may have thousands of parts."""
+    n = len(cap)
+    room = [0] * (n + 1)  # room[j] = sum(cap[j:])
+    for j in range(n - 1, -1, -1):
+        room[j] = room[j + 1] + cap[j]
+    if k > room[0]:
+        return
+    parts: list[int] = []
+    left = k
+    v = min(cap[0], k) if n else 0
+    while True:
+        if not left:
+            yield tuple(parts)
+        else:
+            j = len(parts)
+            # part v at j leaves left - v to the n - j - 1 parts after it,
+            # each at most v; a smaller v leaves more to less room
+            if v and left - v <= min(v * (n - j - 1), room[j + 1]):
+                parts.append(v)
+                left -= v
+                v = min(cap[j + 1], v, left) if left else 0
+                continue
+        if not parts:
+            return
+        v = parts.pop()  # try the last part one smaller
+        left += v
+        v -= 1
+
+
+def _lr_positive(outer, inner, content) -> bool:
+    """c^outer_{inner, content} > 0: a Littlewood-Richardson tableau of
+    shape outer/inner and weight content exists (rows weakly increase,
+    columns strictly increase, and the word read right to left, top to
+    bottom, is a lattice word).  First-success search, largest count
+    first: row j holds cum[j][v] entries <= v in its first cells, and the
+    number of v's in row j is bounded by
+      columns:  inner[j] + cum[j][v] <= inner[j-1] + cum[j-1][v-1],
+      lattice:  the v's so far <= the (v-1)'s above row j,
+      weight:   the v's so far <= content[v - 1],
+    and from below by what the larger values can still take."""
+    n, h = len(outer), len(content)
+    if len(inner) > n or sum(outer) != sum(inner) + sum(content):
+        return False
+    inner = tuple(inner) + (0,) * (n - len(inner))
+    if any(a > b for a, b in zip(inner, outer)):
+        return False
+    if not h:
+        return True
+    weight = (0, *content)
+    total = [0] * (h + 1)  # total[v]: v's placed so far
+    cum = [[0] * (h + 1) for _ in range(n)]
+    made = []  # (j, v, count, least count) of every choice, last on top
+    j, v = 0, 1
+    while j < n:
+        row = cum[j]
+        rem = outer[j] - inner[j] - row[v - 1]
+        lo = rem if v == h else max(0, rem - sum(weight[u] - total[u] for u in range(v + 1, h + 1)))
+        c = min(rem, weight[v] - total[v])
+        if v > 1:
+            c = min(c, total[v - 1] - (row[v - 1] - row[v - 2]) - total[v])
+        if j:
+            c = min(c, inner[j - 1] + cum[j - 1][v - 1] - inner[j] - row[v - 1])
+        while c < lo:  # undo choices until one can take one less
+            if not made:
+                return False
+            j, v, c, lo = made.pop()
+            total[v] -= c
+            c -= 1
+        cum[j][v] = cum[j][v - 1] + c
+        total[v] += c
+        made.append((j, v, c, lo))
+        j, v = (j, v + 1) if v < h else (j + 1, 1)
+    return True
+
+
+def _lagrangian_partitions(lam) -> list[tuple[int, ...]]:
+    """The nu with c^mu_{nu nu} > 0 for mu = lam ∪ lam, the exponent
+    partition of the standard module on a p-group of type lam; lam itself
+    (the Lagrangian A) needs no search."""
+    lam = tuple(lam)
+    mu = tuple(sorted(lam + lam, reverse=True))
+    return [nu for nu in _partitions_inside(mu, sum(lam)) if nu == lam or _lr_positive(mu, nu, nu)]
+
+
+def _contains(nu, rho) -> bool:
+    return len(rho) <= len(nu) and all(x <= y for x, y in zip(rho, nu))
+
+
+def standard_isotropic_types(a: FinAbGroup, order: int) -> list[tuple[int, ...]]:
+    """isotropic_types of the standard module on A x A*, from the type of
+    A alone: no module is built and nothing is enumerated.
+
+    At each prime the types of order p^k are the partitions of k inside a
+    Lagrangian type (_lagrangian_partitions), listed inside their
+    componentwise maximum and kept when a Lagrangian type holds them.  The
+    primes combine as in subgroup_census.  Refused (OutputBoundError) as
+    soon as the types found are more than MAX_LISTED, or may print more
+    than MAX_PRINTED_DIGITS digits, before they are listed.
+    """
+    if order < 1:
+        raise PreconditionError(f"order {_int_text(order)} is not positive")
+    parts = _exponent_partitions(a)
+    ks = []
+    rest = order
+    for p, lam in parts:
+        k = _valuation(rest, p)
+        if k > sum(lam):
+            return []
+        rest //= p ** k
+        ks.append(k)
+    if rest != 1:
+        return []
+    # a type has at most max_p min(k_p, len(mu_p)) factors f, of at most
+    # log10(f) + 1 digits each, and their product is the order
+    rank = max((min(k, 2 * len(lam)) for k, (_, lam) in zip(ks, parts)), default=0)
+    digits = sum(k * log10(p) for k, (p, _) in zip(ks, parts)) + rank
+    bound = min(MAX_LISTED, int(MAX_PRINTED_DIGITS / digits) if digits else MAX_LISTED)
+    per_prime = []
+    count = 1
+    for k, (p, lam) in zip(ks, parts):
+        lags = sorted(_lagrangian_partitions(lam), reverse=True)
+        n = len(lags)
+        envelope = tuple(map(max, zip_longest(*lags, fillvalue=0)))
+        found = []
+        at = 0
+        for rho in _partitions_inside(envelope, k):
+            # both lists descend, so the type that held the last partition,
+            # or one just after it, mostly holds the next
+            at = next((i % n for i in range(at, at + n) if _contains(lags[i % n], rho)), None)
+            if at is None:
+                at = 0
+                continue
+            found.append([p ** x for x in rho])
+            if count * len(found) > bound:
+                raise OutputBoundError(_too_many_types(bound))
+        count *= len(found)
+        per_prime.append(found)
+    return sorted(_canonical_chain(q for powers in combo for q in powers)
+                  for combo in product(*per_prime))
+
+
+def _too_many_types(bound: int) -> str:
+    if bound == MAX_LISTED:
+        return f"the isotropic types are more than the listing bound {MAX_LISTED}"
+    return (f"the isotropic types, more than {bound}, may print more than"
+            f" {MAX_PRINTED_DIGITS} decimal digits")
+
+
+def isotropic_types(w: SkewForm, order: int) -> list[tuple[int, ...]]:
+    """Sorted isomorphism types of the isotropic subgroups of the given
+    order, for a nondegenerate w, read off the group type of H.
+
+    H is hyperbolic, H ~ A + A*, and w is isometric to the standard module
+    on A (Wall, Topology 2, 1963); at each prime mu = lam ∪ lam.  A
+    Lagrangian L has H/L ~ L* ~ L, so a type nu of a Lagrangian has
+    c^mu_{nu nu} > 0 (the Hall polynomial g^mu_{nu nu} is nonzero iff the
+    Littlewood-Richardson coefficient is; Macdonald, Symmetric Functions
+    and Hall Polynomials, II (4.3)).  Conversely nu = alpha ∪ beta with
+    c^lam_{alpha beta} > 0 is realised by B + B^perp for a subgroup B of A
+    of type alpha and cotype beta.  That every nu with c^mu_{nu nu} > 0 is
+    such a union is proved for every lam with |lam| <= 12 by
+    tests/test_qzforms.py::test_lagrangian_types_are_realised, and holds
+    for every (1^m) and (r), the two shapes of `obstruct --mode compare`
+    (lam is the only candidate of (1^m); (a, r - a) is (a) ∪ (r - a)).
+    Every isotropic subgroup lies in a Lagrangian, so the types of order
+    p^k are the partitions of k inside the Lagrangian types.
+    tests/test_qzforms.py::test_isotropic_types_match_enumeration checks
+    the whole against iter_isotropic_bases at every order.
+    """
+    if not is_nondegenerate(w):
+        raise DegenerateFormError("isotropic types need a nondegenerate form")
+    inv = w.group.invariants
+    assert inv[::2] == inv[1::2], "a nondegenerate module is A + A*"
+    return standard_isotropic_types(FinAbGroup(inv[::2]), order)
 
 
 # ---------------------------------------------------------------------------

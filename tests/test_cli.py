@@ -189,30 +189,68 @@ def test_subgroup_list_is_bounded_by_what_it_prints():
 
 
 def test_isotropic_queries_keep_the_enum_limit():
-    # only isotropic subgroups are grown, but the limit is still on |H|
+    # max-isotropic still lists the isotropic subgroups of one order for its
+    # witness, so the limit on |H| stays; compare lists nothing and answers
     code, std, _ = invoke(["form", "standard", "--group", "2,2,2,2,2,2,2"])
     assert code == 0
-    for argv in (
-        ["form", "max-isotropic", "--form", std.strip()],
-        ["obstruct", "--mode", "compare", "--p", "2", "--r", "2", "--rank1", "14"],
-    ):
-        code, out, _ = invoke(argv)
-        assert code == 2, argv
-        assert json.loads(out)["error"]["kind"] == "enumeration-bound", argv
+    code, out, _ = invoke(["form", "max-isotropic", "--form", std.strip()])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "enumeration-bound"
+    argv = ["obstruct", "--mode", "compare", "--p", "2", "--r", "2", "--rank1", "14"]
+    assert _answered_fast(argv) == compare_closed_form(2, 2, 0, 14)
 
 
-def test_compare_enumerates_each_module_once(monkeypatch):
-    import splitbound.obstruction as ob
+def compare_closed_form(p, r, e, rank1):
+    """The compare answer from the two module shapes: the isotropic types of
+    order p^k in the standard module on (Z/p)^m are (Z/p)^k, and in the one
+    on Z/p^r every type with at most two factors; a common subgroup of
+    (Z/p)^k1 and a type t has rank min(k1, len(t))."""
+    m = rank1 // 2
+    k1, k2 = m - min(e, m), r - min(e, r)
+    second = sorted(sorted(p ** x for x in (a, k2 - a) if x) for a in range((k2 + 1) // 2, k2 + 1))
+    bound = min(p ** (k1 + k2 - min(k1, len(t))) for t in second)
+    return {"bound": bound, "types": {"first": [[p] * k1], "second": second}}
 
-    calls = []
-    orig = ob.iter_isotropic_bases
-    monkeypatch.setattr(ob, "iter_isotropic_bases", lambda *a: calls.append(a) or orig(*a))
-    code, out, _ = invoke(["obstruct", "--mode", "compare", "--p", "2", "--r", "3", "--rank1", "6"])
-    assert code == 0
+
+def test_compare_enumerates_nothing(monkeypatch):
+    import splitbound.finabel as fa
+    import splitbound.qzforms as qz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare enumerated subgroups")
+
+    argv = ["obstruct", "--mode", "compare", "--p", "2", "--r", "3", "--rank1", "6"]
+    _, before, _ = invoke(argv)
+    for module, name in ((qz, "iter_isotropic_bases"), (qz, "_iter_bases_general"),
+                         (fa, "_iter_bases_general"), (fa, "_iter_bases_elementary")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, _ = invoke(argv)
+    assert code == 0 and out == before
     assert json.loads(out) == {
         "bound": 16, "types": {"first": [[2, 2, 2]], "second": [[2, 4], [8]]}
     }
-    assert len(calls) == 2
+
+
+def test_compare_answers_the_baseline_rows():
+    # each of these listed every isotropic subgroup before: 26.7 s, > 30 s
+    # and > 60 s as cold calls; the closed form is the oracle
+    for r, e, rank1 in ((5, 0, 10), (5, 1, 10), (6, 0, 12)):
+        argv = ["obstruct", "--mode", "compare", "--p", "2", "--r", str(r), "--e", str(e),
+                "--rank1", str(rank1)]
+        assert _answered_fast(argv) == compare_closed_form(2, r, e, rank1), argv
+
+
+def test_compare_refuses_types_it_cannot_print():
+    # Z/2^3000 has 1,501 isotropic types of order 2^3000 (every type with
+    # two factors), of about 900 digits each: refused before they are listed
+    argv = ["obstruct", "--mode", "compare", "--p", "2", "--r", "3000"]
+    msg = _refused_fast(argv, "output-bound")
+    assert msg == "the isotropic types, more than 1158, may print more than 1048576 decimal digits"
+    # one type of 7,142 factors, and at 2^2600 1,301 types in about 1 MB
+    argv = ["obstruct", "--mode", "compare", "--p", "2", "--r", "3", "--rank1", "14284"]
+    assert _answered_fast(argv) == compare_closed_form(2, 3, 0, 14284)
+    argv = ["obstruct", "--mode", "compare", "--p", "2", "--r", "2600", "--rank1", "2"]
+    assert _answered_fast(argv) == compare_closed_form(2, 2600, 0, 2)
 
 
 def test_thm13_bound_beyond_the_digit_limit():
@@ -363,16 +401,21 @@ def test_json_specs_with_integers_above_the_int_to_str_limit_are_refused():
 
 
 def test_compare_checks_the_limit_before_building_modules():
+    # the module orders must be printable, so p^rank1 and p^(2r) are
+    # checked first; the enumeration limit no longer applies
     argv = ["obstruct", "--mode", "compare", "--p", "2"]
     msg = _refused_fast(argv + ["--r", "20000"], "output-bound")
     assert msg == "p^40000 has more than 4300 decimal digits (the int-to-str limit)"
-    msg = _refused_fast(argv + ["--r", "1", "--rank1", "1000"], "enumeration-bound")
-    assert msg == f"group order {2 ** 1000} exceeds the enumeration bound 4096"
-    msg = _refused_fast(argv + ["--r", "2", "--rank1", "14"], "enumeration-bound")
-    assert msg == "group order 16384 exceeds the enumeration bound 4096"
-    # the second module is checked after the first, as when both were built
-    msg = _refused_fast(argv + ["--r", "7", "--rank1", "2"], "enumeration-bound")
-    assert msg == "group order 16384 exceeds the enumeration bound 4096"
+    # the rank checks come first, with their own kinds
+    for rank1 in ("3", "-1"):
+        msg = _refused_fast(argv + ["--r", "20000", "--rank1", rank1], "input")
+        assert msg == "--rank1 must be even"
+    for rank1 in ("0", "-2"):
+        msg = _refused_fast(argv + ["--r", "20000", "--rank1", rank1], "precondition")
+        assert msg == "module order 1 is not a prime power"
+    for r, rank1 in ((1, 1000), (2, 14), (7, 2)):  # refused by the limit before
+        got = _answered_fast(argv + ["--r", str(r), "--rank1", str(rank1)])
+        assert got == compare_closed_form(2, r, 0, rank1), (r, rank1)
 
 
 # -- schema conformance -----------------------------------------------------------

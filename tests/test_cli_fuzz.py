@@ -5,12 +5,16 @@ schemas.json: the action's schema on exit 0, the error schema on exit 2.
 A `group reduce` that answers must also print a well-formed op log that
 replays to its `reduced`.
 
-No per-call time is asserted: inside the limit some queries still list
-many objects (see the ROADMAP Baseline), and the literals are kept small
-enough that the ones drawn here stay quick.
+`obstruct --mode compare` is drawn with --r and --rank1 up to 64, above
+the enumeration limit, and each such call must end within COMPARE_SECONDS
+with the closed-form answer.  No other per-call time is asserted: inside
+the limit some queries still list many objects (`form max-isotropic` on
+the standard module of (Z/2)^5 takes seconds), and the literals are kept
+small enough that the ones drawn here stay quick.
 """
 
 import json
+import time
 from math import gcd
 
 import pytest
@@ -22,7 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 from splitbound.errors import InvalidInvariantError  # noqa: E402
 from splitbound.finabel import make_group, replay_ops  # noqa: E402
 from splitbound.qzforms import standard_module  # noqa: E402
-from test_cli import check_schema, invoke  # noqa: E402
+from test_cli import check_schema, compare_closed_form, invoke  # noqa: E402
 
 
 @st.composite
@@ -195,12 +199,29 @@ def f2_call(draw, action):
 
 @st.composite
 def obstruct_call(draw, mode):
-    argv = ["obstruct", "--mode", mode, "--r", draw(_mostly(st.integers(1, 6).map(str), ["-1", "0"]))]
+    # compare reads its types off the group types, so it takes literals far
+    # above the enumeration limit (4^64 is the largest module order drawn)
+    top = 64 if mode == "compare" else 6
+    argv = ["obstruct", "--mode", mode, "--r", draw(_mostly(st.integers(1, top).map(str), ["-1", "0"]))]
     return f"obstruct {mode}", _flags(draw, argv, {
         "--p": _mostly(st.sampled_from(["2", "3", "5"]), ["-1", "0", "1", "4"]),
         "--e": _mostly(st.integers(0, 4).map(str), ["-1"]),
-        "--rank1": _mostly(st.sampled_from(["2", "4", "6", "8"]), ["-2", "0", "3"]),
+        "--rank1": _mostly(st.integers(1, top // 2).map(lambda m: str(2 * m)), ["-2", "0", "3"]),
     })
+
+
+# the per-call wall-time bound on every `obstruct --mode compare` draw
+COMPARE_SECONDS = 1.0
+
+
+def check_compare(argv, payload):
+    """The answer of the two standard modules, from their closed form."""
+    def flag(name, default):
+        return int(argv[argv.index(name) + 1]) if name in argv else default
+
+    r = flag("--r", None)
+    want = compare_closed_form(flag("--p", 2), r, flag("--e", 0), flag("--rank1", 2 * r))
+    assert payload == want, argv
 
 
 @st.composite
@@ -275,7 +296,10 @@ def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
     for builder, actions in ACTIONS:
         for action in actions:
             key, argv = data.draw(builder(action))
+            t0 = time.perf_counter()
             code, out, _ = invoke(["--enum-limit", "256"] + argv)
+            if key == "obstruct compare":
+                assert time.perf_counter() - t0 < COMPARE_SECONDS, argv
             assert code in (0, 2), (argv, out)
             payload = json.loads(out)
             if code == 2:
@@ -286,6 +310,8 @@ def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
                 check_schema(key, payload)
                 if key == "group reduce":
                     check_reduce_ops(argv, payload)
+                if key == "obstruct compare":
+                    check_compare(argv, payload)
 
 
 # the whole-CLI draws above answer few `group reduce` calls (most tuples are
@@ -308,3 +334,22 @@ def test_cli_fuzz_group_reduce_prints_ops_that_replay(data):
     payload = json.loads(out)
     check_schema("group reduce", payload)
     check_reduce_ops(argv, payload)
+
+
+# the whole-CLI draws above answer about half of their 30 compare calls, so
+# well-formed ones are drawn here: module orders up to 7^128, far above the
+# enumeration limit, each within COMPARE_SECONDS
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(p=st.sampled_from([2, 3, 5, 7]), r=st.integers(1, 64), m=st.integers(1, 32),
+       e=st.integers(0, 70))
+def test_cli_fuzz_compare_answers_above_the_enum_limit(p, r, m, e):
+    argv = ["obstruct", "--mode", "compare", "--p", str(p), "--r", str(r), "--e", str(e),
+            "--rank1", str(2 * m)]
+    t0 = time.perf_counter()
+    code, out, _ = invoke(argv)
+    assert time.perf_counter() - t0 < COMPARE_SECONDS, argv
+    assert code == 0, (argv, out)
+    payload = json.loads(out)
+    check_schema("obstruct compare", payload)
+    check_compare(argv, payload)

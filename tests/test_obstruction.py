@@ -271,6 +271,36 @@ def test_isotropic_bound_matches_filter(p, m):
         assert splitting_group_isotropic_bound(w, e) == isotropic_bound_oracle(w, e)
 
 
+def isotropic_bound_by_enumeration(w, e):
+    """splitting_group_isotropic_bound as it was computed before the
+    Littlewood-Richardson rule: the types of the isotropic subgroups of
+    order p^{r-e}, listed by iter_isotropic_bases."""
+    from splitbound.finabel import Subgroup
+    from splitbound.obstruction import _symplectic_p_r
+    from splitbound.qzforms import iter_isotropic_bases
+
+    p, r = _symplectic_p_r(w)
+    target = p ** (r - e)
+    bases = iter_isotropic_bases(w, target)
+    return target, sorted({Subgroup(w.group, basis).sub_invariants for basis in bases})
+
+
+def test_isotropic_bound_matches_enumeration():
+    # every standard module on a p-group of order <= 16 and on Z/27, Z/25,
+    # Z/64 and Z/2 x Z/32, at every e
+    from splitbound.finabel import _prime_power
+    from splitbound.obstruction import _symplectic_p_r
+    from splitbound.verify import iter_abelian_types
+
+    p_groups = [inv for inv in iter_abelian_types(16) if inv and _prime_power(inv[-1])]
+    for inv in p_groups + [(27,), (25,), (64,), (2, 32)]:
+        w = standard_module(make_group(inv))
+        _, r = _symplectic_p_r(w)
+        for e in range(r + 1):
+            want = isotropic_bound_by_enumeration(w, e)
+            assert splitting_group_isotropic_bound(w, e) == want, (inv, e)
+
+
 def test_comparison_bound_routes():
     for p in (2, 3):
         for r in (2, 3):
@@ -279,6 +309,25 @@ def test_comparison_bound_routes():
             assert comparison_bound(el, cy, 0) == splitting_order_bound(
                 ObstructionQuery(p, r, 0)
             )
+
+
+def test_comparison_from_types_meets_at_the_largest_factors():
+    # the largest common subgroup of two 2-group types, from the types of
+    # their subgroups, on every pair of 2-groups of order <= 64
+    from math import prod
+
+    from splitbound.finabel import subgroup_census
+    from splitbound.obstruction import comparison_from_types
+    from splitbound.verify import iter_abelian_types
+
+    twos = [inv for inv in iter_abelian_types(64) if not prod(inv) & (prod(inv) - 1)]
+    subtypes = {inv: set(subgroup_census(make_group(inv))[1]) for inv in twos}
+    for t1 in twos:
+        for t2 in twos:
+            meet = max(prod(t) for t in subtypes[t1] & subtypes[t2])
+            o1, o2 = prod(t1), prod(t2)
+            assert comparison_from_types(o1, [t1], o2, [t2]) == o1 * o2 // meet, (t1, t2)
+    assert comparison_from_types(16, [(2, 8), (16,)], 4, [(4,), (2, 2)]) == 16
 
 
 def test_comparison_bound_rank6_reduction():

@@ -436,6 +436,147 @@ def test_lagrangian_self_duality_sweep():
                 assert quotient(w.group, s).invariants == s.sub_invariants
 
 
+# -- isotropic types (Littlewood-Richardson rule) ----------------------------------
+
+def partitions(n, cap=None):
+    """Every partition of n with parts at most cap, largest parts first."""
+    if n == 0:
+        yield ()
+        return
+    for v in range(min(n, cap or n), 0, -1):
+        for rest in partitions(n - v, v):
+            yield (v, *rest)
+
+
+def exponent_type(invariants, p):
+    """The partition of p-exponents of a chain of p-powers."""
+    from splitbound.finabel import _valuation
+
+    return tuple(sorted((_valuation(d, p) for d in invariants), reverse=True))
+
+
+def test_partitions_inside_lists_each_partition_once():
+    from splitbound.finabel import _subpartitions
+    from splitbound.qzforms import _partitions_inside
+
+    for cap in ((), (1,), (5,), (4, 4), (3, 1), (3, 2, 2, 1), (1, 1, 1, 1), (6, 3, 3, 1)):
+        every = _subpartitions(cap)
+        for k in range(sum(cap) + 2):
+            got = list(_partitions_inside(cap, k))
+            assert len(set(got)) == len(got), (cap, k)
+            assert set(got) == {nu for nu in every if sum(nu) == k}, (cap, k)
+    # the search keeps its own stack: thousands of parts are no recursion
+    assert list(_partitions_inside((1,) * 5000, 3000)) == [(1,) * 3000]
+
+
+def test_lr_positivity_matches_subgroup_cotypes():
+    # c^lam_{alpha beta} > 0 iff a p-group of type lam has a subgroup of type
+    # alpha with quotient of type beta (Macdonald II (4.3)): checked on the
+    # subgroups of every 2-group of order <= 64 and 3-group of order <= 27
+    from splitbound.finabel import _subpartitions
+    from splitbound.qzforms import _lr_positive
+
+    for p, top in ((2, 6), (3, 3)):
+        for n in range(top + 1):
+            for lam in partitions(n):
+                a = make_group([p ** x for x in lam])
+                seen = {
+                    (exponent_type(s.sub_invariants, p), exponent_type(quotient(a, s).invariants, p))
+                    for s in enumerate_subgroups(a)
+                }
+                inside = _subpartitions(lam)
+                lr = {(x, y) for x in inside for y in inside if _lr_positive(lam, x, y)}
+                assert seen == lr, (p, lam, seen ^ lr)
+
+
+def test_lagrangian_types_are_realised():
+    # the rule keeps nu with c^{lam ∪ lam}_{nu nu} > 0; each alpha ∪ beta with
+    # c^lam_{alpha beta} > 0 is the type of the Lagrangian B + B^perp, for B
+    # <= A of type alpha and cotype beta.  The two sets are equal for every
+    # lam with |lam| <= 12, so there the rule lists exactly the Lagrangian
+    # types (isotropic_types cites this test)
+    from splitbound.finabel import _subpartitions
+    from splitbound.qzforms import _lagrangian_partitions, _lr_positive
+
+    checked = 0
+    for n in range(13):
+        for lam in partitions(n):
+            inside = _subpartitions(lam)
+            realised = {
+                tuple(sorted(alpha + beta, reverse=True))
+                for alpha in inside for beta in inside
+                if alpha >= beta and _lr_positive(lam, alpha, beta)
+            }
+            assert set(_lagrangian_partitions(lam)) == realised, lam
+            checked += 1
+    assert checked == 272
+
+
+def isotropic_types_by_enumeration(w, order):
+    g = w.group
+    bases = iter_isotropic_bases(w, order, limit=g.order)
+    return sorted({Subgroup(g, basis).sub_invariants for basis in bases})
+
+
+def test_isotropic_types_match_enumeration():
+    # at every order dividing sqrt|H|: every standard module with |A| <= 16,
+    # the cyclic modules Z/p^r x Z/p^r, and two seeded random nondegenerate
+    # forms on each of 16 groups up to |H| = 4096 (not standard modules; of
+    # the 2-groups of order 4096, (2,4,8)^2, (4,4,4)^2 and (2,2,2,8)^2 are
+    # left out: their enumeration takes 9-64 s a form)
+    import random
+
+    from math import isqrt
+
+    from splitbound.finabel import _divisors
+    from splitbound.qzforms import isotropic_types
+
+    def check(w):
+        for d in _divisors(isqrt(w.group.order)):
+            assert isotropic_types(w, d) == isotropic_types_by_enumeration(w, d), (w.gram, d)
+
+    for inv in iter_abelian_types(16):
+        check(standard_module(make_group(inv)))
+    for q in (32, 64, 128, 256, 27, 81, 243, 25, 125, 49):
+        check(standard_module(make_group([q])))
+    rng = random.Random(5)
+    for a in ((64,), (2, 32), (4, 16), (8, 8), (27,), (3, 9), (3, 3, 3), (5, 5), (25,),
+              (6,), (2, 6), (6, 6), (2, 12), (3, 6), (2, 2, 6), (2, 2, 2)):
+        g = make_group([d for x in a for d in (x, x)])
+        for _ in range(2):
+            while not is_nondegenerate(w := random_form(rng, g)):
+                pass
+            check(w)
+
+
+def test_isotropic_types_edges(monkeypatch):
+    import splitbound.qzforms as qz
+    from splitbound.errors import OutputBoundError
+    from splitbound.qzforms import isotropic_types, standard_isotropic_types
+
+    w = standard_module(make_group([2, 4]))
+    assert isotropic_types(w, 1) == [()]
+    assert isotropic_types(w, 3) == isotropic_types(w, 16) == []  # no such order
+    assert isotropic_types(w, 8) == isotropic_types_by_enumeration(w, 8)
+    assert isotropic_types(w, 8) == [(2, 2, 2), (2, 4)]
+    with pytest.raises(PreconditionError):
+        isotropic_types(w, 0)
+    with pytest.raises(DegenerateFormError):
+        isotropic_types(zero_form(make_group([2, 2])), 2)
+    # the primes combine as in the subgroup census: (Z/6)^2 has the types of
+    # (Z/2)^2 times those of (Z/3)^2
+    assert standard_isotropic_types(make_group([6]), 6) == [(6,)]
+    assert standard_isotropic_types(make_group([]), 1) == [()]
+    # refused before listing: Z/2^4000 x Z/2^4000 has 2,001 Lagrangian types
+    # (every type with two factors), of about 1,200 digits each
+    with pytest.raises(OutputBoundError, match="^the isotropic types, more than 869, may print"):
+        standard_isotropic_types(make_group([2 ** 4000]), 2 ** 4000)
+    monkeypatch.setattr(qz, "MAX_LISTED", 1)
+    assert standard_isotropic_types(make_group([2, 4]), 2) == [(2,)]
+    with pytest.raises(OutputBoundError, match="^the isotropic types are more than the listing bound 1$"):
+        standard_isotropic_types(make_group([2, 4]), 8)
+
+
 # -- symplectic submodules ------------------------------------------------------
 
 def test_symplectic_submodule():
