@@ -11,7 +11,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from itertools import product, zip_longest
-from math import gcd, isqrt, log10
+from math import gcd, isqrt, lcm, log10
 from typing import NamedTuple
 
 from .errors import (
@@ -37,6 +37,7 @@ from .finabel import (
     _iter_bases_general,
     _lattice_coefficients,
     _snf_with_transforms,
+    _unit_rows,
     _valuation,
     full_subgroup,
     # unused here: the benchmark harness test (perfbench/test_harness.py)
@@ -57,6 +58,7 @@ __all__ = [
     "restrict",
     "is_isotropic",
     "is_lagrangian",
+    "least_isotropic_basis",
     "max_isotropic",
     "isotropic_types",
     "standard_isotropic_types",
@@ -318,6 +320,124 @@ def iter_isotropic_bases(w: SkewForm, order: int | None, limit: int | None = Non
     yield from _iter_bases_general(g.invariants, order, pairs_to_zero)
 
 
+def least_isotropic_basis(w: SkewForm, order: int):
+    """The lexicographically least Hermite basis of an isotropic subgroup of
+    the given order, min(iter_isotropic_bases(w, order)), or None if there
+    is none; no subgroup is listed and there is no limit.
+
+    Every isotropic subgroup lies in a maximal one, of order
+    sqrt(|H| * |Rad w|) (max_isotropic), so the order must divide that.
+    Rows are then chosen top-down, each least first, so the first complete
+    basis is the least.  Row i, pivot h | d_i, lies in P, the annihilator
+    of the nonzero rows above it among the elements supported on
+    coordinates i..k-1; with g_i the pivot of P there, such a row exists
+    iff g_i | h (or h = d_i: the row is zero), and its tails form the coset
+    (h / g_i) * P_i + (P's lower rows), listed in lex order from its
+    Hermite-reduced member.  The cuts are exact: the entries above pivot h
+    are below it; the pending residual of each d_a * e_a (the membership
+    test of _iter_bases_general, run top-down) is divisible by h at
+    coordinate i; and the order taken so far divides `order`, leaving a
+    divisor of the rows below.  So backtracking over h and over the tails
+    loses no basis.  Below the largest order the order cut is necessary,
+    not sufficient (the rows below must also hold an isotropic subgroup of
+    the order still needed), so the search can backtrack there; the tests
+    never saw it backtrack at the largest order, the one max_isotropic asks.
+    """
+    g = w.group
+    inv = g.invariants
+    k = g.rank
+    if order < 1 or isqrt(g.order * radical(w).order) % order:
+        return None
+    primes = [p for p, _ in _exponent_partitions(g)]
+    units = _unit_rows(k)
+    room = [1] * (k + 1)  # room[i] = d_i * ... * d_{k-1}
+    for i in range(k - 1, -1, -1):
+        room[i] = room[i + 1] * inv[i]
+    rows: list[list[int]] = []
+    kept: list[list[int]] = []  # the rows above with h < d: the nonzero ones
+    pending: list[list[int]] = []  # d_a * e_a less its rows a..i-1, per row a
+
+    def search(i: int, need: int) -> bool:
+        if i == k:
+            return True
+        d = inv[i]
+        lower = _annihilated(w, units[i:], kept).basis if kept else units
+        g_i = lower[i][i]
+        above = max((row[i] for row in rows), default=0)
+        # h = d / c with c | need, need / c | room[i + 1], and h | r[i] for
+        # every pending residual r; h ascending
+        span = gcd(d, *(r[i] for r in pending))
+        lo = lcm(d // span, need // gcd(need, room[i + 1]))
+        for c in reversed(_divisors_over(lo, gcd(d, need), primes)):
+            h = d // c
+            if h <= above:
+                continue
+            if h == d:
+                tails = [[0] * k]
+            elif h % g_i:
+                continue
+            else:
+                tails = _coset_rows([h // g_i * x % m for x, m in zip(lower[i], inv)], lower, inv, i)
+            for row in tails:
+                row[i] = h
+                saved = [r[:] for r in pending]
+                for r in pending:
+                    q = r[i] // h
+                    if q:
+                        for t in range(i, k):
+                            r[t] -= q * row[t]
+                pending.append([0] * (i + 1) + [-c * x for x in row[i + 1:]])
+                rows.append(row)
+                if h != d:
+                    kept.append(row)
+                if search(i + 1, need // c):
+                    return True
+                if h != d:
+                    kept.pop()
+                rows.pop()
+                pending[:] = saved
+        return False
+
+    return tuple(map(tuple, rows)) if search(0, order) else None
+
+
+def _coset_rows(base, lower, inv, i: int):
+    """The rows x = base modulo the lattice of lower[i+1:] (rows of a
+    Hermite basis) with 0 <= x_j < d_j for j > i, in lex order of x[i+1:]:
+    at each coordinate j the least value is base_j reduced by the pivot of
+    lower[j], and the others step up by that pivot.  Each row is a fresh
+    list."""
+    k = len(inv)
+
+    def walk(j, x):
+        if j == k:
+            yield list(x)
+            return
+        prow = lower[j]
+        p = prow[j]
+        q = x[j] // p
+        if q:
+            x = [(a - q * b) % m for a, b, m in zip(x, prow, inv)]
+        for _ in range(inv[j] // p):
+            yield from walk(j + 1, x)
+            x = [(a + b) % m for a, b, m in zip(x, prow, inv)]
+
+    return walk(i + 1, base)
+
+
+def _divisors_over(lo: int, n: int, primes) -> list[int]:
+    """The divisors of n that are multiples of lo, ascending; n's primes
+    are among `primes`."""
+    if n % lo:
+        return []
+    divs = [lo]
+    rest = n // lo
+    for p in primes:
+        e = _valuation(rest, p)
+        divs = [x * p ** j for x in divs for j in range(e + 1)]
+    return sorted(divs)
+
+
 def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
     """Largest isotropic order, a canonical witness, and every isomorphism
     type occurring at that order (each exactly once).
@@ -326,16 +446,18 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
     contains the radical, and the nondegenerate module H / Rad has
     Lagrangians of order sqrt|H / Rad| (Wall, Topology 2, 1963).  The
     witness is the least canonical basis among the isotropic subgroups of
-    that order (iter_isotropic_bases, which never lists the others, so the
-    enumeration limit applies).  On a nondegenerate form the types are
-    isotropic_types(w, order), read off the group type; on a degenerate
-    one they come from the same pass, because the radical need not be a
-    direct summand and the types depend on how it sits in H.
+    that order.  On a nondegenerate form it comes from the lex-first
+    search least_isotropic_basis and the types are isotropic_types(w,
+    order), read off the group type: nothing is enumerated and the limit
+    is not read.  On a degenerate form both come from one pass of
+    iter_isotropic_bases (which never lists the other orders, and the
+    enumeration limit applies), because the radical need not be a direct
+    summand and the types depend on how it sits in H.
     """
     g = w.group
     best = isqrt(g.order * radical(w).order)
     if is_nondegenerate(w):
-        witness = Subgroup(g, min(iter_isotropic_bases(w, best, limit)))
+        witness = Subgroup(g, least_isotropic_basis(w, best))
         return MaxIsotropic(best, witness, isotropic_types(w, best))
     witness_basis = None
     types = set()

@@ -188,16 +188,57 @@ def test_subgroup_list_is_bounded_by_what_it_prints():
     assert payload["count"] == len(payload["subgroups"]) == 8
 
 
-def test_isotropic_queries_keep_the_enum_limit():
-    # max-isotropic still lists the isotropic subgroups of one order for its
-    # witness, so the limit on |H| stays; compare lists nothing and answers
-    code, std, _ = invoke(["form", "standard", "--group", "2,2,2,2,2,2,2"])
+def _standard_spec(group):
+    code, std, _ = invoke(["form", "standard", "--group", group])
     assert code == 0
-    code, out, _ = invoke(["form", "max-isotropic", "--form", std.strip()])
-    assert code == 2
-    assert json.loads(out)["error"]["kind"] == "enumeration-bound"
+    return std.strip()
+
+
+def test_isotropic_queries_keep_the_enum_limit():
+    # max-isotropic lists the isotropic subgroups of one order only on a
+    # degenerate form (for its types), so the limit on |H| stays there:
+    # (Z/2)^6 x (Z/2)^6* plus a Z/2 in the radical, |H| = 8192
+    from splitbound.finabel import Subgroup, make_group
+    from splitbound.qzforms import is_lagrangian, isotropic_types, standard_module
+
+    spec = json.loads(_standard_spec("2,2,2,2,2,2"))
+    spec["group"].append(2)
+    spec["gram"] = [row + ["0/1"] for row in spec["gram"]] + [["0/1"] * 13]
+    msg = _refused_fast(["form", "max-isotropic", "--form", json.dumps(spec)],
+                        "enumeration-bound")
+    assert msg == "group order 8192 exceeds the enumeration bound 4096"
+    # a nondegenerate form enumerates nothing: its witness is the lex-first
+    # search and its types the LR rule, at |H| = 16384
+    payload = _answered_fast(["form", "max-isotropic", "--form", _standard_spec("2," * 6 + "2")])
+    w = standard_module(make_group([2] * 7))
+    witness = Subgroup(w.group, payload["witness"]["basis"])
+    assert payload["order"] == witness.order == 128 and is_lagrangian(w, witness)
+    assert payload["types"] == [list(t) for t in isotropic_types(w, 128)] == [[2] * 7]
     argv = ["obstruct", "--mode", "compare", "--p", "2", "--r", "2", "--rank1", "14"]
     assert _answered_fast(argv) == compare_closed_form(2, 2, 0, 14)
+
+
+def test_max_isotropic_answers_the_baseline_rows():
+    # the first three listed every Lagrangian before (23-26 s, > 20 s and
+    # 126 s); (Z/2)^10, |H| = 2^20, was refused by the enumeration limit
+    import hashlib
+
+    from splitbound.finabel import Subgroup, make_group
+    from splitbound.qzforms import is_lagrangian, isotropic_types, standard_module
+
+    for group in ("2,2,2,2,2", "2,2,2,2,2,2", "2,2,2,2,4", "2," * 9 + "2"):
+        argv = ["form", "max-isotropic", "--form", _standard_spec(group)]
+        payload = _answered_fast(argv)
+        check_schema("form max-isotropic", payload)
+        w = standard_module(make_group([int(x) for x in group.split(",")]))
+        witness = Subgroup(w.group, payload["witness"]["basis"])
+        assert payload["order"] ** 2 == w.group.order and is_lagrangian(w, witness), group
+        assert payload["types"] == [list(t) for t in isotropic_types(w, payload["order"])]
+        if group == "2,2,2,2,2":
+            # the bytes the Lagrangian listing printed
+            _, out, _ = invoke(argv)
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "f45b4ffd124e76dc21c180cb1824efd4968b56e3599a83cd5f25c5ecfcc4ed9a")
 
 
 def compare_closed_form(p, r, e, rank1):

@@ -7,9 +7,10 @@ replays to its `reduced`.
 
 `obstruct --mode compare` is drawn with --r and --rank1 up to 64, above
 the enumeration limit, and each such call must end within COMPARE_SECONDS
-with the closed-form answer.  No other per-call time is asserted: inside
-the limit some queries still list many objects (`form max-isotropic` on
-the standard module of (Z/2)^5 takes seconds), and the literals are kept
+with the closed-form answer.  `form max-isotropic` on a standard module,
+drawn up to |H| = 2^20, above the limit, enumerates nothing and must answer
+within MAX_ISOTROPIC_SECONDS.  No other per-call time is asserted: inside
+the limit some queries still list many objects, and the literals are kept
 small enough that the ones drawn here stay quick.
 """
 
@@ -99,11 +100,23 @@ def _skew_form(draw):
     return json.dumps({"group": list(chain), "gram": gram}), k
 
 
-@st.composite
-def _standard_form(draw):
-    w = standard_module(make_group(draw(st.sampled_from([(2,), (3,), (4,), (2, 2), (2, 4)]))))
+def _standard_spec(a):
+    w = standard_module(make_group(a))
     spec = {"group": list(w.group.invariants), "gram": [[str(e) for e in row] for row in w.gram]}
     return json.dumps(spec), w.group.rank
+
+
+# the standard modules drawn: |H| from 4 to 2^20, (Z/2)^5 and the ones
+# after it above the enumeration limit the fuzz runs under
+STANDARD_SPECS = [_standard_spec(a) for a in [
+    (2,), (3,), (4,), (2, 2), (2, 4), (2, 2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 4),
+    (4, 4, 4), (2, 6, 6), (2,) * 10,
+]]
+
+
+@st.composite
+def _standard_form(draw):
+    return draw(st.sampled_from(STANDARD_SPECS))
 
 
 MALFORMED_FORMS = [
@@ -212,6 +225,8 @@ def obstruct_call(draw, mode):
 
 # the per-call wall-time bound on every `obstruct --mode compare` draw
 COMPARE_SECONDS = 1.0
+# and on every `form max-isotropic` draw on a standard module
+MAX_ISOTROPIC_SECONDS = 1.0
 
 
 def check_compare(argv, payload):
@@ -300,6 +315,9 @@ def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
             code, out, _ = invoke(["--enum-limit", "256"] + argv)
             if key == "obstruct compare":
                 assert time.perf_counter() - t0 < COMPARE_SECONDS, argv
+            if key == "form max-isotropic" and _is_standard(argv):
+                assert time.perf_counter() - t0 < MAX_ISOTROPIC_SECONDS, argv
+                assert code == 0, (argv, out)
             assert code in (0, 2), (argv, out)
             payload = json.loads(out)
             if code == 2:
@@ -312,6 +330,10 @@ def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
                     check_reduce_ops(argv, payload)
                 if key == "obstruct compare":
                     check_compare(argv, payload)
+
+
+def _is_standard(argv):
+    return "--form" in argv and argv[argv.index("--form") + 1] in {spec for spec, _ in STANDARD_SPECS}
 
 
 # the whole-CLI draws above answer few `group reduce` calls (most tuples are
@@ -353,3 +375,27 @@ def test_cli_fuzz_compare_answers_above_the_enum_limit(p, r, m, e):
     payload = json.loads(out)
     check_schema("obstruct compare", payload)
     check_compare(argv, payload)
+
+
+# well-formed standard modules on chains of up to five factors 2..12
+# (|H| up to 12^10), far above the enumeration limit: each answers within
+# MAX_ISOTROPIC_SECONDS with a Lagrangian witness and the types of the LR rule
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(chain=st.lists(st.integers(2, 12), min_size=1, max_size=5))
+def test_cli_fuzz_max_isotropic_answers_above_the_enum_limit(chain):
+    from splitbound.finabel import Subgroup
+    from splitbound.qzforms import is_lagrangian, isotropic_types
+
+    spec, _ = _standard_spec(chain)
+    t0 = time.perf_counter()
+    code, out, _ = invoke(["--enum-limit", "256", "form", "max-isotropic", "--form", spec])
+    assert time.perf_counter() - t0 < MAX_ISOTROPIC_SECONDS, chain
+    assert code == 0, (chain, out)
+    payload = json.loads(out)
+    check_schema("form max-isotropic", payload)
+    w = standard_module(make_group(chain))
+    witness = Subgroup(w.group, payload["witness"]["basis"])
+    assert payload["order"] ** 2 == w.group.order == witness.order ** 2, chain
+    assert is_lagrangian(w, witness), chain
+    assert payload["types"] == [list(t) for t in isotropic_types(w, payload["order"])], chain

@@ -286,6 +286,65 @@ def test_max_isotropic_matches_oracle_on_random_forms():
     assert degenerate and nondegenerate, (degenerate, nondegenerate)
 
 
+def test_least_isotropic_basis_matches_enumeration_at_every_order():
+    # the lex-first search against the least enumerated basis at every order
+    # dividing |H| (None where there is no isotropic subgroup): every
+    # standard module with |A| <= 16, and seeded random forms, degenerate
+    # ones included, on every group of order <= 64 and on (2,2,4,4), (4,4,4,4)
+    import random
+
+    from splitbound.finabel import _divisors
+    from splitbound.qzforms import least_isotropic_basis
+
+    def check(w):
+        for order in _divisors(w.group.order):
+            want = min(iter_isotropic_bases(w, order, limit=w.group.order), default=None)
+            assert least_isotropic_basis(w, order) == want, (w.gram, order)
+
+    for inv in iter_abelian_types(16):
+        check(standard_module(make_group(inv)))
+    rng = random.Random(41)
+    degenerate = nondegenerate = 0
+    for inv in [*iter_abelian_types(64), (2, 2, 4, 4), (4, 4, 4, 4)]:
+        g = make_group(inv)
+        for w in (random_form(rng, g), random_form(rng, g), sparse_random_form(rng, g, 0.5)):
+            if is_nondegenerate(w):
+                nondegenerate += 1
+            else:
+                degenerate += 1
+            check(w)
+    assert degenerate and nondegenerate, (degenerate, nondegenerate)
+    w = standard_module(make_group([2, 4]))
+    assert least_isotropic_basis(w, 0) is least_isotropic_basis(w, 16) is None
+
+
+def test_least_isotropic_basis_prunes_rows_above_a_later_pivot(monkeypatch):
+    # a row with an entry at or above a later pivot is not Hermite-reduced;
+    # its reduced form is lex-smaller and met first, so that cut never
+    # changes the answer, only the work: on these degenerate forms the
+    # search backtracks (the order cut is necessary, not sufficient, below
+    # the largest order) and builds 35 and 228 annihilators with the cut,
+    # 51 and 356 without it
+    import splitbound.qzforms as qz
+
+    calls = []
+    annihilated = qz._annihilated
+    monkeypatch.setattr(qz, "_annihilated", lambda *a: calls.append(1) or annihilated(*a))
+    for inv, order, upper, want, work in (
+        ((2, 2, 2, 8), 8, {(0, 1): 1, (0, 3): 1}, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 4)), 35),
+        ((2, 2, 2, 2, 16), 8, {(0, 1): 1, (0, 4): 1, (1, 3): 1, (2, 4): 1, (3, 4): 1},
+         ((1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 16)), 228),
+    ):
+        k = len(inv)
+        gram = [[QmodZ.zero()] * k for _ in range(k)]
+        for (i, j), num in upper.items():
+            gram[i][j], gram[j][i] = QmodZ(num, 2), QmodZ(-num, 2)
+        w = SkewForm(make_group(inv), gram)
+        calls.clear()
+        assert qz.least_isotropic_basis(w, order) == want
+        assert len(calls) <= work, (inv, len(calls))
+
+
 def isotropic_bases_by_filter(w):
     """Exhaustive oracle: {order: set of isotropic Hermite bases}, from
     every subgroup basis and the pairwise isotropy filter."""
