@@ -36,9 +36,9 @@ from .finabel import (
     _hnf,
     _iter_bases_general,
     _lattice_coefficients,
-    _snf_with_transforms,
     _unit_rows,
     _valuation,
+    _xgcd,
     full_subgroup,
     # unused here: the benchmark harness test (perfbench/test_harness.py)
     # checks that the tracer rebinds this name in qzforms
@@ -179,22 +179,49 @@ def radical(w: SkewForm) -> Subgroup:
     is immutable, so the result is kept on it."""
     if w._radical is None:
         g = w.group
-        rows = _left_kernel(w.scaled(), g.rank, w.exponent)
+        rows = _left_kernel(list(zip(*w.scaled())), g.rank, w.exponent)
         w._radical = subgroup_from_generators(g, [Element(g, row) for row in rows])
     return w._radical
 
 
-def _left_kernel(mat, k: int, n: int) -> list[list[int]]:
-    """Generators of {c in Z^k : c * mat = 0 mod n}: with U * mat * V = D,
-    the rows (n / gcd(d_i, n)) * U_i."""
-    diag, u, _uinv, _v = _snf_with_transforms(mat, k)
-    return [[n // gcd(abs(d), n) * c for c in row] for d, row in zip(diag, u)]
+def _left_kernel(cols, r: int, n: int) -> list[list[int]]:
+    """Generators, modulo n, of {c in Z^r : c . col = 0 mod n for every
+    column col}.  They start as the unit rows.  For each column an xgcd
+    chain folds the generators' nonzero values into one carrier, whose
+    value a is their gcd, and leaves the others the value 0; the carrier
+    is then scaled by n / gcd(a, n).  Each fold is unimodular, so the
+    generators span the kernel of the columns taken so far."""
+    gens = _unit_rows(r)
+    for col in cols:
+        rest = []
+        carrier, a = None, 0
+        for c in gens:
+            b = sum(x * y for x, y in zip(c, col)) % n
+            if not b:
+                rest.append(c)
+            elif carrier is None:
+                carrier, a = c, b
+            else:
+                g, x, y = _xgcd(a, b)
+                p, q = b // g, a // g
+                residue = [(p * u - q * v) % n for u, v in zip(carrier, c)]
+                carrier = [(x * u + y * v) % n for u, v in zip(carrier, c)]
+                a = g
+                if any(residue):
+                    rest.append(residue)
+        if carrier is not None:
+            m = n // gcd(a, n)
+            carrier = [m * u % n for u in carrier]
+            if any(carrier):
+                rest.append(carrier)
+        gens = rest
+    return gens
 
 
 def _annihilated(w: SkewForm, xs, ys) -> Subgroup:
     """The subgroup of the combinations sum c_i x_i with w(sum c_i x_i, y) = 0
-    for every y, from one Smith form of the pairing matrix (xs and ys are
-    coordinate rows)."""
+    for every y, from the left kernel of the |xs| x |ys| pairing matrix
+    (xs and ys are coordinate rows)."""
     g = w.group
     inv = g.invariants
     k = g.rank
@@ -202,14 +229,10 @@ def _annihilated(w: SkewForm, xs, ys) -> Subgroup:
     scaled = w.scaled()
     xs = [x for x in xs if any(c % d for c, d in zip(x, inv))]
     ys = [y for y in ys if any(c % d for c, d in zip(y, inv))]
-    size = max(len(xs), len(ys))
-    mat = [[0] * size for _ in range(size)]
     wys = [[sum(row[j] * y[j] for j in range(k)) for row in scaled] for y in ys]
-    for i, x in enumerate(xs):
-        for j, wy in enumerate(wys):
-            mat[i][j] = sum(a * b for a, b in zip(x, wy)) % n
+    cols = [[sum(a * b for a, b in zip(x, wy)) % n for x in xs] for wy in wys]
     gens = []
-    for coeffs in _left_kernel(mat, size, n):
+    for coeffs in _left_kernel(cols, len(xs), n):
         combo = [0] * k
         for c, x in zip(coeffs, xs):
             if c:
@@ -442,23 +465,39 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
     """Largest isotropic order, a canonical witness, and every isomorphism
     type occurring at that order (each exactly once).
 
-    The order is sqrt(|H| * |Rad w|): every maximal isotropic subgroup
-    contains the radical, and the nondegenerate module H / Rad has
-    Lagrangians of order sqrt|H / Rad| (Wall, Topology 2, 1963).  The
+    The order is sqrt(|H| * |Rad w|): every maximal isotropic subgroup X
+    contains R = Rad w, and X / R is a Lagrangian of the nondegenerate
+    module N = H / R, of order sqrt|N| (Wall, Topology 2, 1963).  The
     witness is the least canonical basis among the isotropic subgroups of
-    that order.  On a nondegenerate form it comes from the lex-first
-    search least_isotropic_basis and the types are isotropic_types(w,
-    order), read off the group type: nothing is enumerated and the limit
-    is not read.  On a degenerate form both come from one pass of
-    iter_isotropic_bases (which never lists the other orders, and the
-    enumeration limit applies), because the radical need not be a direct
-    summand and the types depend on how it sits in H.
+    that order.  There are three branches:
+      - nondegenerate: the witness comes from the lex-first search
+        least_isotropic_basis and the types are isotropic_types(w, order),
+        read off the group type;
+      - split radical, type(R) ∪ type(N) = type(H): then R is a direct
+        summand of H (Miyata, J. Math. Kyoto Univ. 7, 1967), H = R + C
+        with C isometric to N, and X = R + (X ∩ C) with X ∩ C a Lagrangian
+        of C.  So the types are type(R) ∪ nu for the Lagrangian types nu
+        of N ~ B + B* (standard_isotropic_types on B), and the witness is
+        least_isotropic_basis, exact on degenerate forms too;
+      - non-split radical: the types depend on how R sits in H, so the
+        witness and the types come from one pass of iter_isotropic_bases
+        (which never lists the other orders), and the enumeration limit
+        applies.
+    The first two enumerate nothing and do not read the limit.
     """
     g = w.group
-    best = isqrt(g.order * radical(w).order)
-    if is_nondegenerate(w):
+    rad = radical(w)
+    best = isqrt(g.order * rad.order)
+    if rad.order == 1:
         witness = Subgroup(g, least_isotropic_basis(w, best))
         return MaxIsotropic(best, witness, isotropic_types(w, best))
+    r_type = rad.sub_invariants
+    n_type = quotient(g, rad).invariants
+    if _canonical_chain(r_type + n_type) == g.invariants:
+        witness = Subgroup(g, least_isotropic_basis(w, best))
+        lag_types = standard_isotropic_types(FinAbGroup(n_type[::2]), best // rad.order)
+        types = {_canonical_chain(r_type + nu) for nu in lag_types}
+        return MaxIsotropic(best, witness, sorted(types))
     witness_basis = None
     types = set()
     for basis in iter_isotropic_bases(w, best, limit):

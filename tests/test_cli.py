@@ -196,17 +196,27 @@ def _standard_spec(group):
 
 def test_isotropic_queries_keep_the_enum_limit():
     # max-isotropic lists the isotropic subgroups of one order only on a
-    # degenerate form (for its types), so the limit on |H| stays there:
-    # (Z/2)^6 x (Z/2)^6* plus a Z/2 in the radical, |H| = 8192
+    # degenerate form whose radical is not a direct summand, so the limit on
+    # |H| stays there: (Z/2)^5 x (Z/2)^5* plus Z/4 x Z/4 with w(e, f) = 1/2,
+    # |H| = 16384, whose radical 2(Z/4 x Z/4) ~ (2, 2) leaves H/R ~ 2^12
     from splitbound.finabel import Subgroup, make_group
     from splitbound.qzforms import is_lagrangian, isotropic_types, standard_module
 
+    spec = json.loads(_standard_spec("2,2,2,2,2"))
+    spec["group"] += [4, 4]
+    spec["gram"] = [row + ["0/1", "0/1"] for row in spec["gram"]] + [
+        ["0/1"] * 11 + ["1/2"], ["0/1"] * 10 + ["1/2", "0/1"]]
+    msg = _refused_fast(["form", "max-isotropic", "--form", json.dumps(spec)],
+                        "enumeration-bound")
+    assert msg == "group order 16384 exceeds the enumeration bound 4096"
+    # a split radical enumerates nothing: (Z/2)^6 x (Z/2)^6* plus a Z/2 in
+    # the radical, |H| = 8192, takes the radical's type with each
+    # Lagrangian type of H/R
     spec = json.loads(_standard_spec("2,2,2,2,2,2"))
     spec["group"].append(2)
     spec["gram"] = [row + ["0/1"] for row in spec["gram"]] + [["0/1"] * 13]
-    msg = _refused_fast(["form", "max-isotropic", "--form", json.dumps(spec)],
-                        "enumeration-bound")
-    assert msg == "group order 8192 exceeds the enumeration bound 4096"
+    payload = _answered_fast(["form", "max-isotropic", "--form", json.dumps(spec)])
+    assert payload["order"] == 128 and payload["types"] == [[2] * 7]
     # a nondegenerate form enumerates nothing: its witness is the lex-first
     # search and its types the LR rule, at |H| = 16384
     payload = _answered_fast(["form", "max-isotropic", "--form", _standard_spec("2," * 6 + "2")])
@@ -239,6 +249,23 @@ def test_max_isotropic_answers_the_baseline_rows():
             _, out, _ = invoke(argv)
             assert hashlib.sha256(out.encode()).hexdigest() == (
                 "f45b4ffd124e76dc21c180cb1824efd4968b56e3599a83cd5f25c5ecfcc4ed9a")
+
+
+def test_max_isotropic_answers_the_split_degenerate_baseline_row():
+    # (Z/2)^5 x (Z/2)^5* plus a Z/2 in the radical: the pass over its
+    # isotropic subgroups of order 64 took 75-83 s and printed these bytes
+    import hashlib
+
+    spec = json.loads(_standard_spec("2,2,2,2,2"))
+    spec["group"].append(2)
+    spec["gram"] = [row + ["0/1"] for row in spec["gram"]] + [["0/1"] * 11]
+    argv = ["form", "max-isotropic", "--form", json.dumps(spec)]
+    payload = _answered_fast(argv)
+    check_schema("form max-isotropic", payload)
+    assert payload["order"] == 64 and payload["types"] == [[2] * 6]
+    _, out, _ = invoke(argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d23820c4f5eb2c49c1181033b66fdefd522fc71c291edbd477a07d71807a305b")
 
 
 def compare_closed_form(p, r, e, rank1):

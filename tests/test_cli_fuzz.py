@@ -9,7 +9,9 @@ replays to its `reduced`.
 the enumeration limit, and each such call must end within COMPARE_SECONDS
 with the closed-form answer.  `form max-isotropic` on a standard module,
 drawn up to |H| = 2^20, above the limit, enumerates nothing and must answer
-within MAX_ISOTROPIC_SECONDS.  No other per-call time is asserted: inside
+within MAX_ISOTROPIC_SECONDS; so must a degenerate form whose radical is a
+direct summand (a standard module plus a zero summand), drawn up to
+|H| = 2^14, also above the limit.  No other per-call time is asserted: inside
 the limit some queries still list many objects, and the literals are kept
 small enough that the ones drawn here stay quick.
 """
@@ -114,9 +116,32 @@ STANDARD_SPECS = [_standard_spec(a) for a in [
 ]]
 
 
+def _split_spec(p, a_exps, r_exps):
+    """The standard module on A = prod Z/p^a plus the zero form on
+    R = prod Z/p^r, on the canonical generators of the p-group A x A* x R
+    (sorted by order): a degenerate form whose radical R is a direct
+    summand."""
+    slots = sorted([(p ** e, ("a", i, s)) for i, e in enumerate(a_exps) for s in (0, 1)]
+                   + [(p ** e, ("r", i, 0)) for i, e in enumerate(r_exps)], key=lambda t: t[0])
+    at = {label: j for j, (_, label) in enumerate(slots)}
+    k = len(slots)
+    gram = [["0/1"] * k for _ in range(k)]
+    for i, e in enumerate(a_exps):
+        x, y = at["a", i, 0], at["a", i, 1]
+        gram[x][y], gram[y][x] = f"-1/{p ** e}", f"1/{p ** e}"
+    return json.dumps({"group": [d for d, _ in slots], "gram": gram}), k
+
+
+# split degenerate forms, all above the enumeration limit the fuzz runs under
+SPLIT_SPECS = [_split_spec(p, a, r) for p, a, r in [
+    (2, (1,) * 5, (1,)), (2, (1, 1, 1, 2), (2,)), (2, (1, 1, 1), (1, 3)),
+    (3, (1, 1, 1), (2,)), (2, (1,) * 6, (1, 1)),
+]]
+
+
 @st.composite
 def _standard_form(draw):
-    return draw(st.sampled_from(STANDARD_SPECS))
+    return draw(st.sampled_from(STANDARD_SPECS + SPLIT_SPECS))
 
 
 MALFORMED_FORMS = [
@@ -225,7 +250,8 @@ def obstruct_call(draw, mode):
 
 # the per-call wall-time bound on every `obstruct --mode compare` draw
 COMPARE_SECONDS = 1.0
-# and on every `form max-isotropic` draw on a standard module
+# and on every `form max-isotropic` draw on a standard module or a split
+# degenerate form
 MAX_ISOTROPIC_SECONDS = 1.0
 
 
@@ -333,7 +359,8 @@ def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
 
 
 def _is_standard(argv):
-    return "--form" in argv and argv[argv.index("--form") + 1] in {spec for spec, _ in STANDARD_SPECS}
+    specs = {spec for spec, _ in STANDARD_SPECS + SPLIT_SPECS}
+    return "--form" in argv and argv[argv.index("--form") + 1] in specs
 
 
 # the whole-CLI draws above answer few `group reduce` calls (most tuples are
@@ -399,3 +426,36 @@ def test_cli_fuzz_max_isotropic_answers_above_the_enum_limit(chain):
     assert payload["order"] ** 2 == w.group.order == witness.order ** 2, chain
     assert is_lagrangian(w, witness), chain
     assert payload["types"] == [list(t) for t in isotropic_types(w, payload["order"])], chain
+
+
+# well-formed split degenerate forms: a standard module on up to three
+# factors plus a zero summand on up to two, over p = 2, 3 (|H| up to 3^24),
+# mostly above the enumeration limit: each answers within
+# MAX_ISOTROPIC_SECONDS with an isotropic witness of order |A| |R| that holds
+# R, and the types type(R) ∪ nu for nu a Lagrangian type of the module on A
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(p=st.sampled_from([2, 3]), a_exps=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       r_exps=st.lists(st.integers(1, 3), min_size=1, max_size=2))
+def test_cli_fuzz_max_isotropic_answers_split_degenerate_forms(p, a_exps, r_exps):
+    from splitbound.cli import _parse_form
+    from splitbound.finabel import Subgroup, _canonical_chain
+    from splitbound.qzforms import is_isotropic, isotropic_types, radical
+
+    spec, _ = _split_spec(p, a_exps, r_exps)
+    t0 = time.perf_counter()
+    code, out, _ = invoke(["--enum-limit", "256", "form", "max-isotropic", "--form", spec])
+    assert time.perf_counter() - t0 < MAX_ISOTROPIC_SECONDS, (p, a_exps, r_exps)
+    assert code == 0, (spec, out)
+    payload = json.loads(out)
+    check_schema("form max-isotropic", payload)
+    w = _parse_form(spec)
+    rad = radical(w)
+    a = make_group([p ** e for e in a_exps])
+    assert rad.sub_invariants == make_group([p ** e for e in r_exps]).invariants
+    witness = Subgroup(w.group, payload["witness"]["basis"])
+    assert payload["order"] == witness.order == a.order * rad.order, spec
+    assert is_isotropic(w, witness) and witness.contains_subgroup(rad), spec
+    types = {_canonical_chain(rad.sub_invariants + t)
+             for t in isotropic_types(standard_module(a), a.order)}
+    assert payload["types"] == [list(t) for t in sorted(types)], spec

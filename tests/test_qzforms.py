@@ -10,6 +10,7 @@ from splitbound.errors import (
 from splitbound.finabel import (
     QmodZ,
     Subgroup,
+    _canonical_chain,
     enumerate_subgroups,
     full_subgroup,
     iter_subgroup_bases,
@@ -204,6 +205,53 @@ def test_radical_on_random_degenerate_forms():
             assert radical(w) == brute_radical(w)
 
 
+def span_mod(rows, r, n):
+    """Every Z/n-combination of the rows, as a set of tuples."""
+    span = {(0,) * r}
+    for row in rows:
+        span = {tuple((x + c * y) % n for x, y in zip(v, row)) for v in span for c in range(n)}
+    return span
+
+
+def test_left_kernel_matches_brute_force():
+    # rectangular matrices over Z/n, given by their columns, r <= 3, n <= 12
+    import random
+    from itertools import product as _product
+
+    from splitbound.qzforms import _left_kernel
+
+    rng = random.Random(16)
+    for n in range(1, 13):
+        for r in range(4):
+            for _ in range(6):
+                cols = [[rng.randrange(n) for _ in range(r)] for _ in range(rng.randrange(5))]
+                kernel = {
+                    c for c in _product(range(n), repeat=r)
+                    if all(sum(a * b for a, b in zip(c, col)) % n == 0 for col in cols)
+                }
+                assert span_mod(_left_kernel(cols, r, n), r, n) == kernel, (n, r, cols)
+
+
+def test_annihilated_on_a_rectangular_pairing():
+    # three generators against one: no padding to a square matrix
+    from itertools import product as _product
+
+    from splitbound.qzforms import _annihilated
+
+    w = standard_module(make_group([2, 4]))
+    g = w.group
+    xs = [(1, 0, 1, 2), (0, 1, 0, 1), (1, 1, 2, 0)]
+    ys = [(0, 1, 1, 1)]
+    combos = [
+        g.element([sum(c * x[t] for c, x in zip(cs, xs)) for t in range(g.rank)])
+        for cs in _product(range(g.exponent), repeat=len(xs))
+    ]
+    y = g.element(ys[0])
+    expected = subgroup_from_generators(g, [x for x in combos if evaluate(w, x, y).is_zero()])
+    got = _annihilated(w, xs, ys)
+    assert got == expected and 1 < got.order < subgroup_from_generators(g, combos).order
+
+
 def test_radical_of_isotropic_restriction():
     # the form restricted to the Lagrangian A x {1} is the zero form
     w = standard_module(make_group([2, 4]))
@@ -284,6 +332,58 @@ def test_max_isotropic_matches_oracle_on_random_forms():
                 degenerate += 1
             assert max_isotropic(w) == max_isotropic_oracle(w), (inv, w.gram)
     assert degenerate and nondegenerate, (degenerate, nondegenerate)
+
+
+def max_isotropic_by_pass(w):
+    """One pass of iter_isotropic_bases at the largest isotropic order,
+    which the non-split branch of max_isotropic takes."""
+    from math import isqrt
+
+    g = w.group
+    best = isqrt(g.order * radical(w).order)
+    bases = list(iter_isotropic_bases(w, best))
+    types = sorted({Subgroup(g, basis).sub_invariants for basis in bases})
+    return MaxIsotropic(best, Subgroup(g, min(bases)), types)
+
+
+def radical_is_pure(w):
+    """R ∩ p^j H = p^j R at every prime p and every j, on element sets."""
+    from splitbound.finabel import _exponent_partitions
+
+    g = w.group
+    rad = set(radical(w).elements())
+    for p, lam in _exponent_partitions(g):
+        for j in range(1, max(lam) + 1):
+            q = p ** j
+            if rad & {x * q for x in g.elements()} != {x * q for x in rad}:
+                return False
+    return True
+
+
+def test_max_isotropic_matches_oracle_on_degenerate_forms():
+    # the split branch (types from the LR rule) and the non-split pass
+    # against exhaustive search, on two seeded degenerate forms on every
+    # group of order <= 256 and rank >= 2; the three of rank >= 7 compare
+    # with the pass instead, which that search takes seconds to redo
+    import random
+
+    rng = random.Random(16)
+    seen = {True: 0, False: 0}
+    for inv in iter_abelian_types(256):
+        if len(inv) < 2:
+            continue
+        g = make_group(inv)
+        for _ in range(2):
+            w = random_form(rng, g)
+            while is_nondegenerate(w):
+                w = random_form(rng, g)
+            rad = radical(w)
+            split = _canonical_chain(rad.sub_invariants + quotient(g, rad).invariants) == inv
+            assert split == radical_is_pure(w), (inv, w.gram)
+            seen[split] += 1
+            oracle = max_isotropic_oracle if len(inv) < 7 else max_isotropic_by_pass
+            assert max_isotropic(w) == oracle(w), (inv, w.gram)
+    assert seen[True] and seen[False], seen
 
 
 def test_least_isotropic_basis_matches_enumeration_at_every_order():
@@ -446,9 +546,9 @@ def test_radical_is_kept_on_the_form(monkeypatch):
     import splitbound.qzforms as qz
 
     calls = []
-    orig = qz._snf_with_transforms
+    orig = qz._left_kernel
     monkeypatch.setattr(
-        qz, "_snf_with_transforms", lambda m, k: calls.append(k) or orig(m, k)
+        qz, "_left_kernel", lambda cols, r, n: calls.append(r) or orig(cols, r, n)
     )
     w = standard_module(make_group([2, 4]))
     lam = base_lagrangian(w)
