@@ -469,30 +469,30 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
     contains R = Rad w, and X / R is a Lagrangian of the nondegenerate
     module N = H / R, of order sqrt|N| (Wall, Topology 2, 1963).  The
     witness is the least canonical basis among the isotropic subgroups of
-    that order.  There are three branches:
-      - nondegenerate: the witness comes from the lex-first search
-        least_isotropic_basis and the types are isotropic_types(w, order),
-        read off the group type;
-      - split radical, type(R) ∪ type(N) = type(H): then R is a direct
-        summand of H (Miyata, J. Math. Kyoto Univ. 7, 1967), H = R + C
-        with C isometric to N, and X = R + (X ∩ C) with X ∩ C a Lagrangian
-        of C.  So the types are type(R) ∪ nu for the Lagrangian types nu
-        of N ~ B + B* (standard_isotropic_types on B), and the witness is
-        least_isotropic_basis, exact on degenerate forms too;
+    that order.  There are two branches:
+      - split radical, type(R) ∪ type(N) = type(H), which holds for every
+        nondegenerate form (R = 0): then R is a direct summand of H
+        (Miyata, J. Math. Kyoto Univ. 7, 1967), H = R + C with C isometric
+        to N, and X = R + (X ∩ C) with X ∩ C a Lagrangian of C.  N is
+        hyperbolic, N ~ B + B*, so the types are type(R) ∪ nu for the
+        Lagrangian types nu of the standard module on B, read off the
+        group type by standard_isotropic_types (see isotropic_types).  The
+        witness comes from the lex-first search least_isotropic_basis,
+        exact on degenerate forms too.  Nothing is enumerated and the
+        limit is not read; the search's cuts are exact but its order cut
+        is not sharp, so its running time rests on it not backtracking at
+        the largest order, which the tests have never seen but which is
+        not proved;
       - non-split radical: the types depend on how R sits in H, so the
         witness and the types come from one pass of iter_isotropic_bases
         (which never lists the other orders), and the enumeration limit
         applies.
-    The first two enumerate nothing and do not read the limit.
     """
     g = w.group
     rad = radical(w)
     best = isqrt(g.order * rad.order)
-    if rad.order == 1:
-        witness = Subgroup(g, least_isotropic_basis(w, best))
-        return MaxIsotropic(best, witness, isotropic_types(w, best))
     r_type = rad.sub_invariants
-    n_type = quotient(g, rad).invariants
+    n_type = g.invariants if rad.order == 1 else quotient(g, rad).invariants
     if _canonical_chain(r_type + n_type) == g.invariants:
         witness = Subgroup(g, least_isotropic_basis(w, best))
         lag_types = standard_isotropic_types(FinAbGroup(n_type[::2]), best // rad.order)
