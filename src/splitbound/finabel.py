@@ -432,38 +432,49 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hnf(rows, k: int) -> list[list[int]]:
-    """Row Hermite form of a full-rank lattice: upper triangular, positive
-    pivots, entries above each pivot reduced into [0, pivot)."""
-    work = [list(r) for r in rows if any(r)]
+def _hnf(rows, invariants) -> list[list[int]]:
+    """Row Hermite form of the lattice L spanned by the rows and every
+    d_t * e_t, for the invariants d_1, ..., d_k: upper triangular, positive
+    pivots, entries above each pivot reduced into [0, pivot).
+
+    Every caller's lattice already holds the relations d_t * e_t, so the
+    rows are reduced modulo d_t in column t (Hermite form modulo D:
+    Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
+    section 2.4.2).  The carrier of column t starts as d_t * e_t, and every
+    merged, residue and reduced row is taken modulo the d_t again, so every
+    entry stays below its invariant factor and nothing grows.
+    """
+    k = len(invariants)
+    work = [[x % d for x, d in zip(r, invariants)] for r in rows]
+    work = [r for r in work if any(r)]
     result: list[list[int]] = []
-    for col in range(k):
-        carrier = None
+    for col, d in enumerate(invariants):
+        carrier = [0] * k
+        carrier[col] = d
         rest = []
         for r in work:
-            if r[col] == 0:
+            x = r[col]
+            if x == 0:
                 rest.append(r)
                 continue
-            if carrier is None:
-                carrier = r
-                continue
-            g, x, y = _xgcd(carrier[col], r[col])
-            a, b = carrier[col] // g, r[col] // g
-            merged = [x * u + y * v for u, v in zip(carrier, r)]
-            residue = [a * v - b * u for u, v in zip(carrier, r)]
-            carrier = merged
+            c = carrier[col]
+            if x % c == 0:  # the carrier stays; r is reduced by it
+                q = x // c
+                residue = [(v - q * u) % m for u, v, m in zip(carrier, r, invariants)]
+            else:
+                g, e, f = _xgcd(c, x)
+                a, b = c // g, x // g
+                residue = [(a * v - b * u) % m for u, v, m in zip(carrier, r, invariants)]
+                carrier = [(e * u + f * v) % m for u, v, m in zip(carrier, r, invariants)]
             if any(residue):
                 rest.append(residue)
-        if carrier is not None:
-            if carrier[col] < 0:
-                carrier = [-u for u in carrier]
-            pivot = carrier[col]
-            for prow in result:
-                q = prow[col] // pivot
-                if q:
-                    for t in range(col, k):
-                        prow[t] -= q * carrier[t]
-            result.append(carrier)
+        pivot = carrier[col]
+        for prow in result:
+            q = prow[col] // pivot
+            if q:
+                for t in range(col, k):
+                    prow[t] = (prow[t] - q * carrier[t]) % invariants[t]
+        result.append(carrier)
         work = rest
     return result
 
@@ -645,9 +656,8 @@ class Subgroup:
             if self.order == 1:
                 self._sub_invariants = ()
             else:
-                k = self.ambient.rank
-                rel = _relation_matrix(self.ambient.invariants, self.basis, k)
-                self._sub_invariants = _cokernel_invariants(rel, k, self.order)
+                rel = _relation_matrix(self.ambient.invariants, self.basis, self.ambient.rank)
+                self._sub_invariants = _cokernel_invariants(rel, len(rel), self.order)
         return self._sub_invariants
 
     def contains_element(self, el: Element) -> bool:
@@ -688,7 +698,12 @@ class Subgroup:
             if self.order == 1:
                 self._canon = []
             else:
-                rel = _relation_matrix(self.ambient.invariants, self.basis, k)
+                # All k relations, the unit rows of the dead Hermite rows
+                # included: the Smith transforms of this matrix fix which
+                # generators come out, and callers print sums of them.
+                inv = self.ambient.invariants
+                rel = [_lattice_coefficients(self.basis, [inv[i] * (t == i) for t in range(k)], k)
+                       for i in range(k)]
                 relT = [[rel[j][i] for j in range(k)] for i in range(k)]
                 diag, _u, uinv, _v = _snf_with_transforms(relT, k)
                 gens = []
@@ -724,14 +739,31 @@ class Subgroup:
 
 
 def _relation_matrix(invariants, basis, k: int):
-    """Rows expressing d_i * e_i over the subgroup basis (always integral)."""
+    """The r x r relations among the live rows of a Hermite basis, those
+    with pivot h_i < d_i; row i writes d_i * e_i over the live rows.
+
+    A dead row (h_i = d_i) is exactly d_i * e_i, which is 0 in A: over the
+    whole basis its relation is the unit vector e_i, which deletes its own
+    row and column from the cokernel.  So the subgroup is the cokernel of
+    this matrix alone.  Row i comes from forward substitution from i, which
+    skips the dead rows, since subtracting d_j * e_j only clears
+    coordinate j; the quotients are exact, as d_i * e_i lies in the lattice.
+    """
+    live = [i for i in range(k) if basis[i][i] != invariants[i]]
+    rows = [[basis[i][j] for j in live] for i in live]
+    r = len(live)
     rel = []
-    for i in range(k):
-        vec = [0] * k
-        vec[i] = invariants[i]
-        coeffs = _lattice_coefficients(basis, vec, k)
-        assert coeffs is not None
-        rel.append(coeffs)
+    for a, i in enumerate(live):
+        v = [0] * r
+        v[a] = invariants[i]
+        for b in range(a, r):
+            x = v[b]
+            if x:  # the residual at b becomes the coefficient of live row b
+                row = rows[b]
+                c = v[b] = x // row[b]
+                for t in range(b + 1, r):
+                    v[t] -= c * row[t]
+        rel.append(v)
     return rel
 
 
@@ -763,19 +795,12 @@ def eval_character(chi: Element, a: Element) -> QmodZ:
 
 def subgroup_from_generators(a: FinAbGroup, gens) -> Subgroup:
     """Canonical subgroup spanned by the generators (empty -> trivial)."""
-    k = a.rank
     rows = []
     for g in gens:
         if g.group != a:
             raise AmbientMismatchError("generator from a different group")
-        rows.append(list(g.coords))
-    for i, d in enumerate(a.invariants):
-        rel = [0] * k
-        rel[i] = d
-        rows.append(rel)
-    basis = _hnf(rows, k)
-    assert len(basis) == k
-    return Subgroup(a, basis)
+        rows.append(g.coords)
+    return Subgroup(a, _hnf(rows, a.invariants))
 
 
 def trivial_subgroup(a: FinAbGroup) -> Subgroup:
@@ -876,26 +901,28 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
 
 
 def _iter_bases_elementary(p: int, k: int):
-    """Waste-free echelon-form generation for (Z/p)^k."""
+    """Every Hermite basis of (Z/p)^k, without waste.  Pivot sets come by
+    size, then lexicographically.  The row of pivot c is e_c plus any
+    values below p in the non-pivot columns right of c; every other row is
+    p * e_c.  Each pivot row's p^free choices are built once per pivot set
+    and each basis takes one row from each, the last pivot varying
+    fastest."""
     unit_rows = [tuple(p * int(i == j) for j in range(k)) for i in range(k)]
     for r in range(k + 1):
         for pivots in combinations(range(k), r):
             pivset = set(pivots)
-            free_cols = [
-                [j for j in range(c + 1, k) if j not in pivset] for c in pivots
-            ]
-            nfree = sum(len(f) for f in free_cols)
-            for assign in product(range(p), repeat=nfree):
-                rows = list(unit_rows)
-                pos = 0
-                for idx, c in enumerate(pivots):
+            choices = [[row] for row in unit_rows]
+            for c in pivots:
+                free = [j for j in range(c + 1, k) if j not in pivset]
+                rows = []
+                for values in product(range(p), repeat=len(free)):
                     row = [0] * k
                     row[c] = 1
-                    for j in free_cols[idx]:
-                        row[j] = assign[pos]
-                        pos += 1
-                    rows[c] = tuple(row)
-                yield tuple(rows)
+                    for j, x in zip(free, values):
+                        row[j] = x
+                    rows.append(tuple(row))
+                choices[c] = rows
+            yield from product(*choices)
 
 
 def iter_subgroup_bases(a: FinAbGroup, limit: int | None = None):

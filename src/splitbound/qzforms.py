@@ -257,7 +257,7 @@ def _extend_isotropic(w: SkewForm, s: Subgroup, within: Subgroup) -> Subgroup:
         )
         if row is None:
             break
-        s = Subgroup(g, _hnf([*s.basis, row], k))
+        s = Subgroup(g, _hnf([*s.basis, row], g.invariants))
     return s
 
 
@@ -750,7 +750,7 @@ def _subgroup_quotient_type(h1: Subgroup, inner: Subgroup) -> tuple[int, ...]:
 def _sum_order(a: Subgroup, b: Subgroup) -> int:
     """|A + B|, from the Hermite rows of both."""
     g = a.ambient
-    return Subgroup(g, _hnf(a.basis + b.basis, g.rank)).order
+    return Subgroup(g, _hnf(a.basis + b.basis, g.invariants)).order
 
 
 def isotropic_transfer(

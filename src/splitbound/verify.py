@@ -79,7 +79,13 @@ def iter_abelian_types(max_order: int):
             yield _canonical_chain(orders)
 
 
-@lru_cache(maxsize=None)
+# The subquot suite walks the 516 group types of order <= 256; a bound
+# above that keeps every one of them, so a repeated suite in one process
+# finds each profile memoized, and the memo cannot grow without end.
+_SUBQUOT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_SUBQUOT_CACHE_SIZE)
 def subquot_profile(invariants: tuple[int, ...]):
     """(Counter of subgroup types, Counter of quotient types) over every
     subgroup: on (Z/p)^k from the pivots of each Hermite basis (pivot 1

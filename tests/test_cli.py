@@ -268,6 +268,24 @@ def test_max_isotropic_answers_the_split_degenerate_baseline_row():
         "d23820c4f5eb2c49c1181033b66fdefd522fc71c291edbd477a07d71807a305b")
 
 
+def test_span_of_dense_generators_in_a_large_elementary_group():
+    # 61 seeded 0/1 generators in (Z/2)^48: the Hermite form over Z took
+    # about 25 s on these and printed these bytes
+    import hashlib
+
+    rng = random.Random(5)
+    gens = ";".join(
+        "(" + ",".join(str(rng.randrange(2)) for _ in range(48)) + ")" for _ in range(61)
+    )
+    argv = ["group", "span", ",".join(["2"] * 48), "--gens", gens]
+    payload = _answered_fast(argv)
+    check_schema("group span", payload)
+    assert payload["order"] == 2 ** len(payload["invariants"])
+    _, out, _ = invoke(argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e9fb7c263cba4364774288bb62e725ec17c611889af6f24fe10fa452ac4fde89")
+
+
 def compare_closed_form(p, r, e, rank1):
     """The compare answer from the two module shapes: the isotropic types of
     order p^k in the standard module on (Z/p)^m are (Z/p)^k, and in the one

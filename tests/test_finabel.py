@@ -217,12 +217,24 @@ def test_canonicalization_idempotent():
 
 
 def test_canonical_basis_realizes_invariants():
-    for inv in ([2, 4], [4, 4], [2, 2, 2], [8], [3, 9]):
+    # every subgroup of every group of order <= 64: dead Hermite rows (pivot
+    # d_i) sit in every position, on p-groups and mixed-prime groups alike
+    for inv in iter_abelian_types(64):
         a = make_group(inv)
         for s in enumerate_subgroups(a):
             basis = s.canonical_basis()
             assert tuple(b.order() for b in basis) == s.sub_invariants
             assert len(brute_span(a, basis) if basis else {a.zero().coords}) == s.order
+
+
+def test_elementary_enumerator_matches_the_general_one():
+    from splitbound.finabel import _iter_bases_elementary, _iter_bases_general
+
+    for p, kmax in ((2, 6), (3, 4), (5, 3)):
+        for k in range(kmax + 1):
+            fast = list(_iter_bases_elementary(p, k))
+            assert len(set(fast)) == len(fast)
+            assert set(fast) == set(_iter_bases_general((p,) * k)), (p, k)
 
 
 def test_quotient_examples():
@@ -267,6 +279,11 @@ def test_census_matches_enumeration_to_order_256():
         assert subgroup_census(make_group(inv)) == (sum(subs.values()), sorted(subs)), inv
         count += 1
     assert count == 516
+
+
+def test_subquot_memo_is_bounded_and_holds_every_type_to_256():
+    maxsize = subquot_profile.cache_info().maxsize
+    assert maxsize is not None and maxsize >= sum(1 for _ in iter_abelian_types(256))
 
 
 def test_census_matches_the_counting_formula_on_larger_groups():
@@ -590,7 +607,7 @@ def test_cokernel_matches_plocal_oracle_on_every_small_subgroup():
             assert _cokernel_invariants(rows, k, det) == cokernel_oracle(rows, k, det)
             rel = _relation_matrix(a.invariants, basis, k)
             sub = a.order // det
-            assert _cokernel_invariants(rel, k, sub) == cokernel_oracle(rel, k, sub)
+            assert _cokernel_invariants(rel, len(rel), sub) == cokernel_oracle(rel, len(rel), sub)
             checked += 1
     assert checked == 6022  # Birkhoff's count summed over the 117 types
 
