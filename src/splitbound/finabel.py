@@ -738,6 +738,16 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.ambient!r})"
 
 
+def _live_block(invariants, basis, k: int):
+    """The live block of a Hermite basis: over the indices i with pivot
+    h_i < d_i, their invariants d_i, and the rows and columns of the basis
+    at those indices.  _relation_matrix reads nothing else, so the
+    subgroup's type is a function of this block."""
+    live = [i for i in range(k) if basis[i][i] != invariants[i]]
+    rows = tuple([tuple([basis[i][j] for j in live]) for i in live])
+    return tuple([invariants[i] for i in live]), rows
+
+
 def _relation_matrix(invariants, basis, k: int):
     """The r x r relations among the live rows of a Hermite basis, those
     with pivot h_i < d_i; row i writes d_i * e_i over the live rows.
@@ -749,13 +759,12 @@ def _relation_matrix(invariants, basis, k: int):
     skips the dead rows, since subtracting d_j * e_j only clears
     coordinate j; the quotients are exact, as d_i * e_i lies in the lattice.
     """
-    live = [i for i in range(k) if basis[i][i] != invariants[i]]
-    rows = [[basis[i][j] for j in live] for i in live]
-    r = len(live)
+    ds, rows = _live_block(invariants, basis, k)
+    r = len(ds)
     rel = []
-    for a, i in enumerate(live):
+    for a, d in enumerate(ds):
         v = [0] * r
-        v[a] = invariants[i]
+        v[a] = d
         for b in range(a, r):
             x = v[b]
             if x:  # the residual at b becomes the coefficient of live row b
@@ -816,13 +825,25 @@ def _unit_rows(k: int):
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
+def _nonunit_block(basis, k: int):
+    """The non-unit block of a Hermite basis: its rows and columns at the
+    indices i with pivot h_i > 1.
+
+    Entries above a pivot are reduced modulo it, so a unit pivot's column
+    is e_i; column steps then clear the rest of its row, and that row and
+    column split off Z^k / rowspan(basis) as a trivial factor.  So A/S is
+    the cokernel of this block alone, and a function of it.
+    """
+    kept = [i for i in range(k) if basis[i][i] != 1]
+    return tuple([tuple([basis[i][j] for j in kept]) for i in kept])
+
+
 def quotient(a: FinAbGroup, s: Subgroup) -> FinAbGroup:
     """Invariant factors of A/S."""
     if s.ambient != a:
         raise AmbientMismatchError("subgroup of a different group")
-    k = a.rank
-    q_order = a.order // s.order
-    return FinAbGroup(_cokernel_invariants([list(r) for r in s.basis], k, q_order))
+    rows = _nonunit_block(s.basis, a.rank)
+    return FinAbGroup(_cokernel_invariants(rows, len(rows), a.order // s.order))
 
 
 # -- exhaustive subgroup enumeration ----------------------------------------
@@ -900,29 +921,36 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
     yield from rec(k - 1, [], [], order)
 
 
-def _iter_bases_elementary(p: int, k: int):
-    """Every Hermite basis of (Z/p)^k, without waste.  Pivot sets come by
-    size, then lexicographically.  The row of pivot c is e_c plus any
-    values below p in the non-pivot columns right of c; every other row is
-    p * e_c.  Each pivot row's p^free choices are built once per pivot set
-    and each basis takes one row from each, the last pivot varying
-    fastest."""
-    unit_rows = [tuple(p * int(i == j) for j in range(k)) for i in range(k)]
+def _elementary_pivot_sets(k: int):
+    """The unit-pivot sets of the Hermite bases of (Z/p)^k, by size, then
+    lexicographically, each with the free columns of each of its pivots c:
+    the non-pivot columns right of c.  The row of pivot c is e_c plus any
+    values below p in its free columns and every other row is p * e_c, so a
+    pivot set with f free columns in all holds exactly p^f bases."""
     for r in range(k + 1):
         for pivots in combinations(range(k), r):
             pivset = set(pivots)
-            choices = [[row] for row in unit_rows]
-            for c in pivots:
-                free = [j for j in range(c + 1, k) if j not in pivset]
-                rows = []
-                for values in product(range(p), repeat=len(free)):
-                    row = [0] * k
-                    row[c] = 1
-                    for j, x in zip(free, values):
-                        row[j] = x
-                    rows.append(tuple(row))
-                choices[c] = rows
-            yield from product(*choices)
+            yield pivots, [[j for j in range(c + 1, k) if j not in pivset] for c in pivots]
+
+
+def _iter_bases_elementary(p: int, k: int):
+    """Every Hermite basis of (Z/p)^k, without waste, pivot set by pivot
+    set (_elementary_pivot_sets).  Each pivot row's p^free choices are
+    built once per pivot set and each basis takes one row from each, the
+    last pivot varying fastest."""
+    unit_rows = [tuple(p * int(i == j) for j in range(k)) for i in range(k)]
+    for pivots, frees in _elementary_pivot_sets(k):
+        choices = [[row] for row in unit_rows]
+        for c, free in zip(pivots, frees):
+            rows = []
+            for values in product(range(p), repeat=len(free)):
+                row = [0] * k
+                row[c] = 1
+                for j, x in zip(free, values):
+                    row[j] = x
+                rows.append(tuple(row))
+            choices[c] = rows
+        yield from product(*choices)
 
 
 def iter_subgroup_bases(a: FinAbGroup, limit: int | None = None):

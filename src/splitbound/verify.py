@@ -20,6 +20,9 @@ from .finabel import (
     FinAbGroup,
     Subgroup,
     _canonical_chain,
+    _elementary_pivot_sets,
+    _live_block,
+    _nonunit_block,
     _valuation,
     iter_subgroup_bases,
     make_group,
@@ -88,9 +91,16 @@ _SUBQUOT_CACHE_SIZE = 1024
 @lru_cache(maxsize=_SUBQUOT_CACHE_SIZE)
 def subquot_profile(invariants: tuple[int, ...]):
     """(Counter of subgroup types, Counter of quotient types) over every
-    subgroup: on (Z/p)^k from the pivots of each Hermite basis (pivot 1
-    adds a factor p to the subgroup, pivot p one to the quotient), on other
-    groups through Subgroup.sub_invariants and quotient."""
+    subgroup.
+
+    On (Z/p)^k nothing is listed: a basis with r unit pivots has the types
+    (p,)^r and (p,)^(k-r), and each pivot set with f free columns holds p^f
+    bases.  On other groups every Hermite basis is visited, but its
+    subgroup type depends only on its live block and its quotient type
+    only on its non-unit block (finabel._live_block, _nonunit_block), so
+    each distinct block's type is computed once per call, through
+    Subgroup.sub_invariants and quotient; the memos go with the call.
+    """
     a = make_group(invariants)
     inv = a.invariants
     k = len(inv)
@@ -98,15 +108,24 @@ def subquot_profile(invariants: tuple[int, ...]):
     quots: Counter = Counter()
     if a.is_elementary():
         p = inv[0]
-        for basis in iter_subgroup_bases(a):
-            r = sum(1 for i in range(k) if basis[i][i] == 1)
-            subs[(p,) * r] += 1
-            quots[(p,) * (k - r)] += 1
+        for pivots, frees in _elementary_pivot_sets(k):
+            n = p ** sum(map(len, frees))
+            subs[(p,) * len(pivots)] += n
+            quots[(p,) * (k - len(pivots))] += n
         return subs, quots
+    sub_types: dict = {}
+    quot_types: dict = {}
     for basis in iter_subgroup_bases(a):
-        s = Subgroup(a, basis)
-        subs[s.sub_invariants] += 1
-        quots[quotient(a, s).invariants] += 1
+        live = _live_block(inv, basis, k)
+        sub = sub_types.get(live)
+        if sub is None:
+            sub = sub_types[live] = Subgroup(a, basis).sub_invariants
+        nonunit = _nonunit_block(basis, k)
+        quot = quot_types.get(nonunit)
+        if quot is None:
+            quot = quot_types[nonunit] = quotient(a, Subgroup(a, basis)).invariants
+        subs[sub] += 1
+        quots[quot] += 1
     return subs, quots
 
 

@@ -994,11 +994,17 @@ def test_f2_census_by_class_rows():
 
 
 def test_verify_all_exits_zero():
-    # a correct build passes the full replay suite
-    code, out, _ = invoke(["verify", "all"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["passed"] is True and len(payload["checks"]) >= 15
+    # a correct build passes the full replay suite, and prints the same
+    # counts (these bytes) at the default seed and at --seed 1
+    import hashlib
+
+    for argv in (["verify", "all"], ["verify", "all", "--seed", "1"]):
+        code, out, _ = invoke(argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True and len(payload["checks"]) >= 15
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "64acdac91090903003bf1def2487b74f467bfee2dfcb1121dd6c3359c31972f7"), argv
 
 
 def test_verify_suite_cli():

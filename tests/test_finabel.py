@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -13,6 +16,7 @@ from splitbound.errors import (
 from splitbound.finabel import (
     QmodZ,
     Subgroup,
+    _cokernel_invariants,
     _snf_with_transforms,
     dual_group,
     embeds_into,
@@ -271,14 +275,63 @@ def test_enumeration_matches_counting_formula():
         assert got == subgroup_count_oracle(tuple(make_group(inv).invariants)), inv
 
 
+@lru_cache(maxsize=None)
+def elementary_profile_by_pivots(inv):
+    """Subgroup and quotient types of (Z/p)^k counted basis by basis over
+    iter_subgroup_bases: r unit pivots give (p,)^r and (p,)^(k-r)."""
+    a = make_group(inv)
+    p, k = a.invariants[0], a.rank
+    subs, quots = Counter(), Counter()
+    for basis in iter_subgroup_bases(a):
+        r = sum(1 for i in range(k) if basis[i][i] == 1)
+        subs[(p,) * r] += 1
+        quots[(p,) * (k - r)] += 1
+    return subs, quots
+
+
+def subquot_profile_by_enumeration(a):
+    """Memo-free subquot_profile: every Hermite basis, its Subgroup's type,
+    and the full k x k cokernel of the basis as its quotient's type."""
+    subs, quots = Counter(), Counter()
+    for basis in iter_subgroup_bases(a):
+        s = Subgroup(a, basis)
+        subs[s.sub_invariants] += 1
+        quots[_cokernel_invariants(basis, a.rank, a.order // s.order)] += 1
+    return subs, quots
+
+
 def test_census_matches_enumeration_to_order_256():
-    # subquot_profile is the memoized enumeration that criterion 7 fills
+    # subquot_profile visits every Hermite basis of a non-elementary group;
+    # it counts elementary groups by pivot set, so those are enumerated here
     count = 0
     for inv in iter_abelian_types(256):
-        subs, _quots = subquot_profile(tuple(inv))
-        assert subgroup_census(make_group(inv)) == (sum(subs.values()), sorted(subs)), inv
+        a = make_group(inv)
+        if a.is_elementary():
+            subs, _quots = elementary_profile_by_pivots(tuple(inv))
+        else:
+            subs, _quots = subquot_profile(tuple(inv))
+        assert subgroup_census(a) == (sum(subs.values()), sorted(subs)), inv
         count += 1
     assert count == 516
+
+
+def test_subquot_profile_matches_memo_free_counts():
+    # the block-keyed types against a memo-free pass on every non-elementary
+    # type of order <= 128, and the per-pivot-set elementary counts against
+    # per-basis pivot counts on every elementary type of order <= 256
+    general = elementary = 0
+    for inv in iter_abelian_types(256):
+        a = make_group(inv)
+        if a.is_elementary():
+            want = elementary_profile_by_pivots(a.invariants)
+            elementary += 1
+        elif a.order <= 128:
+            want = subquot_profile_by_enumeration(a)
+            general += 1
+        else:
+            continue
+        assert subquot_profile.__wrapped__(a.invariants) == want, inv
+    assert (general, elementary) == (203, 70)
 
 
 def test_subquot_memo_is_bounded_and_holds_every_type_to_256():
@@ -383,7 +436,7 @@ def test_subgroup_quotient_duality_small():
 
     for inv in iter_abelian_types(64):
         subs, quots = subquot_profile(tuple(inv))
-        assert set(subs) == set(quots), inv
+        assert subs == quots, inv
 
 
 # -- reduce_tuple -------------------------------------------------------------
@@ -593,7 +646,7 @@ def cokernel_oracle(mat, k, *factors):
 
 def test_cokernel_matches_plocal_oracle_on_every_small_subgroup():
     # the quotient and subgroup matrices of every subgroup, |A| <= 64
-    from splitbound.finabel import _cokernel_invariants, _relation_matrix
+    from splitbound.finabel import _relation_matrix
 
     checked = 0
     for inv in iter_abelian_types(64):
@@ -610,6 +663,52 @@ def test_cokernel_matches_plocal_oracle_on_every_small_subgroup():
             assert _cokernel_invariants(rel, len(rel), sub) == cokernel_oracle(rel, len(rel), sub)
             checked += 1
     assert checked == 6022  # Birkhoff's count summed over the 117 types
+
+
+def assert_zero_above_unit_pivots(basis):
+    for i, row in enumerate(basis):
+        if row[i] == 1:
+            assert all(basis[j][i] == 0 for j in range(i)), basis
+
+
+def test_quotient_of_the_nonunit_block_matches_the_full_cokernel():
+    # quotient() drops the rows and columns of unit pivots, which needs zeros
+    # above every unit pivot; checked on every subgroup of every group of
+    # order <= 64, and on the bases of generator spans and of the least
+    # isotropic subgroups of seeded alternating forms on those groups
+    from splitbound.finabel import _divisors
+    from splitbound.qzforms import SkewForm, least_isotropic_basis, standard_module
+
+    rng = random.Random(20)
+    checked = 0
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        k = a.rank
+        for basis in iter_subgroup_bases(a):
+            assert_zero_above_unit_pivots(basis)
+            s = Subgroup(a, basis)
+            full = _cokernel_invariants(basis, k, a.order // s.order)
+            assert quotient(a, s).invariants == full, (inv, basis)
+            checked += 1
+        for _ in range(20):
+            gens = [a.element([rng.randrange(2 * d) for d in a.invariants])
+                    for _ in range(rng.randrange(4))]
+            s = subgroup_from_generators(a, gens)
+            assert_zero_above_unit_pivots(s.basis)
+            assert quotient(a, s).invariants == _cokernel_invariants(s.basis, k, a.order // s.order)
+        gram = [[QmodZ.zero()] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                cap = gcd(a.invariants[i], a.invariants[j])
+                gram[i][j] = QmodZ(rng.randrange(cap), cap)
+                gram[j][i] = -gram[i][j]
+        forms = [SkewForm(a, gram)] + ([standard_module(a)] if a.order <= 8 else [])
+        for w in forms:
+            for order in _divisors(w.group.order):
+                basis = least_isotropic_basis(w, order)
+                if basis is not None:
+                    assert_zero_above_unit_pivots(basis)
+    assert checked == 6022
 
 
 def _unimodular(rng, k):
@@ -629,7 +728,6 @@ def test_cokernel_matches_plocal_oracle_on_random_matrices():
     # full-rank U * D * V with known |det|, some diagonals carrying two
     # primes above 2^60; half the calls pass a proper multiple of the order
     sympy = pytest.importorskip("sympy")
-    from splitbound.finabel import _cokernel_invariants
 
     rng = random.Random(57)
     big = [sympy.nextprime(2 ** 60 + rng.randrange(2 ** 40)) for _ in range(4)]
