@@ -660,11 +660,6 @@ class Subgroup:
                 self._sub_invariants = _cokernel_invariants(rel, len(rel), self.order)
         return self._sub_invariants
 
-    def contains_element(self, el: Element) -> bool:
-        if el.group != self.ambient:
-            raise AmbientMismatchError("element of a different group")
-        return _lattice_coefficients(self.basis, el.coords, self.ambient.rank) is not None
-
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroups of different groups")

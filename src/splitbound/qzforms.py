@@ -38,7 +38,6 @@ from .finabel import (
     _lattice_coefficients,
     _unit_rows,
     _valuation,
-    _xgcd,
     full_subgroup,
     # unused here: the benchmark harness test (perfbench/test_harness.py)
     # checks that the tracer rebinds this name in qzforms
@@ -174,79 +173,49 @@ def evaluate(w: SkewForm, x: Element, y: Element) -> QmodZ:
 
 
 def radical(w: SkewForm) -> Subgroup:
-    """Subgroup {h : w(h, .) = 0}, by integer linear algebra on the scaled
-    Gram matrix (cross-checked by enumeration in the test suite).  The form
-    is immutable, so the result is kept on it."""
+    """Subgroup {h : w(h, .) = 0}: the pairing kernel of the rows
+    (w(e_i, e_1..e_k) | e_i), read straight off the scaled Gram matrix
+    (cross-checked by enumeration in the test suite).  The form is
+    immutable, so the result is kept on it."""
     if w._radical is None:
-        g = w.group
-        rows = _left_kernel(list(zip(*w.scaled())), g.rank, w.exponent)
-        w._radical = subgroup_from_generators(g, [Element(g, row) for row in rows])
+        k = w.group.rank
+        rows = [list(s) + e for s, e in zip(w.scaled(), _unit_rows(k))]
+        w._radical = _pairing_kernel(w, rows, k)
     return w._radical
 
 
-def _left_kernel(cols, r: int, n: int) -> list[list[int]]:
-    """Generators, modulo n, of {c in Z^r : c . col = 0 mod n for every
-    column col}.  They start as the unit rows.  For each column an xgcd
-    chain folds the generators' nonzero values into one carrier, whose
-    value a is their gcd, and leaves the others the value 0; the carrier
-    is then scaled by n / gcd(a, n).  Each fold is unimodular, so the
-    generators span the kernel of the columns taken so far."""
-    gens = _unit_rows(r)
-    for col in cols:
-        rest = []
-        carrier, a = None, 0
-        for c in gens:
-            b = sum(x * y for x, y in zip(c, col)) % n
-            if not b:
-                rest.append(c)
-            elif carrier is None:
-                carrier, a = c, b
-            else:
-                g, x, y = _xgcd(a, b)
-                p, q = b // g, a // g
-                residue = [(p * u - q * v) % n for u, v in zip(carrier, c)]
-                carrier = [(x * u + y * v) % n for u, v in zip(carrier, c)]
-                a = g
-                if any(residue):
-                    rest.append(residue)
-        if carrier is not None:
-            m = n // gcd(a, n)
-            carrier = [m * u % n for u in carrier]
-            if any(carrier):
-                rest.append(carrier)
-        gens = rest
-    return gens
+def _pairing_kernel(w: SkewForm, rows, m: int) -> Subgroup:
+    """The subgroup of the combinations of the rows (w(x_i, y_1..y_m) mod n
+    | x_i) whose m pairing entries all vanish, from one Hermite form modulo
+    (n,)*m + D of the rows (Cohen, GTM 138, section 2.4.2).  The form is
+    upper triangular, so its rows after the m pairing columns span exactly
+    those combinations, and their tails are that subgroup's Hermite basis."""
+    g = w.group
+    return Subgroup(g, [r[m:] for r in _hnf(rows, (w.exponent,) * m + g.invariants)[m:]])
 
 
 def _annihilated(w: SkewForm, xs, ys) -> Subgroup:
     """The subgroup of the combinations sum c_i x_i with w(sum c_i x_i, y) = 0
-    for every y, from the left kernel of the |xs| x |ys| pairing matrix
-    (xs and ys are coordinate rows)."""
+    for every y (xs and ys are coordinate rows), the pairing kernel of the
+    |xs| x |ys| pairing matrix with the xs appended."""
     g = w.group
     inv = g.invariants
     k = g.rank
     n = w.exponent
     scaled = w.scaled()
-    xs = [x for x in xs if any(c % d for c, d in zip(x, inv))]
     ys = [y for y in ys if any(c % d for c, d in zip(y, inv))]
     wys = [[sum(row[j] * y[j] for j in range(k)) for row in scaled] for y in ys]
-    cols = [[sum(a * b for a, b in zip(x, wy)) % n for x in xs] for wy in wys]
-    gens = []
-    for coeffs in _left_kernel(cols, len(xs), n):
-        combo = [0] * k
-        for c, x in zip(coeffs, xs):
-            if c:
-                for t in range(k):
-                    combo[t] += c * x[t]
-        gens.append(Element(g, combo))
-    return subgroup_from_generators(g, gens)
+    rows = [[sum(a * b for a, b in zip(x, wy)) % n for wy in wys] + list(x) for x in xs]
+    return _pairing_kernel(w, rows, len(ys))
 
 
 def _extend_isotropic(w: SkewForm, s: Subgroup, within: Subgroup) -> Subgroup:
     """A maximal isotropic subgroup of `within` containing the isotropic
     s <= within, for a nondegenerate w: add the first Hermite row of
-    within ∩ s^perp that is not in s, until there is none.  Each added row
-    pairs to zero with s and with itself, so every step stays isotropic;
+    within ∩ s^perp that is not in s, until there is none; within ∩ s^perp
+    is one Hermite form of the pairing matrix of within's rows against s's,
+    with within's rows appended (_annihilated).  Each added row pairs to
+    zero with s and with itself, so every step stays isotropic;
     a Lagrangian is maximal in the whole module, so the search ends there."""
     g = w.group
     k = g.rank
@@ -747,12 +716,6 @@ def _subgroup_quotient_type(h1: Subgroup, inner: Subgroup) -> tuple[int, ...]:
     return _cokernel_invariants(rows, k, h1.order // inner.order)
 
 
-def _sum_order(a: Subgroup, b: Subgroup) -> int:
-    """|A + B|, from the Hermite rows of both."""
-    g = a.ambient
-    return Subgroup(g, _hnf(a.basis + b.basis, g.invariants)).order
-
-
 def isotropic_transfer(
     w: SkewForm,
     h1: Subgroup,
@@ -786,9 +749,10 @@ def isotropic_transfer(
 
     i_max = _extend_isotropic(w, iso, h1)
     lag = _extend_isotropic(w, i_max, full_subgroup(g))
-    assert lag.order * h1.order == _sum_order(lag, h1) * i_max.order, (
-        "Lambda meets H1 exactly in I_max"
-    )
+    # |Lambda| |H1| = |Lambda + H1| |Lambda ∩ H1|, the sum from both Hermite bases
+    assert lag.order * h1.order == (
+        Subgroup(g, _hnf(lag.basis + h1.basis, g.invariants)).order * i_max.order
+    ), "Lambda meets H1 exactly in I_max"
 
     # the factors of H1/I_max, aligned at the largest, divide Lambda's
     image_type = _subgroup_quotient_type(h1, i_max)

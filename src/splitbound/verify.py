@@ -55,17 +55,6 @@ def _check(name: str, fn) -> Check:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _partitions(n: int):
-    def rec(n, cap):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, cap), 0, -1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-    yield from rec(n, n)
-
-
 def iter_abelian_types(max_order: int):
     """Invariant chains of every abelian group of order <= max_order."""
     for n in range(1, max_order + 1):
@@ -74,7 +63,8 @@ def iter_abelian_types(max_order: int):
         while m > 1:  # the least divisor of m above 1 is a prime
             e = _valuation(m, p)
             if e:
-                per_prime.append([[p ** a for a in part] for part in _partitions(e)])
+                parts = qzforms._partitions_inside((e,) * e, e)
+                per_prime.append([[p ** a for a in part] for part in parts])
                 m //= p ** e
             p += 1
         for combo in product(*per_prime):
@@ -439,11 +429,14 @@ def suite_depth() -> list[Check]:
     return [_check("depth.phi-image", fixtures)]
 
 
-def suite_tuple_reduction(seed: int = 0, instances: int = 10000) -> list[Check]:
+_TUPLE_REDUCTION_INSTANCES = 10000
+
+
+def suite_tuple_reduction(seed: int = 0) -> list[Check]:
     def fuzz():
         rng = random.Random(seed)
         count = 0
-        for _ in range(instances):
+        for _ in range(_TUPLE_REDUCTION_INSTANCES):
             a = random_group(rng, 64)
             s = a.rank + rng.randrange(0, 4)
             xi = [

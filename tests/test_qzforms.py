@@ -205,31 +205,36 @@ def test_radical_on_random_degenerate_forms():
             assert radical(w) == brute_radical(w)
 
 
-def span_mod(rows, r, n):
-    """Every Z/n-combination of the rows, as a set of tuples."""
-    span = {(0,) * r}
-    for row in rows:
-        span = {tuple((x + c * y) % n for x, y in zip(v, row)) for v in span for c in range(n)}
-    return span
-
-
-def test_left_kernel_matches_brute_force():
-    # rectangular matrices over Z/n, given by their columns, r <= 3, n <= 12
+def test_annihilated_matches_brute_force():
+    # 0-4 xs against 0-3 ys on random forms of every group of order <= 64,
+    # zero rows and dead rows (zero modulo the invariants) among them: the
+    # rectangular, empty and zero cases
     import random
-    from itertools import product as _product
 
-    from splitbound.qzforms import _left_kernel
+    from splitbound.qzforms import _annihilated
 
-    rng = random.Random(16)
-    for n in range(1, 13):
-        for r in range(4):
-            for _ in range(6):
-                cols = [[rng.randrange(n) for _ in range(r)] for _ in range(rng.randrange(5))]
-                kernel = {
-                    c for c in _product(range(n), repeat=r)
-                    if all(sum(a * b for a, b in zip(c, col)) % n == 0 for col in cols)
-                }
-                assert span_mod(_left_kernel(cols, r, n), r, n) == kernel, (n, r, cols)
+    rng = random.Random(21)
+
+    def draw(g):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return (0,) * g.rank
+        if kind == 1:
+            return tuple(d * rng.randrange(3) for d in g.invariants)
+        return tuple(rng.randrange(2 * d) for d in g.invariants)
+
+    for inv in iter_abelian_types(64):
+        g = make_group(inv)
+        for _ in range(3):
+            w = random_form(rng, g)
+            xs = [draw(g) for _ in range(rng.randrange(5))]
+            ys = [draw(g) for _ in range(rng.randrange(4))]
+            span = subgroup_from_generators(g, [g.element(x) for x in xs])
+            against = [g.element(y) for y in ys]
+            expected = subgroup_from_generators(g, [
+                x for x in span.elements() if all(evaluate(w, x, y).is_zero() for y in against)
+            ])
+            assert _annihilated(w, xs, ys) == expected, (inv, w.gram, xs, ys)
 
 
 def test_annihilated_on_a_rectangular_pairing():
@@ -546,9 +551,9 @@ def test_radical_is_kept_on_the_form(monkeypatch):
     import splitbound.qzforms as qz
 
     calls = []
-    orig = qz._left_kernel
+    orig = qz._pairing_kernel
     monkeypatch.setattr(
-        qz, "_left_kernel", lambda cols, r, n: calls.append(r) or orig(cols, r, n)
+        qz, "_pairing_kernel", lambda w, rows, m: calls.append(m) or orig(w, rows, m)
     )
     w = standard_module(make_group([2, 4]))
     lam = base_lagrangian(w)
