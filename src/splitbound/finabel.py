@@ -849,26 +849,34 @@ _BASIS_CACHE: dict = {}
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n >= 1, ascending: each d <= isqrt(n) paired with n // d."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
     """All Hermite bases of lattices between diag(invariants) and Z^k.
 
-    Rows are produced bottom-up; each candidate row is kept only if the
-    relation d_i * e_i stays inside the partial lattice, which depends on
-    rows i..k-1 alone.
+    Rows are produced bottom-up, each with its pivot h_i | d_i ascending
+    and then its tail (entries reduced modulo the pivots below) in lex
+    order; bases come out in that nested order.  A row is kept only if
+    d_i * e_i = c * row - c * tail (c = d_i / h_i) stays inside the
+    partial lattice, that is iff c * tail lies in the lattice of the rows
+    below (_lattice_coefficients).  A dead row (h_i = d_i, c = 1) gets only
+    the tail 0: a reduced vector in that lattice is 0.
 
-    With `order`, only subgroups of that order are produced: row i
-    multiplies the order by d_i / h_i, so a pivot is cut when that does not
-    divide the order still needed or when rows 0..i-1 cannot supply the
-    rest.  With `admit(row, kept)`, a row that is nonzero modulo the
-    invariants (pivot h_i < d_i; such a row is already reduced) is kept
-    only if the predicate accepts it against the nonzero rows kept below
-    it.  Both cuts are exact when the predicate is pairwise, as for
-    isotropy, so no completion of a cut branch is lost.
+    With `order`, only subgroups of that order are produced, none when it
+    is below 1: row i multiplies the order by d_i / h_i, so a pivot is cut
+    when that does not divide the order still needed or when rows 0..i-1
+    cannot supply the rest.  With `admit(row, kept)`, a row that is
+    nonzero modulo the invariants (pivot h_i < d_i; such a row is already
+    reduced) is kept only if the predicate accepts it against the nonzero
+    rows kept below it.  Both cuts are exact when the predicate is
+    pairwise, as for isotropy, so no completion of a cut branch is lost.
     """
     k = len(invariants)
+    if order is not None and order < 1:
+        return
     if k == 0:
         if order is None or order == 1:
             yield ()
@@ -882,7 +890,9 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
             yield tuple(rows_below)
             return
         d = invariants[i]
-        below_pivots = [rows_below[j][i + 1 + j] for j in range(k - i - 1)]
+        m = k - i - 1
+        below = [r[i + 1:] for r in rows_below]
+        spans = [range(r[j]) for j, r in enumerate(below)]
         for h in divisors[i]:
             c = d // h
             rest = need
@@ -890,22 +900,8 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
                 if need % c or need // c > room[i]:
                     continue
                 rest = need // c
-            for tail in product(*(range(p) for p in below_pivots)):
-                # membership of d_i * e_i: residual after subtracting c*row
-                v = [(-c) * t for t in tail]
-                ok = True
-                for j in range(k - i - 1):
-                    p = below_pivots[j]
-                    x = v[j]
-                    if x % p:
-                        ok = False
-                        break
-                    q = x // p
-                    if q:
-                        row = rows_below[j]
-                        for s in range(j + 1, k - i - 1):
-                            v[s] -= q * row[i + 1 + s]
-                if not ok:
+            for tail in product(*spans) if h != d else [(0,) * m]:
+                if h != d and _lattice_coefficients(below, [c * t for t in tail], m) is None:
                     continue
                 row = (0,) * i + (h,) + tail
                 if admit is None or h == d:
@@ -950,8 +946,11 @@ def _iter_bases_elementary(p: int, k: int):
 
 def iter_subgroup_bases(a: FinAbGroup, limit: int | None = None):
     """Internal streaming enumeration of the canonical (Hermite) bases of
-    every subgroup, unsorted but deterministic; refused above the
-    enumeration limit."""
+    every subgroup, unsorted but in a fixed order: pivot set by pivot set
+    on an elementary group (_iter_bases_elementary), else rows bottom-up,
+    pivots ascending, tails lexicographic (_iter_bases_general, whose dead
+    rows take only the tail 0 and whose membership test is one
+    _lattice_coefficients call).  Refused above the enumeration limit."""
     _check_limit(a.order, limit)
     if a.is_elementary():
         yield from _iter_bases_elementary(a.invariants[0], a.rank)

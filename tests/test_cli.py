@@ -188,6 +188,14 @@ def test_subgroup_list_is_bounded_by_what_it_prints():
     assert payload["count"] == len(payload["subgroups"]) == 8
 
 
+def test_subgroup_list_of_a_large_cyclic_group_is_fast():
+    # Z/2^24 has 25 subgroups; its pivot divisors are found up to isqrt(2^24)
+    argv = ["--enum-limit", "100000000", "group", "subgroups", str(2 ** 24), "--list"]
+    payload = _answered_fast(argv)
+    assert payload["count"] == len(payload["subgroups"]) == 25
+    assert [s["order"] for s in payload["subgroups"]] == [2 ** e for e in range(24, -1, -1)]
+
+
 def _standard_spec(group):
     code, std, _ = invoke(["form", "standard", "--group", group])
     assert code == 0

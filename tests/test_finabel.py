@@ -231,6 +231,99 @@ def test_canonical_basis_realizes_invariants():
             assert len(brute_span(a, basis) if basis else {a.zero().coords}) == s.order
 
 
+def hermite_bases_oracle(invariants, order=None, admit=None):
+    """The generate-and-test Hermite recursion: every row of every pivot
+    tries every reduced tail, and the relation d_i * e_i is tested by its
+    own forward substitution over the rows below.  Same cuts and the same
+    yield order as _iter_bases_general is meant to keep."""
+    from itertools import product
+    from math import prod
+
+    k = len(invariants)
+    if k == 0:
+        if order is None or order == 1:
+            yield ()
+        return
+    divisors = [[h for h in range(1, d + 1) if d % h == 0] for d in invariants]
+    room = [prod(invariants[:i]) for i in range(k)]
+
+    def rec(i, rows_below, kept, need):
+        if i < 0:
+            yield tuple(rows_below)
+            return
+        d = invariants[i]
+        below_pivots = [rows_below[j][i + 1 + j] for j in range(k - i - 1)]
+        for h in divisors[i]:
+            c = d // h
+            rest = need
+            if need is not None:
+                if need % c or need // c > room[i]:
+                    continue
+                rest = need // c
+            for tail in product(*(range(p) for p in below_pivots)):
+                v = [(-c) * t for t in tail]
+                ok = True
+                for j in range(k - i - 1):
+                    p = below_pivots[j]
+                    x = v[j]
+                    if x % p:
+                        ok = False
+                        break
+                    q = x // p
+                    if q:
+                        row = rows_below[j]
+                        for s in range(j + 1, k - i - 1):
+                            v[s] -= q * row[i + 1 + s]
+                if not ok:
+                    continue
+                row = (0,) * i + (h,) + tail
+                if admit is None or h == d:
+                    yield from rec(i - 1, [row] + rows_below, kept, rest)
+                elif admit(row, kept):
+                    yield from rec(i - 1, [row] + rows_below, kept + [row], rest)
+
+    yield from rec(k - 1, [], [], order)
+
+
+def assert_same_stream(got, want, context):
+    """Equal sequences, order included, compared without holding either."""
+    from itertools import zip_longest
+
+    end = object()
+    for n, (x, y) in enumerate(zip_longest(got, want, fillvalue=end)):
+        assert x == y, (context, n, x, y)
+
+
+def test_general_enumerator_keeps_the_oracle_order():
+    # every basis in the oracle's order: every group of order <= 256, with
+    # (Z/2)^8 among them, and at every order dividing |A| up to 64
+    from splitbound.finabel import _iter_bases_general
+
+    for inv in iter_abelian_types(256):
+        assert_same_stream(_iter_bases_general(inv), hermite_bases_oracle(inv), inv)
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        for d in range(1, a.order + 1):
+            if a.order % d == 0:
+                assert_same_stream(_iter_bases_general(inv, d),
+                                   hermite_bases_oracle(inv, d), (inv, d))
+
+
+def test_no_subgroup_has_order_below_one():
+    from splitbound.finabel import _iter_bases_general
+
+    for inv in ((), (2, 2), (4, 12)):
+        for order in (0, -4):
+            assert list(_iter_bases_general(inv, order)) == [], (inv, order)
+
+
+def test_divisors_match_the_linear_list():
+    from splitbound.finabel import _divisors
+
+    for n in range(1, 3000):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
 def test_elementary_enumerator_matches_the_general_one():
     from splitbound.finabel import _iter_bases_elementary, _iter_bases_general
 

@@ -420,7 +420,12 @@ def test_least_isotropic_basis_matches_enumeration_at_every_order():
             check(w)
     assert degenerate and nondegenerate, (degenerate, nondegenerate)
     w = standard_module(make_group([2, 4]))
-    assert least_isotropic_basis(w, 0) is least_isotropic_basis(w, 16) is None
+    assert least_isotropic_basis(w, 16) is None
+    # no subgroup has order below 1
+    for w in (w, standard_module(make_group([2, 2]))):
+        for order in (0, -4):
+            assert least_isotropic_basis(w, order) is None
+            assert list(iter_isotropic_bases(w, order)) == [], (w.gram, order)
 
 
 def test_least_isotropic_basis_prunes_rows_above_a_later_pivot(monkeypatch):
@@ -1042,12 +1047,27 @@ def test_isotropic_transfer_matches_oracle_on_seeded_pairs():
     assert_transfer_matches_oracle(w, random.Random(8).sample(pairs, 2000), ws)
 
 
+def seeded_symplectic_forms():
+    """The standard modules with |A| <= 16, and the nondegenerate ones among
+    six random forms (seed 41) on each group of order <= 64."""
+    import random
+
+    standard = [standard_module(make_group(inv)) for inv in iter_abelian_types(16)]
+    rng = random.Random(41)
+    nondegenerate = []
+    for inv in iter_abelian_types(64):
+        g = make_group(inv)
+        for _ in range(6):
+            w = random_form(rng, g)
+            if is_nondegenerate(w):
+                nondegenerate.append(w)
+    return standard, nondegenerate
+
+
 def test_isotropic_bases_at_every_order_match_the_isotropy_filter():
     # iter_isotropic_bases at each order d against the is_isotropic filter
     # of the canonical subgroup list, on every standard module with
     # |A| <= 16 and on random symplectic forms
-    import random
-
     from splitbound.finabel import _divisors
 
     def check(w):
@@ -1059,18 +1079,41 @@ def test_isotropic_bases_at_every_order_match_the_isotropy_filter():
             got = list(iter_isotropic_bases(w, d))
             assert_same_bases(got, by_order.get(d, set()), (w.gram, d))
 
-    for inv in iter_abelian_types(16):
-        check(standard_module(make_group(inv)))
-    rng = random.Random(41)
-    nondegenerate = 0
-    for inv in iter_abelian_types(64):
-        g = make_group(inv)
-        for _ in range(6):
-            w = random_form(rng, g)
-            if is_nondegenerate(w):
-                check(w)
-                nondegenerate += 1
-    assert nondegenerate >= 20, nondegenerate
+    standard, nondegenerate = seeded_symplectic_forms()
+    for w in standard + nondegenerate:
+        check(w)
+    assert len(nondegenerate) >= 20, len(nondegenerate)
+
+
+def test_isotropic_recursion_keeps_the_oracle_order():
+    # the isotropy cut of _iter_bases_general against the generate-and-test
+    # recursion with an admit built from evaluate, at every order (and at
+    # none), in the oracle's yield order
+    from functools import lru_cache
+
+    from test_finabel import assert_same_stream, hermite_bases_oracle
+
+    from splitbound.finabel import _divisors, _iter_bases_general
+
+    standard, nondegenerate = seeded_symplectic_forms()
+    for w in standard + nondegenerate:
+        g = w.group
+
+        @lru_cache(maxsize=None)
+        def pairs_to_zero_with(u, v):
+            return evaluate(w, g.element(u), g.element(v)) == QmodZ.zero()
+
+        def pairs_to_zero(row, kept):
+            return all(pairs_to_zero_with(row, v) for v in kept)
+
+        for d in [None, *_divisors(g.order)]:
+            assert_same_stream(_iter_bases_general(g.invariants, d, pairs_to_zero),
+                               hermite_bases_oracle(g.invariants, d, pairs_to_zero),
+                               (w.gram, d))
+            if d is not None:
+                assert_same_stream(iter_isotropic_bases(w, d),
+                                   hermite_bases_oracle(g.invariants, d, pairs_to_zero),
+                                   (w.gram, d))
 
 
 def subgroup_quotient_type_oracle(h1, inner):
