@@ -854,7 +854,7 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
+def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None, keep_pivot=None):
     """All Hermite bases of lattices between diag(invariants) and Z^k.
 
     Rows are produced bottom-up, each with its pivot h_i | d_i ascending
@@ -873,6 +873,10 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
     reduced) is kept only if the predicate accepts it against the nonzero
     rows kept below it.  Both cuts are exact when the predicate is
     pairwise, as for isotropy, so no completion of a cut branch is lost.
+    With `keep_pivot(h, d)`, row i takes only the pivots h | d_i it
+    accepts: the stream is the unfiltered one with every basis that has a
+    rejected pivot left out, in the same order, since a row's tails and
+    its membership test depend only on the rows below it.
     """
     k = len(invariants)
     if order is not None and order < 1:
@@ -882,6 +886,8 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
             yield ()
         return
     divisors = [_divisors(d) for d in invariants]
+    if keep_pivot is not None:
+        divisors = [[h for h in hs if keep_pivot(h, d)] for hs, d in zip(divisors, invariants)]
     room = [prod(invariants[:i]) for i in range(k)]
 
     def rec(i: int, rows_below: list[tuple[int, ...]], kept: list, need):
@@ -912,36 +918,29 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None):
     yield from rec(k - 1, [], [], order)
 
 
-def _elementary_pivot_sets(k: int):
-    """The unit-pivot sets of the Hermite bases of (Z/p)^k, by size, then
-    lexicographically, each with the free columns of each of its pivots c:
-    the non-pivot columns right of c.  The row of pivot c is e_c plus any
-    values below p in its free columns and every other row is p * e_c, so a
-    pivot set with f free columns in all holds exactly p^f bases."""
-    for r in range(k + 1):
-        for pivots in combinations(range(k), r):
-            pivset = set(pivots)
-            yield pivots, [[j for j in range(c + 1, k) if j not in pivset] for c in pivots]
-
-
 def _iter_bases_elementary(p: int, k: int):
     """Every Hermite basis of (Z/p)^k, without waste, pivot set by pivot
-    set (_elementary_pivot_sets).  Each pivot row's p^free choices are
-    built once per pivot set and each basis takes one row from each, the
-    last pivot varying fastest."""
+    set: the unit-pivot sets by size, then lexicographically.  The row of
+    a unit pivot c is e_c plus any values below p in its free columns, the
+    non-pivot columns right of c, and every other row is p * e_c, so a
+    pivot set with f free columns in all holds exactly p^f bases.  Each
+    pivot row's p^free choices are built once per pivot set and each basis
+    takes one row from each, the last pivot varying fastest."""
     unit_rows = [tuple(p * int(i == j) for j in range(k)) for i in range(k)]
-    for pivots, frees in _elementary_pivot_sets(k):
-        choices = [[row] for row in unit_rows]
-        for c, free in zip(pivots, frees):
-            rows = []
-            for values in product(range(p), repeat=len(free)):
-                row = [0] * k
-                row[c] = 1
-                for j, x in zip(free, values):
-                    row[j] = x
-                rows.append(tuple(row))
-            choices[c] = rows
-        yield from product(*choices)
+    for r in range(k + 1):
+        for pivots in combinations(range(k), r):
+            choices = [[row] for row in unit_rows]
+            for c in pivots:
+                free = [j for j in range(c + 1, k) if j not in pivots]
+                rows = []
+                for values in product(range(p), repeat=len(free)):
+                    row = [0] * k
+                    row[c] = 1
+                    for j, x in zip(free, values):
+                        row[j] = x
+                    rows.append(tuple(row))
+                choices[c] = rows
+            yield from product(*choices)
 
 
 def iter_subgroup_bases(a: FinAbGroup, limit: int | None = None):

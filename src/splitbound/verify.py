@@ -10,23 +10,24 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from math import gcd, prod
+from operator import mul, ne
 
 from . import f2quad, heisenberg, liedata, obstruction, qzforms
 from .finabel import (
     FinAbGroup,
     Subgroup,
     _canonical_chain,
-    _elementary_pivot_sets,
-    _live_block,
-    _nonunit_block,
+    _cokernel_invariants,
+    _iter_bases_general,
+    _relation_matrix,
     _valuation,
-    iter_subgroup_bases,
     make_group,
-    quotient,
     replay_ops,
     reduce_tuple,
     subgroup_from_generators,
@@ -83,40 +84,94 @@ def subquot_profile(invariants: tuple[int, ...]):
     """(Counter of subgroup types, Counter of quotient types) over every
     subgroup.
 
-    On (Z/p)^k nothing is listed: a basis with r unit pivots has the types
-    (p,)^r and (p,)^(k-r), and each pivot set with f free columns holds p^f
-    bases.  On other groups every Hermite basis is visited, but its
-    subgroup type depends only on its live block and its quotient type
-    only on its non-unit block (finabel._live_block, _nonunit_block), so
-    each distinct block's type is computed once per call, through
-    Subgroup.sub_invariants and quotient; the memos go with the call.
+    Every subgroup is still counted exactly once, but by classes of its
+    Hermite basis rather than basis by basis.  Its type depends only on
+    the dead set D (pivot h_j = d_j) and the live block T, and its
+    quotient's type only on the unit-pivot set V and the non-unit block B;
+    _subgroup_classes and _quotient_classes list those classes with their
+    sizes:
+    - a (D, T) class holds prod_{j in D} prod_{g in type(T_<j)} gcd(g, d_j)
+      bases, T_<j being T's leading block on the live coordinates before j;
+      as the invariants ascend, that is prod_{j in D} |T_<j|;
+    - a (V, B) class holds prod_{i in V} prod_{g in type(A_>i / B_>i)}
+      gcd(g, d_i), over the non-unit coordinates after i.
+    test_subquot_classes_match_the_walk checks both formulas class by class
+    against the per-basis walk.
     """
-    a = make_group(invariants)
-    inv = a.invariants
-    k = len(inv)
+    inv = make_group(invariants).invariants
     subs: Counter = Counter()
     quots: Counter = Counter()
-    if a.is_elementary():
-        p = inv[0]
-        for pivots, frees in _elementary_pivot_sets(k):
-            n = p ** sum(map(len, frees))
-            subs[(p,) * len(pivots)] += n
-            quots[(p,) * (k - len(pivots))] += n
-        return subs, quots
-    sub_types: dict = {}
-    quot_types: dict = {}
-    for basis in iter_subgroup_bases(a):
-        live = _live_block(inv, basis, k)
-        sub = sub_types.get(live)
-        if sub is None:
-            sub = sub_types[live] = Subgroup(a, basis).sub_invariants
-        nonunit = _nonunit_block(basis, k)
-        quot = quot_types.get(nonunit)
-        if quot is None:
-            quot = quot_types[nonunit] = quotient(a, Subgroup(a, basis)).invariants
-        subs[sub] += 1
-        quots[quot] += 1
+    for _dead, _live, sub, n in _subgroup_classes(inv):
+        subs[sub] += n
+    for _units, _nonunit, quot, n in _quotient_classes(inv):
+        quots[quot] += n
     return subs, quots
+
+
+def _coordinate_splits(k: int):
+    """Every subset of range(k) with its complement, both ascending."""
+    for mask in range(1 << k):
+        chosen = tuple(i for i in range(k) if mask >> i & 1)
+        yield chosen, tuple(i for i in range(k) if not mask >> i & 1)
+
+
+def _subgroup_classes(inv: tuple[int, ...]):
+    """(D, T, subgroup type, number of bases) for each dead set D and each
+    live block T: a Hermite basis over the other coordinates whose every
+    pivot lies below its d_i, with rows and columns indexed as in
+    finabel._live_block.
+
+    A basis of the class is T with its dead rows d_j * e_j put back and a
+    column of entries mod d_j at each dead j, over the live rows before
+    j.  That column is a homomorphism from the subgroup of T to Z/d_j which
+    vanishes on the part of T after j, so one from the subgroup of T_<j;
+    there are prod_{g in type(T_<j)} gcd(g, d_j) of them.  The invariants
+    ascend, so every such g divides d_j and the count is |T_<j|, the
+    product of d_i / h_i over the live i before j.
+    """
+    types: dict = {}
+    for dead, live in _coordinate_splits(len(inv)):
+        ds = tuple(inv[i] for i in live)
+        r = len(ds)
+        before = [bisect_left(live, j) for j in dead]
+        for block in _iter_bases_general(ds, keep_pivot=ne):
+            orders = list(accumulate([d // block[a][a] for a, d in enumerate(ds)], mul, initial=1))
+            key = (ds, block)
+            sub = types.get(key)
+            if sub is None:
+                sub = types[key] = _cokernel_invariants(_relation_matrix(ds, block, r), r, orders[r])
+            yield dead, block, sub, prod(orders[b] for b in before)
+
+
+def _quotient_classes(inv: tuple[int, ...]):
+    """(V, B, quotient type, number of bases) for each unit-pivot set V
+    and each non-unit block B: a Hermite basis over the other coordinates
+    whose every pivot lies above 1, as in finabel._nonunit_block.
+
+    The non-unit rows are 0 in the unit columns, so a basis of the class
+    is B with a unit row e_i + x at each i in V, x a reduced vector on the
+    non-unit coordinates after i with d_i * x in the lattice of B_>i: an
+    element of A_>i / B_>i killed by d_i, of which there are
+    prod_{g in type(A_>i / B_>i)} gcd(g, d_i).
+    """
+    types: dict = {}
+
+    def coker(rows):
+        t = types.get(rows)
+        if t is None:
+            r = len(rows)
+            t = types[rows] = _cokernel_invariants(rows, r, prod(rows[a][a] for a in range(r)))
+        return t
+
+    for units, rest in _coordinate_splits(len(inv)):
+        ds = tuple(inv[i] for i in rest)
+        after = [bisect_left(rest, i) for i in units]
+        for block in _iter_bases_general(ds, keep_pivot=lambda h, _d: h != 1):
+            n = 1
+            for i, s in zip(units, after):
+                for g in coker(tuple(row[s:] for row in block[s:])):
+                    n *= gcd(g, inv[i])
+            yield units, block, coker(block), n
 
 
 def random_group(rng: random.Random, max_order: int) -> FinAbGroup:

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from math import gcd
+from operator import ne
 
 import pytest
 
@@ -17,6 +18,8 @@ from splitbound.finabel import (
     QmodZ,
     Subgroup,
     _cokernel_invariants,
+    _live_block,
+    _nonunit_block,
     _snf_with_transforms,
     dual_group,
     embeds_into,
@@ -30,7 +33,12 @@ from splitbound.finabel import (
     subgroup_census,
     subgroup_from_generators,
 )
-from splitbound.verify import iter_abelian_types, subquot_profile
+from splitbound.verify import (
+    _quotient_classes,
+    _subgroup_classes,
+    iter_abelian_types,
+    subquot_profile,
+)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -294,13 +302,34 @@ def assert_same_stream(got, want, context):
         assert x == y, (context, n, x, y)
 
 
+def with_pivot_filters_checked(inv, stream):
+    """Pass the unfiltered stream through, asserting that each pivot filter
+    of _iter_bases_general (no dead pivot, no unit pivot) lists it with
+    every basis that has a rejected pivot left out, order included."""
+    from splitbound.finabel import _iter_bases_general
+
+    end = object()
+    no_dead = _iter_bases_general(inv, keep_pivot=ne)
+    no_unit = _iter_bases_general(inv, keep_pivot=lambda h, _d: h != 1)
+    for basis in stream:
+        pivots = [row[i] for i, row in enumerate(basis)]
+        if all(map(ne, pivots, inv)):
+            assert next(no_dead, end) == basis, inv
+        if 1 not in pivots:
+            assert next(no_unit, end) == basis, inv
+        yield basis
+    assert next(no_dead, end) is end and next(no_unit, end) is end, inv
+
+
 def test_general_enumerator_keeps_the_oracle_order():
     # every basis in the oracle's order: every group of order <= 256, with
-    # (Z/2)^8 among them, and at every order dividing |A| up to 64
+    # (Z/2)^8 among them, and at every order dividing |A| up to 64; the
+    # pivot filters are checked against the same pass
     from splitbound.finabel import _iter_bases_general
 
     for inv in iter_abelian_types(256):
-        assert_same_stream(_iter_bases_general(inv), hermite_bases_oracle(inv), inv)
+        assert_same_stream(with_pivot_filters_checked(inv, _iter_bases_general(inv)),
+                           hermite_bases_oracle(inv), inv)
     for inv in iter_abelian_types(64):
         a = make_group(inv)
         for d in range(1, a.order + 1):
@@ -369,16 +398,34 @@ def test_enumeration_matches_counting_formula():
 
 
 @lru_cache(maxsize=None)
-def elementary_profile_by_pivots(inv):
-    """Subgroup and quotient types of (Z/p)^k counted basis by basis over
-    iter_subgroup_bases: r unit pivots give (p,)^r and (p,)^(k-r)."""
+def subquot_profile_by_walk(inv):
+    """subquot_profile basis by basis over iter_subgroup_bases, as the
+    enumeration oracle for the class counts.  On (Z/p)^k r unit pivots give
+    the types (p,)^r and (p,)^(k-r); elsewhere a subgroup type is read from
+    the basis's live block and a quotient type from its non-unit block,
+    each distinct block's type computed once."""
     a = make_group(inv)
-    p, k = a.invariants[0], a.rank
+    k = a.rank
     subs, quots = Counter(), Counter()
+    if a.is_elementary():
+        p = a.invariants[0]
+        for basis in iter_subgroup_bases(a):
+            r = sum(1 for i in range(k) if basis[i][i] == 1)
+            subs[(p,) * r] += 1
+            quots[(p,) * (k - r)] += 1
+        return subs, quots
+    sub_types, quot_types = {}, {}
     for basis in iter_subgroup_bases(a):
-        r = sum(1 for i in range(k) if basis[i][i] == 1)
-        subs[(p,) * r] += 1
-        quots[(p,) * (k - r)] += 1
+        live = _live_block(a.invariants, basis, k)
+        sub = sub_types.get(live)
+        if sub is None:
+            sub = sub_types[live] = Subgroup(a, basis).sub_invariants
+        nonunit = _nonunit_block(basis, k)
+        quot = quot_types.get(nonunit)
+        if quot is None:
+            quot = quot_types[nonunit] = quotient(a, Subgroup(a, basis)).invariants
+        subs[sub] += 1
+        quots[quot] += 1
     return subs, quots
 
 
@@ -394,37 +441,63 @@ def subquot_profile_by_enumeration(a):
 
 
 def test_census_matches_enumeration_to_order_256():
-    # subquot_profile visits every Hermite basis of a non-elementary group;
-    # it counts elementary groups by pivot set, so those are enumerated here
     count = 0
     for inv in iter_abelian_types(256):
         a = make_group(inv)
-        if a.is_elementary():
-            subs, _quots = elementary_profile_by_pivots(tuple(inv))
-        else:
-            subs, _quots = subquot_profile(tuple(inv))
+        subs, _quots = subquot_profile_by_walk(tuple(inv))
         assert subgroup_census(a) == (sum(subs.values()), sorted(subs)), inv
         count += 1
     assert count == 516
 
 
 def test_subquot_profile_matches_memo_free_counts():
-    # the block-keyed types against a memo-free pass on every non-elementary
-    # type of order <= 128, and the per-pivot-set elementary counts against
-    # per-basis pivot counts on every elementary type of order <= 256
+    # the class counts against the per-basis walk on every type of order
+    # <= 256, and the walk's block-keyed types against a memo-free pass on
+    # every non-elementary type of order <= 128
     general = elementary = 0
     for inv in iter_abelian_types(256):
         a = make_group(inv)
+        want = subquot_profile_by_walk(a.invariants)
         if a.is_elementary():
-            want = elementary_profile_by_pivots(a.invariants)
             elementary += 1
-        elif a.order <= 128:
-            want = subquot_profile_by_enumeration(a)
-            general += 1
         else:
-            continue
+            general += 1
+            if a.order <= 128:
+                assert want == subquot_profile_by_enumeration(a), inv
         assert subquot_profile.__wrapped__(a.invariants) == want, inv
-    assert (general, elementary) == (203, 70)
+    assert (general, elementary) == (446, 70)
+
+
+def test_subquot_classes_match_the_walk():
+    # each (dead set, live block) class and each (unit set, non-unit block)
+    # class holds exactly as many bases as its formula says, and carries the
+    # type of a basis in it, on every non-elementary type of order <= 128
+    checked = 0
+    for inv in iter_abelian_types(128):
+        a = make_group(inv)
+        if a.is_elementary():
+            continue
+        k = a.rank
+        by_live, by_nonunit, first_live, first_nonunit = Counter(), Counter(), {}, {}
+        for basis in iter_subgroup_bases(a):
+            dead = tuple(i for i in range(k) if basis[i][i] == inv[i])
+            units = tuple(i for i in range(k) if basis[i][i] == 1)
+            live_key = (dead, _live_block(inv, basis, k)[1])
+            nonunit_key = (units, _nonunit_block(basis, k))
+            by_live[live_key] += 1
+            by_nonunit[nonunit_key] += 1
+            first_live.setdefault(live_key, basis)
+            first_nonunit.setdefault(nonunit_key, basis)
+        sub_classes = list(_subgroup_classes(inv))
+        quot_classes = list(_quotient_classes(inv))
+        assert {(d, t): n for d, t, _typ, n in sub_classes} == dict(by_live), inv
+        assert {(v, b): n for v, b, _typ, n in quot_classes} == dict(by_nonunit), inv
+        for d, t, typ, _n in sub_classes:
+            assert Subgroup(a, first_live[d, t]).sub_invariants == typ, (inv, d, t)
+        for v, b, typ, _n in quot_classes:
+            assert quotient(a, Subgroup(a, first_nonunit[v, b])).invariants == typ, (inv, v, b)
+        checked += 1
+    assert checked == 203
 
 
 def test_subquot_memo_is_bounded_and_holds_every_type_to_256():
