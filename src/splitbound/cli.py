@@ -225,7 +225,7 @@ def _cmd_form(args) -> dict:
 
 def _pgl_subgroup(args) -> heisenberg.PglSubgroup:
     a = _parse_group(args.group)
-    if getattr(args, "elements", None):
+    if args.elements is not None:
         dual = dual_group(a)
         pairs = []
         for part in args.elements.split(";"):

@@ -548,42 +548,18 @@ def _cokernel_invariants(mat, k: int, order: int) -> tuple[int, ...]:
 
 
 def _snf_with_transforms(mat, k: int):
-    """Smith form with transforms: returns (diag, U, Uinv, V) where
-    U * mat * V = diag(d) with d_i | d_{i+1} and U, V unimodular."""
+    """Smith form with the inverse row transform: returns (diag, Uinv)
+    where U * mat * V = diag(d) with d_i | d_{i+1} and U, V unimodular.
+    Each row step on `a` is undone on the columns of Uinv (row_i -= q *
+    row_j adds q * col_i to col_j); column steps change `a` alone, so
+    neither U nor V is built."""
     a = [list(row) for row in mat]
-    U = [[int(i == j) for j in range(k)] for i in range(k)]
-    Uinv = [[int(i == j) for j in range(k)] for i in range(k)]
-    V = [[int(i == j) for j in range(k)] for i in range(k)]
+    uinv = [[int(i == j) for j in range(k)] for i in range(k)]
 
     def row_sub(i, j, q):  # row_i -= q * row_j
-        for t in range(k):
-            a[i][t] -= q * a[j][t]
-            U[i][t] -= q * U[j][t]
-        for t in range(k):
-            Uinv[t][j] += q * Uinv[t][i]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        for t in range(k):
-            Uinv[t][i], Uinv[t][j] = Uinv[t][j], Uinv[t][i]
-
-    def row_neg(i):
-        for t in range(k):
-            a[i][t] = -a[i][t]
-            U[i][t] = -U[i][t]
-        for t in range(k):
-            Uinv[t][i] = -Uinv[t][i]
-
-    def col_sub(i, j, q):  # col_i -= q * col_j
-        for t in range(k):
-            a[t][i] -= q * a[t][j]
-            V[t][i] -= q * V[t][j]
-
-    def col_swap(i, j):
-        for t in range(k):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-            V[t][i], V[t][j] = V[t][j], V[t][i]
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        for row in uinv:
+            row[j] += q * row[i]
 
     for s in range(k):
         while True:
@@ -597,11 +573,16 @@ def _snf_with_transforms(mat, k: int):
             if bi < 0:
                 break
             if bi != s:
-                row_swap(bi, s)
+                a[bi], a[s] = a[s], a[bi]
+                for row in uinv:
+                    row[bi], row[s] = row[s], row[bi]
             if bj != s:
-                col_swap(bj, s)
+                for row in a:
+                    row[bj], row[s] = row[s], row[bj]
             if a[s][s] < 0:
-                row_neg(s)
+                a[s] = [-x for x in a[s]]
+                for row in uinv:
+                    row[s] = -row[s]
             dirty = False
             for i in range(s + 1, k):
                 q = a[i][s] // a[s][s]
@@ -612,7 +593,8 @@ def _snf_with_transforms(mat, k: int):
             for j in range(s + 1, k):
                 q = a[s][j] // a[s][s]
                 if q:
-                    col_sub(j, s, q)
+                    for row in a:
+                        row[j] -= q * row[s]
                 if a[s][j]:
                     dirty = True
             if dirty:
@@ -630,7 +612,7 @@ def _snf_with_transforms(mat, k: int):
                 break
             row_sub(s, offender, -1)  # fold the offending row into the pivot row
     diag = [a[i][i] for i in range(k)]
-    return diag, U, Uinv, V
+    return diag, uinv
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +669,8 @@ class Subgroup:
 
     def canonical_basis(self) -> list[Element]:
         """Generators realizing sub_invariants as a direct-sum decomposition
-        (ascending orders, matching sub_invariants)."""
+        (ascending orders, matching sub_invariants): the Hermite rows
+        combined by the columns of Uinv, from the Smith form of relT."""
         if self._canon is None:
             k = self.ambient.rank
             if self.order == 1:
@@ -700,7 +683,7 @@ class Subgroup:
                 rel = [_lattice_coefficients(self.basis, [inv[i] * (t == i) for t in range(k)], k)
                        for i in range(k)]
                 relT = [[rel[j][i] for j in range(k)] for i in range(k)]
-                diag, _u, uinv, _v = _snf_with_transforms(relT, k)
+                diag, uinv = _snf_with_transforms(relT, k)
                 gens = []
                 for t in range(k):
                     d = abs(diag[t])

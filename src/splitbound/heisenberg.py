@@ -1,10 +1,12 @@
 """Abelian subgroups of PGL_n inside phi(A x A*), held as lattices.
 
 The index set of an n x n monomial matrix is the element list of a finite
-abelian group A (lexicographic coordinate order, n = |A|); roots of unity
-are stored as exponent residues modulo N = exponent(A), so every product,
-inverse and commutator is exact.  P_a is translation by a, D_chi the
-character diagonal, and phi(a, chi) the image of P_a D_chi in PGL(k[A]).
+abelian group A (lexicographic coordinate order, n = |A|): c sits at the
+mixed-radix index sum c_i * s_i with s_i = d_{i+1} * ... * d_k, so indices
+are computed, never looked up.  Roots of unity are stored as exponent
+residues modulo N = exponent(A), so every product, inverse and commutator
+is exact.  P_a is translation by a, D_chi the character diagonal, and
+phi(a, chi) the image of P_a D_chi in PGL(k[A]).
 
 phi is an injective homomorphism A x A* -> PGL(k[A]), and the commutator
 of lifts of phi(a, chi) and phi(b, mu) is the scalar chi(b) - mu(a).  So a
@@ -12,8 +14,8 @@ subgroup H of the image is the image of one lattice S <= A x A*, and its
 commutator pairing alpha_H is the standard module restricted to S (Wall,
 "Quadratic forms on finite groups", Topology 2, 1963).  A PglSubgroup is
 that lattice: order, alpha_H, torality and depth are lattice algebra.
-Matrices serve `pgl element` and verification only: the element and
-coordinate tables, and the commutator Gram that the isometry suite
+Matrices serve `pgl element` and verification only: the closure tables
+of a PglSubgroup, and the commutator Gram that the isometry suite
 compares with alpha_H.
 
 Convention: the residue d mod N stands for the root of unity
@@ -23,9 +25,8 @@ negate exponents; nothing in this package depends on the choice.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import (
     AmbientMismatchError,
@@ -42,11 +43,10 @@ from .finabel import (
     _prime_power,
     _valuation,
     dual_group,
-    eval_character,
     full_subgroup,
     subgroup_from_generators,
 )
-from .qzforms import SkewForm, is_isotropic, radical, restrict, standard_module
+from .qzforms import SkewForm, _annihilated, is_isotropic, restrict, standard_module
 
 __all__ = [
     "MonomialMatrix",
@@ -65,28 +65,18 @@ __all__ = [
 ]
 
 
-class _IndexTable:
-    """Element order and translation data for one index group."""
+def _strides(invariants) -> list[int]:
+    """s_i = d_{i+1} * ... * d_k: FinAbGroup.elements() lists c at the
+    mixed-radix index sum c_i * s_i."""
+    return [prod(invariants[i + 1:]) for i in range(len(invariants))]
 
-    def __init__(self, group: FinAbGroup):
-        self.group = group
-        self.coords = [e.coords for e in group.elements()]
-        self.index = {c: i for i, c in enumerate(self.coords)}
-        self.n = len(self.coords)
-        self.modulus = group.exponent
 
-    @classmethod
-    @lru_cache(maxsize=8)
-    def of(cls, group: FinAbGroup) -> "_IndexTable":
-        return cls(group)
-
-    def translation(self, a: Element) -> tuple[int, ...]:
-        inv = self.group.invariants
-        ac = a.coords
-        return tuple(
-            self.index[tuple((x + y) % d for x, y, d in zip(c, ac, inv))]
-            for c in self.coords
-        )
+def _lex_sums(columns) -> list[int]:
+    """sum_i columns[i][c_i] for every c, in lexicographic order of c."""
+    sums = [0]
+    for col in columns:
+        sums = [t + x for t in sums for x in col]
+    return sums
 
 
 class MonomialMatrix:
@@ -159,26 +149,27 @@ class MonomialMatrix:
 
 
 def identity_matrix(group: FinAbGroup) -> MonomialMatrix:
-    n = _IndexTable.of(group).n
+    n = group.order
     return MonomialMatrix(group, tuple(range(n)), (0,) * n)
 
 
 def perm_matrix(a: Element) -> MonomialMatrix:
-    """Regular-representation translation P_a."""
-    table = _IndexTable.of(a.group)
-    return MonomialMatrix(a.group, table.translation(a), (0,) * table.n)
+    """Regular-representation translation P_a: index of c to index of c + a."""
+    inv = a.group.invariants
+    perm = _lex_sums(
+        [[(c + x) % d * s for c in range(d)] for x, d, s in zip(a.coords, inv, _strides(inv))]
+    )
+    return MonomialMatrix(a.group, perm, (0,) * len(perm))
 
 
 def diag_matrix(chi: Element) -> MonomialMatrix:
-    """Character diagonal D_chi over the group chi is a character of."""
+    """Character diagonal D_chi over the group chi is a character of: the
+    entry at x is chi(x) = sum chi_i x_i / d_i, as an exponent modulo N."""
     group = FinAbGroup(chi.group.invariants)
-    table = _IndexTable.of(group)
-    n = table.modulus
-    diag = []
-    for c in table.coords:
-        v = eval_character(chi, Element(group, c))
-        diag.append(v.num * (n // v.den) % n)
-    return MonomialMatrix(group, tuple(range(table.n)), tuple(diag))
+    n = group.exponent
+    diag = _lex_sums([[y * x % d * (n // d) for x in range(d)]
+                      for y, d in zip(chi.coords, group.invariants)])
+    return MonomialMatrix(group, tuple(range(len(diag))), diag)
 
 
 def commutator(x: MonomialMatrix, y: MonomialMatrix) -> MonomialMatrix:
@@ -251,14 +242,13 @@ def _decode(pe: ProjectiveElement) -> list[int] | None:
     phi(A x A*).  a is where P_a sends index 0; chi(e_i) is the difference
     of the diagonal at e_i and at 0, which no scalar changes."""
     a = pe.lift.group
-    table = _IndexTable.of(a)
     perm, norm = pe.key
-    n = table.modulus
-    x = a.element(table.coords[perm[0]])
+    n = a.exponent
+    strides = _strides(a.invariants)
+    x = a.element([perm[0] // s % d for s, d in zip(strides, a.invariants)])
     chi = []
-    for i, d in enumerate(a.invariants):
-        unit = tuple(int(t == i) for t in range(a.rank))
-        v = (norm[table.index[unit]] - norm[0]) % n
+    for s, d in zip(strides, a.invariants):
+        v = (norm[s] - norm[0]) % n
         if v % (n // d):
             return None
         chi.append(v // (n // d))
@@ -424,10 +414,12 @@ def depth(h: PglSubgroup) -> int:
 
     H / Rad(alpha_H) is a nondegenerate symplectic module, so it has
     Lagrangians of order sqrt|H / Rad| and every maximal isotropic
-    subgroup contains the radical.  Hence depth = log_p sqrt(|H| / |Rad|),
-    read off the lattice S with one Smith normal form; no subgroup is
-    enumerated and no matrix is built (the test suite checks it against
-    exhaustive isotropic search).
+    subgroup contains the radical.  Hence depth = log_p sqrt(|H| / |Rad|).
+    Rad(alpha_H) is S meet its annihilator in the standard module, one
+    Hermite form of the pairing of S's Hermite rows against themselves;
+    the p-group test reads the exponent of S off its cokernel.  alpha_H is
+    not built, no subgroup is enumerated and no matrix is built (the test
+    suite checks it against exhaustive isotropic search).
     """
     order = h.order
     if order == 1:
@@ -436,7 +428,8 @@ def depth(h: PglSubgroup) -> int:
     pe = _prime_power(h.lattice.sub_invariants[-1])
     if pe is None:
         raise NotPGroupError(f"|H| = {_int_text(order)} is not a prime power")
-    ratio = isqrt(order // radical(alpha_form(h)).order)
+    s = h.lattice.basis
+    ratio = isqrt(order // _annihilated(standard_module(h.index_group), s, s).order)
     d = _valuation(ratio, pe[0])
     assert ratio == pe[0] ** d
     return d

@@ -54,3 +54,23 @@ def test_tracer_installs_counts_and_restores_every_binding():
     assert tracer.calls["qzforms.transfer"] == 2
     assert tracer.counts["qzforms.transfer.memo_hits"] == 0
     assert tracer.calls["finabel.embeds_into"] > 0
+
+
+def test_tracer_installs_over_the_pgl_queries():
+    # the Smith form the tracer wraps as "finabel.snf" returns (diag, Uinv),
+    # and heisenberg keeps no index table: the PGL queries run traced
+    before = tracing.snapshot_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, out = invoke(["pgl", "depth", "--group", "2,4"])
+        assert code == 0, out
+        code, out = invoke(["pgl", "alpha", "--group", "2,4",
+                            "--elements", "(1,0|0,1);(0,1|1,2)"])
+        assert code == 0, out
+        assert tracer.calls["finabel.snf"] > 0
+        code, out = invoke(["pgl", "element", "--group", "2,4", "--a", "(1,1)", "--chi", "(0,1)"])
+        assert code == 0, out
+    finally:
+        tracer.uninstall()
+    assert tracing.snapshot_bindings() == before

@@ -63,6 +63,51 @@ def test_golden_thm13():
     assert out == '{"bound": 16}\n'
 
 
+def test_golden_pgl_element_and_alpha():
+    # the bytes of `pgl element` read the lex order of the index group's
+    # elements, and those of `pgl alpha` the Gram on the canonical basis of
+    # S (the U^-1 of a Smith form); a digest per group pins both
+    import hashlib
+    from itertools import product
+
+    def csv(coords):
+        return ",".join(map(str, coords))
+
+    digests = {}
+    for inv in ((2, 4), (9,)):
+        g = csv(inv)
+        h = hashlib.sha256()
+        for a in product(*map(range, inv)):
+            for chi in product(*map(range, inv)):
+                code, out, _ = invoke(["pgl", "element", "--group", g,
+                                       "--a", f"({csv(a)})", "--chi", f"({csv(chi)})"])
+                assert code == 0, out
+                h.update(out.encode())
+        digests["element " + g] = h.hexdigest()
+    rng = random.Random(24)
+    for inv in ((2, 2), (2, 4), (3, 3), (8,), (9,), (2, 2, 2)):
+        g = csv(inv)
+        h = hashlib.sha256()
+        for _ in range(20):
+            lit = ";".join(
+                f"({csv(rng.randrange(d) for d in inv)}|{csv(rng.randrange(d) for d in inv)})"
+                for _ in range(rng.randrange(1, 4)))
+            code, out, _ = invoke(["pgl", "alpha", "--group", g, "--elements", lit])
+            assert code == 0, out
+            h.update(out.encode())
+        digests["alpha " + g] = h.hexdigest()
+    assert digests == {
+        "element 2,4": "696866bc8300859aad077d8a9cab6cfbdbd8c3db5121fd1ce9bdd71e63195860",
+        "element 9": "6b4733b0ef0e939ab47216c38cb522c3ffd576161e97fb90328e46c7da707735",
+        "alpha 2,2": "96d25a1813d1c8d56dea7bd8df3ce7090db8393520497160bb15a7b293b13b3a",
+        "alpha 2,4": "9798ac36855ec1b5d1d0cfe8dc48ece99b559e35f4ecdad9a37984e5b0adaa60",
+        "alpha 3,3": "358b7387527af1930c9b8d954ca7e549588ce70954a92989a790dcc21ee71b41",
+        "alpha 8": "da586de6a69cf9ac3e2f7d074aae17de57b1401a1a3ca39ef4af456cc5390556",
+        "alpha 9": "8cb03fa93e21b2f37f868e6a6a8d723bab2e5f8b16e34c82dbe82aad17bfda72",
+        "alpha 2,2,2": "098e45513057a9c680b10272ebaef6643ece0f5eb654c3bf9452878d72584eac",
+    }
+
+
 def test_byte_determinism():
     # a rank-2 Gram matrix on group [4]: the invalid-form error
     args = ["form", "max-isotropic", "--form",
@@ -93,6 +138,17 @@ def test_pgl_depth_beyond_matrix_sizes():
     gens = "(1,0|0,0);(0,1|0,0);(0,0|1,0);(0,0|0,1)"
     code, out, _ = invoke(["pgl", "depth", "--group", "16,16", "--elements", gens])
     assert (code, out) == (0, '{"depth": 8}\n')
+
+
+def test_pgl_empty_elements_are_refused():
+    # an --elements list with no pair in it names no subgroup: it is
+    # refused like ";", not read as the full image
+    for act in ("depth", "toral", "alpha"):
+        for lit in ("", ";", " ; "):
+            code, out, _ = invoke(["pgl", act, "--group", "2,2", "--elements", lit])
+            assert code == 2, (act, lit, out)
+            assert json.loads(out)["error"] == {"kind": "input",
+                                                "message": "no generators given"}
 
 
 def test_pgl_element_is_bounded_by_the_enum_limit():

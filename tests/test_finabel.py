@@ -745,12 +745,113 @@ def test_reduce_tuple_matches_recursive_oracle():
 
 # -- integer normal form internals ---------------------------------------------
 
-def test_snf_transforms_properties():
+def snf_with_all_transforms(mat, k: int):
+    """Reference Smith form with every transform: (diag, U, Uinv, V) where
+    U * mat * V = diag(d) with d_i | d_{i+1} and U, V unimodular.  The
+    library builds only (diag, Uinv), by the same pivot rule."""
+    a = [list(row) for row in mat]
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    Uinv = [[int(i == j) for j in range(k)] for i in range(k)]
+    V = [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def row_sub(i, j, q):  # row_i -= q * row_j
+        for t in range(k):
+            a[i][t] -= q * a[j][t]
+            U[i][t] -= q * U[j][t]
+        for t in range(k):
+            Uinv[t][j] += q * Uinv[t][i]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+        for t in range(k):
+            Uinv[t][i], Uinv[t][j] = Uinv[t][j], Uinv[t][i]
+
+    def row_neg(i):
+        for t in range(k):
+            a[i][t] = -a[i][t]
+            U[i][t] = -U[i][t]
+        for t in range(k):
+            Uinv[t][i] = -Uinv[t][i]
+
+    def col_sub(i, j, q):  # col_i -= q * col_j
+        for t in range(k):
+            a[t][i] -= q * a[t][j]
+            V[t][i] -= q * V[t][j]
+
+    def col_swap(i, j):
+        for t in range(k):
+            a[t][i], a[t][j] = a[t][j], a[t][i]
+            V[t][i], V[t][j] = V[t][j], V[t][i]
+
+    for s in range(k):
+        while True:
+            bi = bj = -1
+            best = None
+            for i in range(s, k):
+                for j in range(s, k):
+                    x = a[i][j]
+                    if x and (best is None or abs(x) < best):
+                        best, bi, bj = abs(x), i, j
+            if bi < 0:
+                break
+            if bi != s:
+                row_swap(bi, s)
+            if bj != s:
+                col_swap(bj, s)
+            if a[s][s] < 0:
+                row_neg(s)
+            dirty = False
+            for i in range(s + 1, k):
+                q = a[i][s] // a[s][s]
+                if q:
+                    row_sub(i, s, q)
+                if a[i][s]:
+                    dirty = True
+            for j in range(s + 1, k):
+                q = a[s][j] // a[s][s]
+                if q:
+                    col_sub(j, s, q)
+                if a[s][j]:
+                    dirty = True
+            if dirty:
+                continue
+            piv = a[s][s]
+            offender = None
+            for i in range(s + 1, k):
+                for j in range(s + 1, k):
+                    if a[i][j] % piv:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_sub(s, offender, -1)  # fold the offending row into the pivot row
+    diag = [a[i][i] for i in range(k)]
+    return diag, U, Uinv, V
+
+
+def seeded_snf_matrices(rng, count):
+    """k x k matrices, k <= 6, entries in -9..9; a third of them singular
+    (a zero row, or one row a combination of two others)."""
+    for case in range(count):
+        k = rng.randrange(1, 7)
+        mat = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(k)]
+        if case % 3 == 1:
+            mat[rng.randrange(k)] = [0] * k
+        elif case % 3 == 2 and k > 2:
+            i, j, t = rng.sample(range(k), 3)
+            x, y = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            mat[t] = [x * u + y * v for u, v in zip(mat[i], mat[j])]
+        yield mat, k
+
+
+def test_snf_transforms_properties(monkeypatch):
     rng = random.Random(4)
-    for _ in range(100):
-        k = rng.randrange(1, 5)
-        mat = [[rng.randrange(-6, 7) for _ in range(k)] for _ in range(k)]
-        diag, u, uinv, v = _snf_with_transforms(mat, k)
+    singular = 0
+    for mat, k in seeded_snf_matrices(rng, 600):
+        diag, u, uinv, v = snf_with_all_transforms(mat, k)
         # U * mat * V == diag(d)
         prod1 = [[sum(u[i][t] * mat[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
         prod2 = [[sum(prod1[i][t] * v[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
@@ -765,6 +866,32 @@ def test_snf_transforms_properties():
         nz = [abs(d) for d in diag if d]
         for x, y in zip(nz, nz[1:]):
             assert y % x == 0
+        singular += 0 in diag
+        # the library's two outputs are the reference's, bit for bit
+        assert _snf_with_transforms(mat, k) == (diag, uinv), mat
+    assert singular >= 150
+
+    # and so on the transposed relations that canonical_basis hands it,
+    # for every subgroup of every group of order <= 64
+    from splitbound import finabel
+
+    calls = []
+
+    def checked(mat, k):
+        got = _snf_with_transforms(mat, k)
+        want = snf_with_all_transforms(mat, k)
+        assert got == (want[0], want[2]), mat
+        calls.append(k)
+        return got
+
+    monkeypatch.setattr(finabel, "_snf_with_transforms", checked)
+    subgroups = 0
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        for basis in iter_subgroup_bases(a):
+            subgroups += 1
+            Subgroup(a, basis).canonical_basis()
+    assert len(calls) == subgroups - len(list(iter_abelian_types(64)))  # all but the trivial ones
 
 
 def cokernel_oracle(mat, k, *factors):

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -21,6 +22,8 @@ from splitbound.heisenberg import (
     MonomialMatrix,
     PglSubgroup,
     ProjectiveElement,
+    _decode,
+    _interleave,
     alpha_form,
     commutator,
     depth,
@@ -59,6 +62,54 @@ def matrix_closure(gens):
                     nxt.append(cand)
         frontier = nxt
     return seen
+
+
+class ElementTable:
+    """Reference model of the index set: the lex element list of A and its
+    index dict, looked up entry by entry, with eval_character per entry."""
+
+    def __init__(self, group):
+        self.group = group
+        self.coords = [e.coords for e in group.elements()]
+        self.index = {c: i for i, c in enumerate(self.coords)}
+
+    def identity(self):
+        n = len(self.coords)
+        return MonomialMatrix(self.group, range(n), (0,) * n)
+
+    def perm(self, a):
+        inv = self.group.invariants
+        image = [self.index[tuple((x + y) % d for x, y, d in zip(c, a.coords, inv))]
+                 for c in self.coords]
+        return MonomialMatrix(self.group, image, (0,) * len(image))
+
+    def diag(self, chi):
+        n = self.group.exponent
+        entries = []
+        for c in self.coords:
+            v = eval_character(chi, self.group.element(c))
+            entries.append(v.num * (n // v.den) % n)
+        return MonomialMatrix(self.group, range(len(entries)), entries)
+
+
+def test_index_arithmetic_matches_the_element_table():
+    # identity, P_a and D_chi from mixed-radix indices against the element
+    # table, on every element and character of every |A| <= 64; decoding
+    # phi(a, chi) from its index arithmetic gives (a, chi) back
+    rng = random.Random(24)
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        dual = dual_group(a)
+        table = ElementTable(a)
+        assert identity_matrix(a) == table.identity()
+        for x in a.elements():
+            assert perm_matrix(x) == table.perm(x), (inv, x)
+        for chi in dual.elements():
+            assert diag_matrix(chi) == table.diag(chi), (inv, chi)
+        for _ in range(8):
+            x = a.element(tuple(rng.randrange(d) for d in inv))
+            chi = dual.element(tuple(rng.randrange(d) for d in inv))
+            assert _decode(phi(x, chi)) == _interleave(x.coords, chi.coords)
 
 
 def test_perm_matrix_examples():
@@ -312,6 +363,39 @@ def test_depth_matches_exhaustive_search():
     assert checked > 100
 
 
+def test_depth_matches_the_radical_of_alpha_on_seeded_spans():
+    # depth reads |S meet S^perp| without building alpha_H; the radical of
+    # alpha_H has that order, on seeded 1-3-pair spans of every |A| <= 64
+    rng = random.Random(24)
+    checked = 0
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        dual = dual_group(a)
+        for _ in range(6):
+            pairs = [(a.element(tuple(rng.randrange(d) for d in inv)),
+                      dual.element(tuple(rng.randrange(d) for d in inv)))
+                     for _ in range(rng.randrange(1, 4))]
+            h = phi_span(a, pairs)
+            if h.order == 1:
+                assert depth(h) == 0
+                continue
+            p = next(q for q in range(2, h.order + 1) if h.order % q == 0)
+            n = h.order
+            while n % p == 0:
+                n //= p
+            if n > 1:
+                with pytest.raises(NotPGroupError):
+                    depth(h)
+                continue
+            ratio, want = isqrt(h.order // radical(alpha_form(h)).order), 0
+            while ratio > 1:
+                ratio //= p
+                want += 1
+            assert depth(h) == want, (inv, pairs)
+            checked += 1
+    assert checked > 200
+
+
 def test_phi_image_tables_match_eager_table():
     # lazily built tables equal the key -> interleaved (a, chi) coordinates
     # of phi(a, chi) over all of A x A*, every |A| <= 16
@@ -437,12 +521,20 @@ def test_pgl_queries_build_no_matrix(monkeypatch):
     # depth, toral and alpha, with and without --elements, are lattice
     # algebra: a MonomialMatrix constructor that refuses must not matter
     from splitbound import cli
+    from splitbound.finabel import Subgroup
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a monomial matrix was built")
+        raise AssertionError("a monomial matrix or canonical basis was built")
 
     monkeypatch.setattr(MonomialMatrix, "__init__", refuse)
     for act in ("depth", "toral", "alpha"):
         for extra in ([], ["--elements", "(1,0|0,1);(0,2|1,0)"]):
             assert cli.run(["pgl", act, "--group", "2,4", *extra]) == 0
     assert cli.run(["pgl", "depth", "--group", "1048576"]) == 0
+    # depth reads the radical off the Hermite rows of S, so it builds no
+    # canonical basis either, and no alpha_H on one; alpha does build one
+    monkeypatch.setattr(Subgroup, "canonical_basis", refuse)
+    for extra in ([], ["--elements", "(1,0|0,1);(0,2|1,0)"]):
+        assert cli.run(["pgl", "depth", "--group", "2,4", *extra]) == 0
+    with pytest.raises(AssertionError):
+        cli.run(["pgl", "alpha", "--group", "2,4", "--elements", "(1,0|0,1)"])

@@ -819,6 +819,40 @@ def test_isotropic_transfer_examples():
     assert (4 * i1.order) % h1.order == 0
 
 
+def test_golden_transfer_witnesses():
+    # I1 is read off the canonical basis of Lambda (the U^-1 of a Smith
+    # form), so its bytes move with that basis; seeded H1 >= I over four
+    # standard modules, I cyclic or, when isotropic, two-generated
+    import hashlib
+    import random
+
+    rng = random.Random(24)
+    digests = {}
+    for inv in ((2, 2), (2, 4), (3, 3), (4, 4)):
+        w = standard_module(make_group(inv))
+        g = w.group
+        h = hashlib.sha256()
+        for _ in range(25):
+            gens = [g.element(tuple(rng.randrange(d) for d in g.invariants))
+                    for _ in range(rng.randrange(1, 4))]
+            h1 = subgroup_from_generators(g, gens)
+            elems = list(h1.elements())
+            iso = subgroup_from_generators(g, [rng.choice(elems)])
+            two = subgroup_from_generators(g, [rng.choice(elems), rng.choice(elems)])
+            if is_isotropic(w, two):
+                iso = two
+            i1, wit = isotropic_transfer(w, h1, iso, search_min=True)
+            h.update(repr((i1.basis, wit.i_max.basis, wit.lagrangian.basis,
+                           wit.image_type, wit.min_order)).encode())
+        digests[inv] = h.hexdigest()
+    assert digests == {
+        (2, 2): "86ec00f6f04b95be92c5a00472687dad9a6d96f969f2a20f6ea0f6205e8c6267",
+        (2, 4): "92b42ab24c0d66d6bbd220d4dfdfbc8b42edb8ef065e34cc217acf6f97075aeb",
+        (3, 3): "b2e73c197230153ffc496ae16357679dfab2b76bb2e7b4b3c4c534d837a5fd03",
+        (4, 4): "663dcdd8f5cd020d4ab0c6f57b50a6a06a8612bb37860d5762017bf652d01122",
+    }
+
+
 def test_isotropic_transfer_errors():
     w2 = standard_module(make_group([2]))
     g = w2.group
