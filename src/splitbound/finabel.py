@@ -480,9 +480,10 @@ def _hnf(rows, invariants) -> list[list[int]]:
 
 
 def _lattice_coefficients(basis, vec, k: int):
-    """Coefficients expressing vec over the Hermite basis, or None."""
+    """Coefficients expressing vec over the Hermite basis, or None.  The
+    residual is cleared from coordinate 0 up, and each coefficient takes
+    the place of the coordinate it cleared."""
     v = list(vec)
-    coeffs = [0] * k
     for i in range(k):
         x = v[i]
         if x:
@@ -490,10 +491,10 @@ def _lattice_coefficients(basis, vec, k: int):
             c, r = divmod(x, row[i])
             if r:
                 return None
-            coeffs[i] = c
+            v[i] = c
             for t in range(i + 1, k):
                 v[t] -= c * row[t]
-    return coeffs
+    return v
 
 
 def _eliminator(p: int, x: int) -> tuple[int, int, int, int]:
@@ -733,9 +734,10 @@ def _relation_matrix(invariants, basis, k: int):
     A dead row (h_i = d_i) is exactly d_i * e_i, which is 0 in A: over the
     whole basis its relation is the unit vector e_i, which deletes its own
     row and column from the cokernel.  So the subgroup is the cokernel of
-    this matrix alone.  Row i comes from forward substitution from i, which
-    skips the dead rows, since subtracting d_j * e_j only clears
-    coordinate j; the quotients are exact, as d_i * e_i lies in the lattice.
+    this matrix alone.  Forward substitution over the whole basis would
+    skip the dead rows, since subtracting d_j * e_j only clears coordinate
+    j; so row i is _lattice_coefficients of d_i * e_i over the live block,
+    which never fails, as d_i * e_i lies in the lattice.
     """
     ds, rows = _live_block(invariants, basis, k)
     r = len(ds)
@@ -743,14 +745,7 @@ def _relation_matrix(invariants, basis, k: int):
     for a, d in enumerate(ds):
         v = [0] * r
         v[a] = d
-        for b in range(a, r):
-            x = v[b]
-            if x:  # the residual at b becomes the coefficient of live row b
-                row = rows[b]
-                c = v[b] = x // row[b]
-                for t in range(b + 1, r):
-                    v[t] -= c * row[t]
-        rel.append(v)
+        rel.append(_lattice_coefficients(rows, v, r))
     return rel
 
 

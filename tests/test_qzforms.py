@@ -433,17 +433,18 @@ def test_least_isotropic_basis_prunes_rows_above_a_later_pivot(monkeypatch):
     # its reduced form is lex-smaller and met first, so that cut never
     # changes the answer, only the work: on these degenerate forms the
     # search backtracks (the order cut is necessary, not sufficient, below
-    # the largest order) and builds 35 and 228 annihilators with the cut,
-    # 51 and 356 without it
+    # the largest order).  Each nonzero row it places, but one at the last
+    # index, cuts the annihilator above it by that one row: 26 and 163
+    # annihilators with the cut, each of one pairing row
     import splitbound.qzforms as qz
 
     calls = []
     annihilated = qz._annihilated
-    monkeypatch.setattr(qz, "_annihilated", lambda *a: calls.append(1) or annihilated(*a))
+    monkeypatch.setattr(qz, "_annihilated", lambda w, xs, ys: calls.append(len(ys)) or annihilated(w, xs, ys))
     for inv, order, upper, want, work in (
-        ((2, 2, 2, 8), 8, {(0, 1): 1, (0, 3): 1}, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 4)), 35),
+        ((2, 2, 2, 8), 8, {(0, 1): 1, (0, 3): 1}, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 4)), 26),
         ((2, 2, 2, 2, 16), 8, {(0, 1): 1, (0, 4): 1, (1, 3): 1, (2, 4): 1, (3, 4): 1},
-         ((1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 16)), 228),
+         ((1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 16)), 163),
     ):
         k = len(inv)
         gram = [[QmodZ.zero()] * k for _ in range(k)]
@@ -452,7 +453,37 @@ def test_least_isotropic_basis_prunes_rows_above_a_later_pivot(monkeypatch):
         w = SkewForm(make_group(inv), gram)
         calls.clear()
         assert qz.least_isotropic_basis(w, order) == want
-        assert len(calls) <= work, (inv, len(calls))
+        assert calls == [1] * work, (inv, len(calls), set(calls))
+
+
+def test_least_isotropic_basis_never_backtracks_at_the_largest_order(monkeypatch):
+    # 2 random forms per group type of order <= 1024 and rank >= 2, at the
+    # largest isotropic order (the one max_isotropic asks): the search cuts
+    # one annihilator for each nonzero row it places above the last index,
+    # so exactly one per nonzero row of its answer there means that no
+    # such row was placed and then abandoned
+    import random
+    from math import isqrt
+
+    import splitbound.qzforms as qz
+
+    calls = []
+    annihilated = qz._annihilated
+    monkeypatch.setattr(qz, "_annihilated", lambda w, xs, ys: calls.append(len(ys)) or annihilated(w, xs, ys))
+    rng = random.Random(3)
+    draws = 0
+    for inv in iter_abelian_types(1024):
+        g = make_group(inv)
+        if g.rank < 2:
+            continue
+        for _ in range(2):
+            w = random_form(rng, g)
+            calls.clear()
+            rows = qz.least_isotropic_basis(w, isqrt(g.order * radical(w).order))
+            live = sum(row[i] != d for i, (row, d) in enumerate(zip(rows[:-1], g.invariants)))
+            assert calls == [1] * live, (g.invariants, w.gram, rows, calls)
+            draws += 1
+    assert draws == 2296
 
 
 def isotropic_bases_by_filter(w):
@@ -851,6 +882,84 @@ def test_golden_transfer_witnesses():
         (3, 3): "b2e73c197230153ffc496ae16357679dfab2b76bb2e7b4b3c4c534d837a5fd03",
         (4, 4): "663dcdd8f5cd020d4ab0c6f57b50a6a06a8612bb37860d5762017bf652d01122",
     }
+
+
+def test_golden_transfer_witnesses_at_rank_64():
+    # two seeded transfers on the (Z/2)^32 standard module, H1 spanned by
+    # 32 random elements: one with I = 0, one with I spanned by the random
+    # H1 elements that pair to zero with those kept before them
+    import hashlib
+    import random
+
+    w = standard_module(make_group([2] * 32))
+    g = w.group
+    rng = random.Random(64)
+    digests = []
+    for with_iso in (False, True):
+        h1 = subgroup_from_generators(
+            g, [g.element(tuple(rng.randrange(2) for _ in range(64))) for _ in range(32)])
+        kept = []
+        if with_iso:
+            for _ in range(12):
+                x = g.element((0,) * 64)
+                for row in h1.basis:
+                    if rng.randrange(2):
+                        x = x + g.element(row)
+                if all(evaluate(w, x, y).is_zero() for y in kept):
+                    kept.append(x)
+        iso = subgroup_from_generators(g, kept)
+        assert iso.order > 1 if with_iso else iso.order == 1
+        i1, wit = isotropic_transfer(w, h1, iso, search_min=True)
+        digests.append([
+            hashlib.sha256(repr(x).encode()).hexdigest()
+            for x in (i1.basis, wit.i_max.basis, wit.lagrangian.basis, wit.image_type, wit.min_order)
+        ])
+    assert digests == [
+        ["ed2663eb77862dd7722e23f318d60c41b18e41b8cb68699a5ce866cfe0a60d37",
+         "4149a4604c83c7f6a97d59a6d6f5efa3b9aeda3e191c8dee94a0392836f64ef7",
+         "dc7746d63d5c9e379183e0c8aeb7876ad09abe7ff27749344b5ee30988557517",
+         "a98b9ec996e5877a5a0988a9ee0944abbeab3f6b4cc318326bc13fcfa8469d4b",
+         "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"],
+        ["d158da39aea3321b2c0a748004166c47ceb61d90a86c46ada9cfe10b17418ffe",
+         "ef4a5ede5f3e93f7fb6408c8336e22a800e1fb988190aa2f8376b7daa3b89c4e",
+         "dc8b00dcf5796e402cf9a654b0ae788e15524116dafd83784383f43e3ec23b65",
+         "a98b9ec996e5877a5a0988a9ee0944abbeab3f6b4cc318326bc13fcfa8469d4b",
+         "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"],
+    ]
+
+
+def test_isotropic_transfer_cuts_the_annihilator_by_one_row_per_step(monkeypatch):
+    # each extension takes one annihilator of within against I, then cuts it
+    # by the one row it adds: one pairing row per call after the first, and
+    # one call per added row, plus one that finds no row unless the result
+    # is a Lagrangian; seeded H1 on the (Z/2)^8 standard module, I = 0 or
+    # spanned by a random element of H1
+    import random
+
+    import splitbound.qzforms as qz
+
+    runs = []
+    annihilated = qz._annihilated
+    extend = qz._extend_isotropic
+    monkeypatch.setattr(qz, "_extend_isotropic", lambda *a: runs.append([]) or extend(*a))
+    monkeypatch.setattr(qz, "_annihilated", lambda w, xs, ys: runs[-1].append(len(ys)) or annihilated(w, xs, ys))
+    w = standard_module(make_group([2] * 8))
+    g = w.group
+    rng = random.Random(8)
+    for _ in range(6):
+        h1 = subgroup_from_generators(
+            g, [g.element(tuple(rng.randrange(2) for _ in range(16))) for _ in range(rng.randrange(4, 13))])
+        gens = []
+        if rng.randrange(2):
+            gens = [g.element(rng.choice(h1.basis))]
+        iso = subgroup_from_generators(g, gens)
+        runs.clear()
+        i1, wit = isotropic_transfer(w, h1, iso)
+        assert len(runs) == 2
+        for run, lo, hi in ((runs[0], iso, wit.i_max), (runs[1], wit.i_max, wit.lagrangian)):
+            added = (hi.order // lo.order).bit_length() - 1
+            assert len(run) == added + (hi.order ** 2 != g.order), (h1.basis, iso.basis, run)
+            assert run[1:] == [1] * (len(run) - 1), (h1.basis, iso.basis, run)
 
 
 def test_isotropic_transfer_errors():
