@@ -392,7 +392,7 @@ def _cmd_verify(args, fmt: str) -> int:
                 for c in checks
             ],
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        _emit(payload, fmt)
         for c in checks:
             sys.stderr.write(f"# {c.name}: {c.millis:.1f} ms\n")
     else:

@@ -7,11 +7,14 @@ with the relation lattice diag(d_1, ..., d_k), so subgroup equality is
 basis equality.  Q/Z values are exact reduced residues; there is no
 floating point anywhere in this package.
 
-Only the subgroup census factors an integer, and only the exponent: by
+Only _exponent_partitions factors an integer, and only the exponent: by
 trial division below _TRIAL_BOUND, with a cofactor that must be 1 or a
-prime power (_exponent_partitions).  Chains are merged by gcd/lcm
-exchanges (_canonical_chain), and subgroup and quotient types are
-cokernels diagonalised modulo a multiple of their order
+prime power.  The subgroup census calls it, and so do, in qzforms,
+least_isotropic_basis and standard_isotropic_types, and through them
+max_isotropic and isotropic_types; each refuses an exponent with two
+primes above _TRIAL_BOUND with the same InputError.  Chains are merged
+by gcd/lcm exchanges (_canonical_chain), and subgroup and quotient types
+are cokernels diagonalised modulo a multiple of their order
 (_cokernel_invariants), so every group operation is polynomial in the bit
 length of its input.  Primality is asked only where a statement needs a
 prime (elementary groups, p-group tests, a given p): _is_prime and
@@ -29,8 +32,9 @@ from __future__ import annotations
 import os
 import sys
 from bisect import bisect_left
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, starmap, zip_longest
 from math import ceil, gcd, isqrt, log10, prod
+from operator import mul
 
 from .errors import (
     AmbientMismatchError,
@@ -1019,6 +1023,38 @@ def _subpartitions(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     return nus
 
 
+def _partitions_inside(cap, k: int):
+    """Every partition of k whose j-th part is at most cap[j] (cap
+    nonincreasing), as tuples of positive parts, each once.  The search
+    keeps its own stack: a partition may have thousands of parts."""
+    n = len(cap)
+    room = [0] * (n + 1)  # room[j] = sum(cap[j:])
+    for j in range(n - 1, -1, -1):
+        room[j] = room[j + 1] + cap[j]
+    if k > room[0]:
+        return
+    parts: list[int] = []
+    left = k
+    v = min(cap[0], k) if n else 0
+    while True:
+        if not left:
+            yield tuple(parts)
+        else:
+            j = len(parts)
+            # part v at j leaves left - v to the n - j - 1 parts after it,
+            # each at most v; a smaller v leaves more to less room
+            if v and left - v <= min(v * (n - j - 1), room[j + 1]):
+                parts.append(v)
+                left -= v
+                v = min(cap[j + 1], v, left) if left else 0
+                continue
+        if not parts:
+            return
+        v = parts.pop()  # try the last part one smaller
+        left += v
+        v -= 1
+
+
 def _gaussian_binomial(n: int, m: int, q: int) -> int:
     num = den = 1
     for i in range(m):
@@ -1049,15 +1085,34 @@ def _birkhoff_count(lam: tuple[int, ...], nu: tuple[int, ...], p: int) -> int:
     return total * p ** exp
 
 
+def _subgroup_type_counts(parts) -> dict[tuple[int, ...], int]:
+    """Each subgroup type of the group with these _exponent_partitions,
+    mapped to its number of subgroups.
+
+    A subgroup is the product of its Sylow subgroups, so its type at p is
+    a partition nu inside lambda_p and its count is the product over p of
+    Birkhoff's alpha_lambda(nu; p).  The primes are coprime, so each
+    invariant factor of the product is the product of the primary factors
+    in its place, aligned at the largest one: the types are built largest
+    factor first, one prime at a time, and turned ascending at the end.
+    """
+    counts: dict[tuple[int, ...], int] = {(): 1}
+    for p, lam in parts:
+        sylow = [(tuple([p ** v for v in nu]), _birkhoff_count(lam, nu, p))
+                 for nu in _subpartitions(lam)]
+        counts = {tuple(starmap(mul, zip_longest(t, powers, fillvalue=1))): n * m
+                  for t, n in counts.items() for powers, m in sylow}
+    return {t[::-1]: n for t, n in counts.items()}
+
+
 def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
-    """(number of subgroups, sorted list of their types) in closed form.
+    """(number of subgroups, sorted list of their types) in closed form:
+    the sum and the sorted keys of _subgroup_type_counts.
 
     At each prime p of the exponent the subgroup types are the partitions
-    nu inside lambda_p (as for embeds_into) and the count is the sum of
-    Birkhoff's alpha_lambda(nu; p); the primes multiply the counts, and
-    _canonical_chain combines the types, aligning their factors at the
-    largest one.  Nothing
-    is enumerated, so there is no enumeration limit.  Refused
+    nu inside lambda_p (as for embeds_into), counted by Birkhoff's
+    alpha_lambda(nu; p).  Nothing is enumerated, so there is no
+    enumeration limit.  Refused
     (OutputBoundError) before anything is listed when there are more than
     MAX_LISTED types, when the count is known to have more decimal digits
     than the int-to-str limit, or when the types may print more than
@@ -1095,15 +1150,8 @@ def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
             f"the {_int_text(n_types)} subgroup types may print up to {ceil(digits)}"
             f" decimal digits, more than the bound {MAX_PRINTED_DIGITS}"
         )
-    count = 1
-    per_prime = []
-    for p, lam in parts:
-        nus = _subpartitions(lam)
-        count *= sum(_birkhoff_count(lam, nu, p) for nu in nus)
-        per_prime.append([[p ** v for v in nu] for nu in nus])
-    types = sorted(_canonical_chain(q for powers in combo for q in powers)
-                   for combo in product(*per_prime))
-    return count, types
+    counts = _subgroup_type_counts(parts)
+    return sum(counts.values()), sorted(counts)
 
 
 # -- elementary-operation tuple reduction -----------------------------------

@@ -36,6 +36,7 @@ from .finabel import (
     _hnf,
     _iter_bases_general,
     _lattice_coefficients,
+    _partitions_inside,
     _unit_rows,
     _valuation,
     full_subgroup,
@@ -516,38 +517,6 @@ def symplectic_submodule(w: SkewForm, s: int) -> Subgroup:
 # ---------------------------------------------------------------------------
 # Isotropic types (Littlewood-Richardson rule)
 # ---------------------------------------------------------------------------
-
-def _partitions_inside(cap, k: int):
-    """Every partition of k whose j-th part is at most cap[j] (cap
-    nonincreasing), as tuples of positive parts, each once.  The search
-    keeps its own stack: a partition may have thousands of parts."""
-    n = len(cap)
-    room = [0] * (n + 1)  # room[j] = sum(cap[j:])
-    for j in range(n - 1, -1, -1):
-        room[j] = room[j + 1] + cap[j]
-    if k > room[0]:
-        return
-    parts: list[int] = []
-    left = k
-    v = min(cap[0], k) if n else 0
-    while True:
-        if not left:
-            yield tuple(parts)
-        else:
-            j = len(parts)
-            # part v at j leaves left - v to the n - j - 1 parts after it,
-            # each at most v; a smaller v leaves more to less room
-            if v and left - v <= min(v * (n - j - 1), room[j + 1]):
-                parts.append(v)
-                left -= v
-                v = min(cap[j + 1], v, left) if left else 0
-                continue
-        if not parts:
-            return
-        v = parts.pop()  # try the last part one smaller
-        left += v
-        v -= 1
-
 
 def _lr_positive(outer, inner, content) -> bool:
     """c^outer_{inner, content} > 0: a Littlewood-Richardson tableau of

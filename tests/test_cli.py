@@ -216,6 +216,10 @@ def test_subgroup_census_refusals():
     msg = _refused_fast(["group", "subgroups", str(1031 * 1033)], "input")
     assert msg == ("the primes of the exponent are not found: the cofactor 1065023"
                    " left by trial division below 1024 is not a prime power")
+    # nor for the lex-first isotropic search: the nondegenerate form on
+    # Z/1065023 x Z/1065023 is refused with the same message
+    spec = {"group": [1031 * 1033] * 2, "gram": [["0", "1/1065023"], ["-1/1065023", "0"]]}
+    assert _refused_fast(["form", "max-isotropic", "--form", json.dumps(spec)], "input") == msg
     # one such prime, or a power of it, is found: Z/p^3 x Z/p has 3p + 5
     # subgroups (types (), (1), (2), (3), (1,1), (2,1), (3,1): 1, p+1, p, p, 1, 1, 1)
     for literal, count in ((str(1031 * 2), 4), (f"{1031 ** 3},{1031}", 3 * 1031 + 5)):
@@ -1069,6 +1073,37 @@ def test_verify_all_exits_zero():
         assert payload["passed"] is True and len(payload["checks"]) >= 15
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "64acdac91090903003bf1def2487b74f467bfee2dfcb1121dd6c3359c31972f7"), argv
+
+
+def test_verify_reports_a_check_whose_library_call_asserts_as_failed(monkeypatch):
+    # min_splitting_exponent asserts the bound that search-vs-formula tests;
+    # with f_e(r) read 100 higher at e = 2 that check fails, named on
+    # stderr, and every other check still runs and passes
+    from splitbound import obstruction
+
+    f_bound = obstruction.f_bound
+    monkeypatch.setattr(obstruction, "f_bound", lambda r, e=0: f_bound(r, e) + 100 * (e == 2))
+    code, out, err = invoke(["--format", "text", "verify", "all"])
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert len(lines) == 20 and len(failed) == 2
+    assert failed[0].startswith("FAIL partitions.search-vs-formula count=0 (")
+    assert failed[1] == "FAILED suite=all"
+    assert "# partitions.search-vs-formula: AssertionError" in err
+
+
+def test_verify_reports_a_refusal_inside_a_check_as_failed(monkeypatch, capsys):
+    from splitbound import liedata, verify
+    from splitbound.errors import InputError
+
+    def refuse(_desc):
+        raise InputError("refused")
+
+    monkeypatch.setattr(liedata, "tits_n", refuse)
+    (check,) = verify.suite_tables()
+    assert (check.name, check.passed, check.count) == ("tables.fixtures", False, 0)
+    assert capsys.readouterr().err == "# tables.fixtures: InputError: refused\n"
 
 
 def test_verify_suite_cli():

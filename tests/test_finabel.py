@@ -18,9 +18,11 @@ from splitbound.finabel import (
     QmodZ,
     Subgroup,
     _cokernel_invariants,
+    _exponent_partitions,
     _live_block,
     _nonunit_block,
     _snf_with_transforms,
+    _subgroup_type_counts,
     dual_group,
     embeds_into,
     enumerate_subgroups,
@@ -35,7 +37,6 @@ from splitbound.finabel import (
 )
 from splitbound.verify import (
     _quotient_classes,
-    _subgroup_classes,
     iter_abelian_types,
     subquot_profile,
 )
@@ -441,10 +442,13 @@ def subquot_profile_by_enumeration(a):
 
 
 def test_census_matches_enumeration_to_order_256():
+    # the per-type counts, and the census's total and types built on them,
+    # against the per-basis walk
     count = 0
     for inv in iter_abelian_types(256):
         a = make_group(inv)
         subs, _quots = subquot_profile_by_walk(tuple(inv))
+        assert _subgroup_type_counts(_exponent_partitions(a)) == subs, inv
         assert subgroup_census(a) == (sum(subs.values()), sorted(subs)), inv
         count += 1
     assert count == 516
@@ -469,31 +473,23 @@ def test_subquot_profile_matches_memo_free_counts():
 
 
 def test_subquot_classes_match_the_walk():
-    # each (dead set, live block) class and each (unit set, non-unit block)
-    # class holds exactly as many bases as its formula says, and carries the
-    # type of a basis in it, on every non-elementary type of order <= 128
+    # each (unit set, non-unit block) class holds exactly as many bases as
+    # its formula says, and carries the type of a basis in it, on every
+    # non-elementary type of order <= 128
     checked = 0
     for inv in iter_abelian_types(128):
         a = make_group(inv)
         if a.is_elementary():
             continue
         k = a.rank
-        by_live, by_nonunit, first_live, first_nonunit = Counter(), Counter(), {}, {}
+        by_nonunit, first_nonunit = Counter(), {}
         for basis in iter_subgroup_bases(a):
-            dead = tuple(i for i in range(k) if basis[i][i] == inv[i])
             units = tuple(i for i in range(k) if basis[i][i] == 1)
-            live_key = (dead, _live_block(inv, basis, k)[1])
             nonunit_key = (units, _nonunit_block(basis, k))
-            by_live[live_key] += 1
             by_nonunit[nonunit_key] += 1
-            first_live.setdefault(live_key, basis)
             first_nonunit.setdefault(nonunit_key, basis)
-        sub_classes = list(_subgroup_classes(inv))
         quot_classes = list(_quotient_classes(inv))
-        assert {(d, t): n for d, t, _typ, n in sub_classes} == dict(by_live), inv
         assert {(v, b): n for v, b, _typ, n in quot_classes} == dict(by_nonunit), inv
-        for d, t, typ, _n in sub_classes:
-            assert Subgroup(a, first_live[d, t]).sub_invariants == typ, (inv, d, t)
         for v, b, typ, _n in quot_classes:
             assert quotient(a, Subgroup(a, first_nonunit[v, b])).invariants == typ, (inv, v, b)
         checked += 1

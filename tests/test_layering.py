@@ -1,0 +1,86 @@
+"""The frontends read no other module's private names.
+
+`cli` and `verify` sit on top of the package.  They may use the private
+helpers of `finabel` (the group layer every module builds on) and of
+`errors`, but a private name of any other module is that module's
+business: what they need of it belongs in `finabel` or in a public name.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "splitbound"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+OPEN = {"finabel", "errors"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _module_of(node, aliases):
+    """The package module an expression names, or None: a name bound by
+    `from . import m` (or `from splitbound import m`), or `splitbound.m`."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "splitbound" and node.attr in MODULES):
+        return node.attr
+    return None
+
+
+def private_reads(path: Path):
+    """(module, name) for every private name the file reads from a package
+    module, by import or by attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module
+        elif node.module and node.module.split(".")[0] == "splitbound":
+            source = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            if source is None:  # from . import m
+                if alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+            elif _private(alias.name):
+                reads.append((source.split(".")[0], alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            module = _module_of(node.value, aliases)
+            if module is not None:
+                reads.append((module, node.attr))
+    return reads
+
+
+def test_frontends_read_private_names_of_finabel_and_errors_only():
+    seen = []
+    for name in ("verify.py", "cli.py"):
+        seen += [(name, module, attr) for module, attr in private_reads(PACKAGE / name)]
+    # the walk sees the private helpers the frontends do use
+    assert any(module == "finabel" for _, module, _ in seen)
+    assert [read for read in seen if read[1] not in OPEN] == []
+
+
+def test_private_reads_are_found_by_import_and_by_attribute(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from . import qzforms, finabel as fa\n"
+        "from .heisenberg import _peel_basis, depth\n"
+        "import splitbound.liedata\n"
+        "from splitbound.f2quad import _x\n"
+        "qzforms._partitions_inside(1, 1)\n"
+        "fa._hnf\n"
+        "splitbound.liedata._DEPTHS\n"
+        "qzforms.__doc__\n"
+    )
+    assert sorted(private_reads(src)) == [
+        ("f2quad", "_x"), ("finabel", "_hnf"), ("heisenberg", "_peel_basis"),
+        ("liedata", "_DEPTHS"), ("qzforms", "_partitions_inside"),
+    ]
