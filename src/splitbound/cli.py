@@ -22,6 +22,7 @@ from .finabel import (
     Subgroup,
     _check_limit,
     _is_prime,
+    _types_by_live_block,
     dual_group,
     embeds_into,
     enumerate_subgroups,
@@ -128,10 +129,10 @@ def _form_obj(w: qzforms.SkewForm) -> dict:
     }
 
 
-def _subgroup_obj(s: Subgroup) -> dict:
+def _subgroup_obj(s: Subgroup, invariants=None) -> dict:
     return {
         "order": s.order,
-        "invariants": list(s.sub_invariants),
+        "invariants": list(s.sub_invariants if invariants is None else invariants),
         "basis": [list(r) for r in s.basis],
     }
 
@@ -178,8 +179,9 @@ def _cmd_group(args) -> dict:
             raise OutputBoundError(
                 f"{_int_text(count)} subgroups are more than the listing bound {MAX_LISTED}"
             )
-        subs = enumerate_subgroups(a, args.enum_limit)
-        return {"count": len(subs), "subgroups": [_subgroup_obj(s) for s in subs]}
+        type_of = _types_by_live_block(a)
+        subs = [_subgroup_obj(s, type_of(s.basis)) for s in enumerate_subgroups(a, args.enum_limit)]
+        return {"count": len(subs), "subgroups": subs}
     if act == "embeds":
         b = _parse_group(_need(args, "into"))
         return {"embeds": embeds_into(a, b)}

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import sys
 from bisect import bisect_left
-from itertools import accumulate, combinations, product, starmap, zip_longest
+from itertools import accumulate, product, starmap, zip_longest
 from math import ceil, gcd, isqrt, log10, prod
 from operator import mul
 
@@ -731,6 +731,20 @@ def _live_block(invariants, basis, k: int):
     return tuple([invariants[i] for i in live]), rows
 
 
+def _types_by_live_block(a: FinAbGroup):
+    """Hermite basis of a subgroup of A -> its type, with one cokernel per
+    distinct live block: the type depends on nothing else (_live_block)."""
+    types: dict = {}
+
+    def type_of(basis) -> tuple[int, ...]:
+        block = _live_block(a.invariants, basis, a.rank)
+        if block not in types:
+            types[block] = Subgroup(a, basis).sub_invariants
+        return types[block]
+
+    return type_of
+
+
 def _relation_matrix(invariants, basis, k: int):
     """The r x r relations among the live rows of a Hermite basis, those
     with pivot h_i < d_i; row i writes d_i * e_i over the live rows.
@@ -841,11 +855,9 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None, kee
 
     Rows are produced bottom-up, each with its pivot h_i | d_i ascending
     and then its tail (entries reduced modulo the pivots below) in lex
-    order; bases come out in that nested order.  A row is kept only if
-    d_i * e_i = c * row - c * tail (c = d_i / h_i) stays inside the
-    partial lattice, that is iff c * tail lies in the lattice of the rows
-    below (_lattice_coefficients).  A dead row (h_i = d_i, c = 1) gets only
-    the tail 0: a reduced vector in that lattice is 0.
+    order; bases come out in that nested order.  A row's tails are those
+    with c * tail (c = d_i / h_i) in the lattice of the rows below, solved
+    for by _solved_tails; a dead row (h_i = d_i) takes only the tail 0.
 
     With `order`, only subgroups of that order are produced, none when it
     is below 1: row i multiplies the order by d_i / h_i, so a pivot is cut
@@ -857,86 +869,75 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None, kee
     pairwise, as for isotropy, so no completion of a cut branch is lost.
     With `keep_pivot(h, d)`, row i takes only the pivots h | d_i it
     accepts: the stream is the unfiltered one with every basis that has a
-    rejected pivot left out, in the same order, since a row's tails and
-    its membership test depend only on the rows below it.
+    rejected pivot left out, in the same order, since a row's tails
+    depend only on the rows below it.
     """
     k = len(invariants)
-    if order is not None and order < 1:
-        return
-    if k == 0:
-        if order is None or order == 1:
-            yield ()
+    if order is not None and (order < 1 or k == 0 and order != 1):
         return
     divisors = [_divisors(d) for d in invariants]
     if keep_pivot is not None:
         divisors = [[h for h in hs if keep_pivot(h, d)] for hs, d in zip(divisors, invariants)]
     room = [prod(invariants[:i]) for i in range(k)]
 
-    def rec(i: int, rows_below: list[tuple[int, ...]], kept: list, need):
-        # rows_below[j] is the full row for position i+1+j
-        if i < 0:
-            yield tuple(rows_below)
-            return
+    def grown(rows, kept, need):  # the partial bases one row up from rows
+        i = k - 1 - len(rows)
         d = invariants[i]
-        m = k - i - 1
-        below = [r[i + 1:] for r in rows_below]
-        spans = [range(r[j]) for j, r in enumerate(below)]
+        below = [r[i + 1:] for r in rows]
         for h in divisors[i]:
             c = d // h
-            rest = need
-            if need is not None:
-                if need % c or need // c > room[i]:
-                    continue
-                rest = need // c
-            for tail in product(*spans) if h != d else [(0,) * m]:
-                if h != d and _lattice_coefficients(below, [c * t for t in tail], m) is None:
-                    continue
+            if need is not None and (need % c or need // c > room[i]):
+                continue
+            rest = need if need is None else need // c
+            for tail in _solved_tails(below, c) if h != d else [(0,) * len(below)]:
                 row = (0,) * i + (h,) + tail
                 if admit is None or h == d:
-                    yield from rec(i - 1, [row] + rows_below, kept, rest)
+                    yield (row,) + rows, kept, rest
                 elif admit(row, kept):
-                    yield from rec(i - 1, [row] + rows_below, kept + [row], rest)
+                    yield (row,) + rows, kept + [row], rest
 
-    yield from rec(k - 1, [], [], order)
+    # depth first with a stack of generators, not a chain of nested ones
+    stack = [iter([((), [], order)])]
+    while stack:
+        for rows, kept, need in stack[-1]:
+            if len(rows) == k:
+                yield rows
+            else:
+                stack.append(grown(rows, kept, need))
+                break
+        else:
+            stack.pop()
 
 
-def _iter_bases_elementary(p: int, k: int):
-    """Every Hermite basis of (Z/p)^k, without waste, pivot set by pivot
-    set: the unit-pivot sets by size, then lexicographically.  The row of
-    a unit pivot c is e_c plus any values below p in its free columns, the
-    non-pivot columns right of c, and every other row is p * e_c, so a
-    pivot set with f free columns in all holds exactly p^f bases.  Each
-    pivot row's p^free choices are built once per pivot set and each basis
-    takes one row from each, the last pivot varying fastest."""
-    unit_rows = [tuple(p * int(i == j) for j in range(k)) for i in range(k)]
-    for r in range(k + 1):
-        for pivots in combinations(range(k), r):
-            choices = [[row] for row in unit_rows]
-            for c in pivots:
-                free = [j for j in range(c + 1, k) if j not in pivots]
-                rows = []
-                for values in product(range(p), repeat=len(free)):
-                    row = [0] * k
-                    row[c] = 1
-                    for j, x in zip(free, values):
-                        row[j] = x
-                    rows.append(tuple(row))
-                choices[c] = rows
-            yield from product(*choices)
+def _solved_tails(below, c: int) -> list[tuple[int, ...]]:
+    """The tails t, t_j below the pivot p_j of below[j], with c * t in the
+    lattice of the Hermite rows `below`, in lex order: forward substitution
+    solved one coordinate at a time.  With r_j the residual at j and
+    g = gcd(c, p_j), p_j | c * t_j + r_j iff g | r_j and t_j lies in one
+    class mod p_j / g, each taking (c*t_j + r_j)/p_j * below[j] off them."""
+    states = [((), (0,) * len(below))]
+    for j, row in enumerate(below):
+        p = row[j]
+        g = gcd(c, p)
+        step, inverse = p // g, pow(c // g, -1, p // g)
+        carries = any(row[j + 1:])  # else the later residuals stay
+        longer = []
+        for tail, res in states:
+            r = res[j]
+            if r % g == 0:
+                for t in range(-(r // g) * inverse % step, p, step):
+                    q = (c * t + r) // p
+                    longer.append((tail + (t,), tuple([x - q * y for x, y in zip(res, row)])
+                                   if q and carries else res))
+        states = longer
+    return [tail for tail, _ in states]
 
 
 def iter_subgroup_bases(a: FinAbGroup, limit: int | None = None):
-    """Internal streaming enumeration of the canonical (Hermite) bases of
-    every subgroup, unsorted but in a fixed order: pivot set by pivot set
-    on an elementary group (_iter_bases_elementary), else rows bottom-up,
-    pivots ascending, tails lexicographic (_iter_bases_general, whose dead
-    rows take only the tail 0 and whose membership test is one
-    _lattice_coefficients call).  Refused above the enumeration limit."""
+    """The Hermite bases of every subgroup in _iter_bases_general's order,
+    untyped (see _types_by_live_block); refused above the enumeration limit."""
     _check_limit(a.order, limit)
-    if a.is_elementary():
-        yield from _iter_bases_elementary(a.invariants[0], a.rank)
-    else:
-        yield from _iter_bases_general(a.invariants)
+    yield from _iter_bases_general(a.invariants)
 
 
 def enumerate_subgroups(a: FinAbGroup, limit: int | None = None) -> list[Subgroup]:

@@ -37,6 +37,7 @@ from .finabel import (
     _iter_bases_general,
     _lattice_coefficients,
     _partitions_inside,
+    _types_by_live_block,
     _unit_rows,
     _valuation,
     full_subgroup,
@@ -335,7 +336,7 @@ def least_isotropic_basis(w: SkewForm, order: int):
     tails form the coset (h / g_i) * P_i + (P's lower rows), listed in lex
     order from its Hermite-reduced member.  The cuts are exact: the entries
     above pivot h are below it; the pending residual of each d_a * e_a
-    (the membership test of _iter_bases_general, run top-down) is
+    (the lattice condition _iter_bases_general solves, run top-down) is
     divisible by h at coordinate i; and the order taken so far divides
     `order`, leaving a divisor of the rows below.  So backtracking over h
     and over the tails loses no basis.  Below the largest order the order
@@ -454,8 +455,8 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
         not proved;
       - non-split radical: the types depend on how R sits in H, so the
         witness and the types come from one pass of iter_isotropic_bases
-        (which never lists the other orders), and the enumeration limit
-        applies.
+        (which never lists the other orders), one type per live block
+        (_types_by_live_block), and the enumeration limit applies.
     """
     g = w.group
     rad = radical(w)
@@ -469,10 +470,11 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
         return MaxIsotropic(best, witness, sorted(types))
     witness_basis = None
     types = set()
+    type_of = _types_by_live_block(g)
     for basis in iter_isotropic_bases(w, best, limit):
         if witness_basis is None or basis < witness_basis:
             witness_basis = basis
-        types.add(Subgroup(g, basis).sub_invariants)
+        types.add(type_of(basis))
     witness = Subgroup(g, witness_basis)
     return MaxIsotropic(best, witness, sorted(types))
 

@@ -131,14 +131,9 @@ def _quotient_classes(inv: tuple[int, ...]):
     element of A_>i / B_>i killed by d_i, of which there are
     prod_{g in type(A_>i / B_>i)} gcd(g, d_i).
     """
-    types: dict = {}
-
+    @lru_cache(maxsize=None)
     def coker(rows):
-        t = types.get(rows)
-        if t is None:
-            r = len(rows)
-            t = types[rows] = _cokernel_invariants(rows, r, prod(rows[a][a] for a in range(r)))
-        return t
+        return _cokernel_invariants(rows, len(rows), prod(row[a] for a, row in enumerate(rows)))
 
     for units, rest in _coordinate_splits(len(inv)):
         ds = tuple(inv[i] for i in rest)

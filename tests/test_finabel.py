@@ -354,14 +354,39 @@ def test_divisors_match_the_linear_list():
         assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
-def test_elementary_enumerator_matches_the_general_one():
-    from splitbound.finabel import _iter_bases_elementary, _iter_bases_general
-
+def test_elementary_groups_list_in_the_oracle_order():
+    # (Z/p)^k takes the one recursion too: the same stream as the oracle,
+    # order included
     for p, kmax in ((2, 6), (3, 4), (5, 3)):
         for k in range(kmax + 1):
-            fast = list(_iter_bases_elementary(p, k))
-            assert len(set(fast)) == len(fast)
-            assert set(fast) == set(_iter_bases_general((p,) * k)), (p, k)
+            assert_same_stream(iter_subgroup_bases(make_group([p] * k)),
+                               hermite_bases_oracle((p,) * k), (p, k))
+
+
+def test_general_enumerator_solves_its_tails_without_a_membership_test(monkeypatch):
+    # every group of order <= 64, with no forward substitution to test a
+    # tail against: each listed tail is solved for, and the stream is the
+    # oracle's
+    import splitbound.finabel as fa
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tail was tested, not solved")
+
+    monkeypatch.setattr(fa, "_lattice_coefficients", refuse)
+    for inv in iter_abelian_types(64):
+        assert_same_stream(fa._iter_bases_general(inv), hermite_bases_oracle(inv), inv)
+
+
+def test_types_by_live_block_match_the_subgroup_types():
+    # one memo over every subgroup of each group of order <= 64 gives each
+    # basis the type its own Subgroup computes
+    from splitbound.finabel import _types_by_live_block
+
+    for inv in iter_abelian_types(64):
+        a = make_group(inv)
+        type_of = _types_by_live_block(a)
+        for basis in iter_subgroup_bases(a):
+            assert type_of(basis) == Subgroup(a, basis).sub_invariants, (inv, basis)
 
 
 def test_quotient_examples():

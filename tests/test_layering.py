@@ -4,6 +4,9 @@
 helpers of `finabel` (the group layer every module builds on) and of
 `errors`, but a private name of any other module is that module's
 business: what they need of it belongs in `finabel` or in a public name.
+
+Subgroup enumeration is pinned the same way: outside `verify`, only the
+functions on an allowlist call an enumerator.
 """
 
 import ast
@@ -84,3 +87,72 @@ def test_private_reads_are_found_by_import_and_by_attribute(tmp_path):
         ("f2quad", "_x"), ("finabel", "_hnf"), ("heisenberg", "_peel_basis"),
         ("liedata", "_DEPTHS"), ("qzforms", "_partitions_inside"),
     ]
+
+
+# Where production enumerates subgroups.  Each entry is a top-level
+# function (module, name) and the enumerators it may call; `verify`, whose
+# suites are the enumeration oracles, may call any of them anywhere.
+ENUMERATORS = {"enumerate_subgroups", "iter_subgroup_bases", "iter_isotropic_bases",
+               "_iter_bases_general"}
+ENUMERATING = {
+    ("cli", "_cmd_group"): {"enumerate_subgroups"},  # group subgroups --list
+    ("qzforms", "max_isotropic"): {"iter_isotropic_bases"},  # the non-split pass
+    ("finabel", "enumerate_subgroups"): {"iter_subgroup_bases"},
+    ("finabel", "iter_subgroup_bases"): {"_iter_bases_general"},
+    ("qzforms", "iter_isotropic_bases"): {"_iter_bases_general"},
+}
+
+
+def enumerator_calls(path: Path):
+    """(top-level function, enumerator) for every call of an enumerator in
+    the file, by bare name or by attribute; nested functions count as the
+    top-level function (or "Class.method") they sit in."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = []
+
+    def visit(node, owner, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ENUMERATORS:
+                    calls.append((owner, name))
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, None, f"{scope}{child.name}.")
+            elif owner is None and isinstance(child, ast.FunctionDef):
+                visit(child, scope + child.name, scope)
+            else:
+                visit(child, owner, scope)
+
+    visit(tree, None, "")
+    return calls
+
+
+def test_production_enumerates_only_where_the_allowlist_says():
+    seen = set()
+    for module in sorted(MODULES - {"verify"}):
+        for owner, name in enumerator_calls(PACKAGE / f"{module}.py"):
+            seen.add((module, owner))
+            assert name in ENUMERATING.get((module, owner), set()), (module, owner, name)
+    # every entry is still a caller: a stale entry would allow a new one
+    assert seen == set(ENUMERATING)
+    assert enumerator_calls(PACKAGE / "verify.py")
+
+
+def test_enumerator_calls_are_found_by_name_and_attribute(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from . import qzforms\n"
+        "def f(w):\n"
+        "    def g():\n"
+        "        return qzforms.iter_isotropic_bases(w, 4)\n"
+        "    return list(enumerate_subgroups(w.group)), g\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return _iter_bases_general((2,))\n"
+        "iter_subgroup_bases(None)\n"
+    )
+    assert sorted(enumerator_calls(src), key=str) == sorted([
+        ("f", "enumerate_subgroups"), ("f", "iter_isotropic_bases"),
+        ("C.m", "_iter_bases_general"), (None, "iter_subgroup_bases"),
+    ], key=str)
