@@ -20,7 +20,6 @@ from .finabel import (
     FinAbGroup,
     QmodZ,
     Subgroup,
-    _check_limit,
     _is_prime,
     _types_by_live_block,
     dual_group,
@@ -173,14 +172,13 @@ def _cmd_group(args) -> dict:
         if not args.list:
             count, types = subgroup_census(a)
             return {"count": count, "types": [list(t) for t in types]}
-        _check_limit(a.order, args.enum_limit)
         count, _ = subgroup_census(a)
         if count > MAX_LISTED:
             raise OutputBoundError(
                 f"{_int_text(count)} subgroups are more than the listing bound {MAX_LISTED}"
             )
         type_of = _types_by_live_block(a)
-        subs = [_subgroup_obj(s, type_of(s.basis)) for s in enumerate_subgroups(a, args.enum_limit)]
+        subs = [_subgroup_obj(s, type_of(s.basis)) for s in enumerate_subgroups(a)]
         return {"count": len(subs), "subgroups": subs}
     if act == "embeds":
         b = _parse_group(_need(args, "into"))
@@ -210,7 +208,7 @@ def _cmd_form(args) -> dict:
         y = _parse_element(w.group, _need(args, "y"))
         return {"value": str(qzforms.evaluate(w, x, y))}
     if act == "max-isotropic":
-        mi = qzforms.max_isotropic(w, args.enum_limit)
+        mi = qzforms.max_isotropic(w)
         return {
             "order": mi.order,
             "types": [list(t) for t in mi.types],
@@ -253,7 +251,11 @@ def _cmd_pgl(args) -> dict:
         x = _parse_element(a, _need(args, "a"))
         chi = _parse_element(dual_group(a), _need(args, "chi"))
         # the lift and its printed perm and diag have |A| entries each
-        _check_limit(a.order, args.enum_limit)
+        if a.order > MAX_LISTED:
+            raise OutputBoundError(
+                f"the lift's perm and diag have {_int_text(a.order)} entries each,"
+                f" more than the listing bound {MAX_LISTED}"
+            )
         lift = heisenberg.phi(x, chi).canonical_lift()
         return {
             "perm": list(lift.perm),
@@ -418,13 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         "subgroups of PGL_n, F2 quadratic forms, and splitting bounds.",
     )
     top.add_argument("--format", choices=("json", "text"), default="json")
-    top.add_argument(
-        "--enum-limit",
-        type=int,
-        default=None,
-        help="override the subgroup-enumeration bound "
-        "(default 4096 or SPLITBOUND_ENUM_LIMIT)",
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("group", help="finite abelian group operations")

@@ -34,7 +34,8 @@ class AmbientMismatchError(SplitboundError):
 
 
 class EnumerationBoundError(SplitboundError):
-    """Requested exhaustive enumeration above the configured bound."""
+    """Requested exhaustive enumeration above its fixed bound on the group
+    order (qzforms.MAX_ENUMERATED_ORDER, for a non-split radical)."""
 
     kind = "enumeration-bound"
 

@@ -9,9 +9,10 @@ floating point anywhere in this package.
 
 Only _exponent_partitions factors an integer, and only the exponent: by
 trial division below _TRIAL_BOUND, with a cofactor that must be 1 or a
-prime power.  The subgroup census calls it, and so do, in qzforms,
-least_isotropic_basis and standard_isotropic_types, and through them
-max_isotropic and isotropic_types; each refuses an exponent with two
+prime power.  The subgroup census and the subgroup enumeration
+(_iter_bases_general, for its pivot divisors) call it, and so do, in
+qzforms, least_isotropic_basis and standard_isotropic_types, and through
+them max_isotropic and isotropic_types; each refuses an exponent with two
 primes above _TRIAL_BOUND with the same InputError.  Chains are merged
 by gcd/lcm exchanges (_canonical_chain), and subgroup and quotient types
 are cokernels diagonalised modulo a multiple of their order
@@ -29,7 +30,6 @@ _prime_power settle it up to FACTOR_MAX_BITS and refuse above.
 
 from __future__ import annotations
 
-import os
 import sys
 from bisect import bisect_left
 from itertools import accumulate, product, starmap, zip_longest
@@ -38,7 +38,6 @@ from operator import mul
 
 from .errors import (
     AmbientMismatchError,
-    EnumerationBoundError,
     InputError,
     InvalidInvariantError,
     OutputBoundError,
@@ -46,8 +45,6 @@ from .errors import (
     PreconditionError,
     _int_text,
 )
-
-DEFAULT_ENUM_LIMIT = 4096
 
 __all__ = [
     "QmodZ",
@@ -64,27 +61,7 @@ __all__ = [
     "subgroup_census",
     "reduce_tuple",
     "replay_ops",
-    "enum_limit",
 ]
-
-
-def enum_limit(override: int | None = None) -> int:
-    """Active exhaustive-enumeration bound: the override (--enum-limit), else
-    env SPLITBOUND_ENUM_LIMIT (refused, InputError, if no integer), else the
-    default."""
-    if override is not None:
-        return override
-    raw = os.environ.get("SPLITBOUND_ENUM_LIMIT")
-    try:
-        return int(raw) if raw else DEFAULT_ENUM_LIMIT
-    except ValueError as ex:
-        raise InputError(f"SPLITBOUND_ENUM_LIMIT={raw!r} is not an integer") from ex
-
-
-def _check_limit(order: int, override: int | None = None) -> None:
-    bound = enum_limit(override)
-    if order > bound:
-        raise EnumerationBoundError(order, bound)
 
 
 class QmodZ:
@@ -844,10 +821,17 @@ def quotient(a: FinAbGroup, s: Subgroup) -> FinAbGroup:
 _BASIS_CACHE: dict = {}
 
 
-def _divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, ascending: each d <= isqrt(n) paired with n // d."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+def _divisors_over(lo: int, n: int, primes) -> list[int]:
+    """The divisors of n that are multiples of lo, ascending; n's primes
+    are among `primes`."""
+    if n % lo:
+        return []
+    divs = [lo]
+    rest = n // lo
+    for p in primes:
+        e = _valuation(rest, p)
+        divs = [x * p ** j for x in divs for j in range(e + 1)]
+    return sorted(divs)
 
 
 def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None, keep_pivot=None):
@@ -875,7 +859,8 @@ def _iter_bases_general(invariants: tuple[int, ...], order=None, admit=None, kee
     k = len(invariants)
     if order is not None and (order < 1 or k == 0 and order != 1):
         return
-    divisors = [_divisors(d) for d in invariants]
+    primes = [p for p, _ in _exponent_partitions(FinAbGroup(invariants))]
+    divisors = [_divisors_over(1, d, primes) for d in invariants]
     if keep_pivot is not None:
         divisors = [[h for h in hs if keep_pivot(h, d)] for hs, d in zip(divisors, invariants)]
     room = [prod(invariants[:i]) for i in range(k)]
@@ -933,16 +918,19 @@ def _solved_tails(below, c: int) -> list[tuple[int, ...]]:
     return [tail for tail, _ in states]
 
 
+# `limit` is unread: the benchmark tracer (perfbench/tracing.py) passes it
+# positionally when it wraps this function
 def iter_subgroup_bases(a: FinAbGroup, limit: int | None = None):
     """The Hermite bases of every subgroup in _iter_bases_general's order,
-    untyped (see _types_by_live_block); refused above the enumeration limit."""
-    _check_limit(a.order, limit)
+    untyped (see _types_by_live_block).  Every partial basis completes, so
+    the work grows with the number of subgroups: a caller bounds that
+    (subgroup_census counts them first)."""
     yield from _iter_bases_general(a.invariants)
 
 
-def enumerate_subgroups(a: FinAbGroup, limit: int | None = None) -> list[Subgroup]:
+def enumerate_subgroups(a: FinAbGroup) -> list[Subgroup]:
     """All subgroups, canonical, ordered by descending order then basis."""
-    subs = [Subgroup(a, basis) for basis in iter_subgroup_bases(a, limit)]
+    subs = [Subgroup(a, basis) for basis in iter_subgroup_bases(a)]
     subs.sort(key=lambda s: (-s.order, s.basis))
     return subs
 
@@ -955,7 +943,7 @@ def embeds_into(a: FinAbGroup, b: FinAbGroup) -> bool:
     B_p (Birkhoff's setting; L.M. Butler, Mem. AMS 539, 1994).  On the
     invariant-factor chains, aligned at their largest factors, that reads:
     A has no more factors than B and each factor of A divides the factor of
-    B in the same place.  Nothing is enumerated, so there is no limit.
+    B in the same place.  Nothing is enumerated.
     """
     ia, ib = a.invariants, b.invariants
     return len(ia) <= len(ib) and all(y % x == 0 for x, y in zip(reversed(ia), reversed(ib)))
@@ -1112,8 +1100,7 @@ def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
 
     At each prime p of the exponent the subgroup types are the partitions
     nu inside lambda_p (as for embeds_into), counted by Birkhoff's
-    alpha_lambda(nu; p).  Nothing is enumerated, so there is no
-    enumeration limit.  Refused
+    alpha_lambda(nu; p).  Nothing is enumerated.  Refused
     (OutputBoundError) before anything is listed when there are more than
     MAX_LISTED types, when the count is known to have more decimal digits
     than the int-to-str limit, or when the types may print more than

@@ -223,8 +223,8 @@ def splitting_group_isotropic_bound(w: SkewForm, e: int) -> tuple[int, list[tupl
     Any splitting group of the corresponding algebra extension contains a
     copy of at least one type from the list.  The types are
     qzforms.isotropic_types, read off the group type of H by the
-    Littlewood-Richardson rule, so nothing is enumerated and there is no
-    enumeration limit (tests/test_obstruction.py keeps the filter of every
+    Littlewood-Richardson rule, so nothing is enumerated and no bound is
+    read (tests/test_obstruction.py keeps the filter of every
     subgroup and the isotropic enumeration as oracles).
     """
     p, r = _symplectic_p_r(w)

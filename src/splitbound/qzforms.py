@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from itertools import product, zip_longest
 from math import gcd, isqrt, lcm, log10
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
     AmbientMismatchError,
     DegenerateFormError,
+    EnumerationBoundError,
     InvalidFormError,
     OutputBoundError,
     PreconditionError,
@@ -30,8 +32,8 @@ from .finabel import (
     QmodZ,
     Subgroup,
     _canonical_chain,
-    _check_limit,
     _cokernel_invariants,
+    _divisors_over,
     _exponent_partitions,
     _hnf,
     _iter_bases_general,
@@ -277,34 +279,36 @@ def is_lagrangian(w: SkewForm, s: Subgroup) -> bool:
 
 
 def _isotropic_basis(w: SkewForm, basis) -> bool:
-    g = w.group
-    inv = g.invariants
-    k = g.rank
+    """True iff w vanishes on every two nonzero rows of the basis.  Each row
+    u is paired once with the scaled Gram, into the k-vector (w(u, e_j))_j:
+    the sum of the Gram rows at u's nonzero entries, each times that entry.
+    That vector dotted with a later row v is w(u, v)."""
+    inv = w.group.invariants
     n = w.exponent
     scaled = w.scaled()
-    rows = []
-    for row in basis:
-        r = tuple(c % d for c, d in zip(row, inv))
-        if any(r):
-            rows.append(r)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if _pair_value(scaled, n, rows[i], rows[j], k):
+    rows = [r for row in basis if any(r := [c % d for c, d in zip(row, inv)])]
+    for i, u in enumerate(rows[:-1]):
+        paired = [0] * len(inv)
+        for c, gram_row in zip(u, scaled):
+            if c:
+                paired = [x + c * y for x, y in zip(paired, gram_row)]
+        for v in rows[i + 1:]:
+            if sum(map(mul, paired, v)) % n:
                 return False
     return True
 
 
-def iter_isotropic_bases(w: SkewForm, order: int | None, limit: int | None = None):
+def iter_isotropic_bases(w: SkewForm, order: int | None):
     """Hermite bases of the isotropic subgroups of the given order (of
     every order when it is None), each once (unsorted but deterministic).
 
     The subgroup recursion grows only isotropic bases: a basis row that
     pairs nontrivially with a row kept below it is cut with every
-    completion.  The limit applies to the group order, as for exhaustive
-    enumeration.
+    completion.  No bound is read: production calls it only from
+    max_isotropic's non-split pass, which bounds |H| first, and verify's
+    oracles call it on fixed small modules.
     """
     g = w.group
-    _check_limit(g.order, limit)
     k = g.rank
     n = w.exponent
     scaled = w.scaled()
@@ -321,7 +325,7 @@ def iter_isotropic_bases(w: SkewForm, order: int | None, limit: int | None = Non
 def least_isotropic_basis(w: SkewForm, order: int):
     """The lexicographically least Hermite basis of an isotropic subgroup of
     the given order, min(iter_isotropic_bases(w, order)), or None if there
-    is none; no subgroup is listed and there is no limit.
+    is none; no subgroup is listed.
 
     Every isotropic subgroup lies in a maximal one, of order
     sqrt(|H| * |Rad w|) (max_isotropic), so the order must divide that.
@@ -418,20 +422,12 @@ def _coset_rows(base, lower, inv, i: int):
     return walk(i + 1, base)
 
 
-def _divisors_over(lo: int, n: int, primes) -> list[int]:
-    """The divisors of n that are multiples of lo, ascending; n's primes
-    are among `primes`."""
-    if n % lo:
-        return []
-    divs = [lo]
-    rest = n // lo
-    for p in primes:
-        e = _valuation(rest, p)
-        divs = [x * p ** j for x in divs for j in range(e + 1)]
-    return sorted(divs)
+# the largest |H| on which max_isotropic lists the isotropic subgroups of a
+# form whose radical is not a direct summand
+MAX_ENUMERATED_ORDER = 4096
 
 
-def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
+def max_isotropic(w: SkewForm) -> MaxIsotropic:
     """Largest isotropic order, a canonical witness, and every isomorphism
     type occurring at that order (each exactly once).
 
@@ -448,15 +444,17 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
         Lagrangian types nu of the standard module on B, read off the
         group type by standard_isotropic_types (see isotropic_types).  The
         witness comes from the lex-first search least_isotropic_basis,
-        exact on degenerate forms too.  Nothing is enumerated and the
-        limit is not read; the search's cuts are exact but its order cut
+        exact on degenerate forms too.  Nothing is enumerated and no
+        bound is read; the search's cuts are exact but its order cut
         is not sharp, so its running time rests on it not backtracking at
         the largest order, which the tests have never seen but which is
         not proved;
       - non-split radical: the types depend on how R sits in H, so the
         witness and the types come from one pass of iter_isotropic_bases
         (which never lists the other orders), one type per live block
-        (_types_by_live_block), and the enumeration limit applies.
+        (_types_by_live_block).  It is the one enumeration in production
+        whose output does not bound its work, so it is refused
+        (EnumerationBoundError) when |H| > MAX_ENUMERATED_ORDER.
     """
     g = w.group
     rad = radical(w)
@@ -468,10 +466,12 @@ def max_isotropic(w: SkewForm, limit: int | None = None) -> MaxIsotropic:
         lag_types = standard_isotropic_types(FinAbGroup(n_type[::2]), best // rad.order)
         types = {_canonical_chain(r_type + nu) for nu in lag_types}
         return MaxIsotropic(best, witness, sorted(types))
+    if g.order > MAX_ENUMERATED_ORDER:
+        raise EnumerationBoundError(g.order, MAX_ENUMERATED_ORDER)
     witness_basis = None
     types = set()
     type_of = _types_by_live_block(g)
-    for basis in iter_isotropic_bases(w, best, limit):
+    for basis in iter_isotropic_bases(w, best):
         if witness_basis is None or basis < witness_basis:
             witness_basis = basis
         types.add(type_of(basis))

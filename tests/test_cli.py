@@ -151,14 +151,17 @@ def test_pgl_empty_elements_are_refused():
                                                 "message": "no generators given"}
 
 
-def test_pgl_element_is_bounded_by_the_enum_limit():
-    # perm and diag have |A| entries: |A| = 4096 answers, 4097 is refused
-    code, out, _ = invoke(["pgl", "element", "--group", "4096", "--a", "(1)", "--chi", "(0)"])
+def test_pgl_element_is_bounded_by_what_it_prints():
+    # perm and diag have |A| entries each: |A| = 65536, the listing bound,
+    # answers, and 65537 is refused
+    code, out, _ = invoke(["pgl", "element", "--group", "65536", "--a", "(1)", "--chi", "(0)"])
     assert code == 0
-    assert json.loads(out)["perm"][:3] == [1, 2, 3]
-    code, out, _ = invoke(["pgl", "element", "--group", "4097", "--a", "(1)", "--chi", "(0)"])
-    assert code == 2
-    assert json.loads(out)["error"]["kind"] == "enumeration-bound"
+    payload = json.loads(out)
+    assert payload["perm"][:3] == [1, 2, 3] and len(payload["diag"]) == 65536
+    msg = _refused_fast(["pgl", "element", "--group", "65537", "--a", "(1)", "--chi", "(0)"],
+                        "output-bound")
+    assert msg == ("the lift's perm and diag have 65537 entries each,"
+                   " more than the listing bound 65536")
 
 
 def test_pgl_element_refuses_large_groups_quickly():
@@ -168,18 +171,17 @@ def test_pgl_element_refuses_large_groups_quickly():
     code, out, _ = invoke(["pgl", "element", "--group", "1048576", "--a", "(1)", "--chi", "(1)"])
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "enumeration-bound"
+    assert json.loads(out)["error"]["kind"] == "output-bound"
 
 
 def test_embeds_answers_above_the_enum_limit():
     # decided by partition containment: nothing is enumerated, so no bound
     argv = ["group", "embeds", "2,4", "--into", "2,2,2,2,2,2,2,2,2,2,2,2,4"]
-    for prefix in ([], ["--enum-limit", "1"]):
-        code, out, _ = invoke(prefix + argv)
-        assert code == 0, out
-        payload = json.loads(out)
-        assert payload == {"embeds": True}
-        check_schema("group embeds", payload)
+    code, out, _ = invoke(argv)
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload == {"embeds": True}
+    check_schema("group embeds", payload)
 
 
 def _answered_fast(argv):
@@ -192,14 +194,13 @@ def _answered_fast(argv):
 
 def test_subgroup_census_answers_above_the_enum_limit():
     # the plain form is Birkhoff's closed form: nothing is enumerated, so no bound
-    for prefix in ([], ["--enum-limit", "1"]):
-        payload = _answered_fast(prefix + ["group", "subgroups", "2," * 11 + "2"])
-        check_schema("group subgroups", payload)
-        assert payload == {"count": 488176700923, "types": [[2] * k for k in range(13)]}
-        payload = _answered_fast(prefix + ["group", "subgroups", "8,8,16,720720"])
-        check_schema("group subgroups", payload)
-        assert payload["count"] == 6571824 and len(payload["types"]) == 3120
-        assert payload["types"] == sorted(payload["types"])
+    payload = _answered_fast(["group", "subgroups", "2," * 11 + "2"])
+    check_schema("group subgroups", payload)
+    assert payload == {"count": 488176700923, "types": [[2] * k for k in range(13)]}
+    payload = _answered_fast(["group", "subgroups", "8,8,16,720720"])
+    check_schema("group subgroups", payload)
+    assert payload["count"] == 6571824 and len(payload["types"]) == 3120
+    assert payload["types"] == sorted(payload["types"])
 
 
 def test_subgroup_census_refusals():
@@ -238,22 +239,23 @@ def test_subgroup_census_bounds_the_printed_digits():
 
 
 def test_subgroup_list_is_bounded_by_what_it_prints():
-    # (Z/2)^8 is inside the enumeration limit but has 417,199 subgroups
+    # (Z/2)^8, of order 256, has 417,199 subgroups; the count is Birkhoff's,
+    # so the refusal lists nothing, at any order
     msg = _refused_fast(["group", "subgroups", "2," * 7 + "2", "--list"], "output-bound")
     assert msg == "417199 subgroups are more than the listing bound 65536"
-    # the enumeration limit is checked first, with its own kind
-    msg = _refused_fast(["group", "subgroups", "2," * 12 + "2", "--list"], "enumeration-bound")
-    assert msg == "group order 8192 exceeds the enumeration bound 4096"
+    msg = _refused_fast(["group", "subgroups", "2," * 12 + "2", "--list"], "output-bound")
+    assert msg == "37558989808526 subgroups are more than the listing bound 65536"
     payload = _answered_fast(["group", "subgroups", "2,4", "--list"])
     assert payload["count"] == len(payload["subgroups"]) == 8
 
 
 def test_subgroup_list_of_a_large_cyclic_group_is_fast():
-    # Z/2^24 has 25 subgroups; its pivot divisors are found up to isqrt(2^24)
-    argv = ["--enum-limit", "100000000", "group", "subgroups", str(2 ** 24), "--list"]
-    payload = _answered_fast(argv)
-    assert payload["count"] == len(payload["subgroups"]) == 25
-    assert [s["order"] for s in payload["subgroups"]] == [2 ** e for e in range(24, -1, -1)]
+    # Z/2^e has e + 1 subgroups; the pivot divisors are built from the
+    # primes of the exponent, not by trial division up to isqrt(2^e)
+    for e in (24, 60):
+        payload = _answered_fast(["group", "subgroups", str(2 ** e), "--list"])
+        assert payload["count"] == len(payload["subgroups"]) == e + 1
+        assert [s["order"] for s in payload["subgroups"]] == [2 ** j for j in range(e, -1, -1)]
 
 
 def test_subgroup_list_prints_the_pinned_bytes():
@@ -281,19 +283,25 @@ def _standard_spec(group):
     return std.strip()
 
 
-def test_isotropic_queries_keep_the_enum_limit():
-    # max-isotropic lists the isotropic subgroups of one order only on a
-    # degenerate form whose radical is not a direct summand, so the limit on
-    # |H| stays there: (Z/2)^5 x (Z/2)^5* plus Z/4 x Z/4 with w(e, f) = 1/2,
-    # |H| = 16384, whose radical 2(Z/4 x Z/4) ~ (2, 2) leaves H/R ~ 2^12
-    from splitbound.finabel import Subgroup, make_group
-    from splitbound.qzforms import is_lagrangian, isotropic_types, standard_module
-
+def _nonsplit_spec():
+    """(Z/2)^5 x (Z/2)^5* plus Z/4 x Z/4 with w(e, f) = 1/2, |H| = 16384:
+    the radical 2(Z/4 x Z/4) ~ (2, 2) is not a direct summand, and it
+    leaves H/R ~ 2^12."""
     spec = json.loads(_standard_spec("2,2,2,2,2"))
     spec["group"] += [4, 4]
     spec["gram"] = [row + ["0/1", "0/1"] for row in spec["gram"]] + [
         ["0/1"] * 11 + ["1/2"], ["0/1"] * 10 + ["1/2", "0/1"]]
-    msg = _refused_fast(["form", "max-isotropic", "--form", json.dumps(spec)],
+    return json.dumps(spec)
+
+
+def test_isotropic_queries_keep_the_enum_limit():
+    # max-isotropic lists the isotropic subgroups of one order only on a
+    # degenerate form whose radical is not a direct summand, so the bound on
+    # |H| stays there (_nonsplit_spec)
+    from splitbound.finabel import Subgroup, make_group
+    from splitbound.qzforms import is_lagrangian, isotropic_types, standard_module
+
+    msg = _refused_fast(["form", "max-isotropic", "--form", _nonsplit_spec()],
                         "enumeration-bound")
     assert msg == "group order 16384 exceeds the enumeration bound 4096"
     # a split radical enumerates nothing: (Z/2)^6 x (Z/2)^6* plus a Z/2 in
@@ -554,16 +562,23 @@ def test_results_above_the_int_to_str_limit_are_refused():
 
 def test_enumeration_refusals_name_long_orders_by_digit_count():
     big = str(10 ** 2200)
-    want = "group order <4401 digits> exceeds the enumeration bound 4096"
-    argv = ["group", "subgroups", f"{big},{big}", "--list"]
-    assert _refused_fast(argv, "enumeration-bound") == want
+    # Z/4 x Z/4 with w(e, f) = 1/2 plus a zero form on Z/10^2200 x Z/10^2200:
+    # the radical (2, 2, 10^2200, 10^2200) is not a direct summand
+    spec = '{"group": [4, 4, %s, %s], "gram": [["0/1", "1/2", "0/1", "0/1"],' \
+        ' ["1/2", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "0/1"],' \
+        ' ["0/1", "0/1", "0/1", "0/1"]]}' % (big, big)
+    msg = _refused_fast(["form", "max-isotropic", "--form", spec], "enumeration-bound")
+    assert msg == "group order <4402 digits> exceeds the enumeration bound 4096"
     argv = ["pgl", "element", "--group", f"{big},{big}", "--a", "(0,0)", "--chi", "(0,0)"]
-    assert _refused_fast(argv, "enumeration-bound") == want
+    msg = _refused_fast(argv, "output-bound")
+    assert msg == ("the lift's perm and diag have <4401 digits> entries each,"
+                   " more than the listing bound 65536")
     msg = _refused_fast(["pgl", "depth", "--group", f"{big},3"], "not-p-group")
     assert msg == "|H| = <4401 digits> is not a prime power"  # 9 * 10^4400
     # a printable order is still printed in full
-    msg = _refused_fast(["group", "subgroups", "4096,2", "--list"], "enumeration-bound")
-    assert msg == "group order 8192 exceeds the enumeration bound 4096"
+    msg = _refused_fast(["form", "max-isotropic", "--form", _nonsplit_spec()],
+                        "enumeration-bound")
+    assert msg == "group order 16384 exceeds the enumeration bound 4096"
 
 
 def test_json_specs_with_integers_above_the_int_to_str_limit_are_refused():
@@ -886,7 +901,7 @@ def test_error_exit_codes():
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "invalid-invariant"
 
-    code, out, _ = invoke(["group", "subgroups", "2," * 12 + "2", "--list"])
+    code, out, _ = invoke(["form", "max-isotropic", "--form", _nonsplit_spec()])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "enumeration-bound"
 
@@ -922,7 +937,7 @@ ONE_PER_COMMAND = [
     ["f2", "radical", "--form", '{"dim": 3, "rows": ["0x1", "0x2", "0x4"]}'],
     ["obstruct", "--mode", "compare", "--r", "2"],
     ["tables", "tits", "--type", "E8"],
-    ["--enum-limit", "16", "group", "subgroups", "2,2", "--list"],
+    ["group", "subgroups", "2,2", "--list"],
     ["verify", "partitions", "--seed", "1"],
 ]
 
@@ -944,7 +959,6 @@ def test_run_builds_no_parser(monkeypatch):
 
 def _fresh_process(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(splitbound.__file__).parents[1])}
-    env.pop("SPLITBOUND_ENUM_LIMIT", None)
     done = subprocess.run(
         [sys.executable, "-m", "splitbound.cli", *argv],
         capture_output=True, env=env, timeout=60,
@@ -966,14 +980,13 @@ def _help(parse, argv):
     return exc.value.code, out.getvalue()
 
 
-def test_the_shared_parser_carries_nothing_between_calls(monkeypatch):
+def test_the_shared_parser_carries_nothing_between_calls():
     from splitbound.cli import build_parser
 
-    monkeypatch.delenv("SPLITBOUND_ENUM_LIMIT", raising=False)
     census = ["group", "subgroups", "2,2"]
     # (first call, its exit status, the call after it)
     pairs = [
-        (["--enum-limit", "1", *census, "--list"], 2, [*census, "--list"]),
+        (["group", "subgroups", "2," * 7 + "2", "--list"], 2, [*census, "--list"]),
         ([*census, "--list"], 0, census),
         (["--format", "text", *census], 0, census),
         (["group", "no-such-action", "2"], 2, census),
@@ -989,23 +1002,23 @@ def test_the_shared_parser_carries_nothing_between_calls(monkeypatch):
 
 
 def test_enum_limit_flag_and_env(monkeypatch):
-    code, out, _ = invoke(["--enum-limit", "10", "group", "subgroups", "2,2,2,2", "--list"])
-    assert code == 2
-    assert "10" in json.loads(out)["error"]["message"]
-    monkeypatch.setenv("SPLITBOUND_ENUM_LIMIT", "8")
-    code, out, _ = invoke(["group", "subgroups", "2,2,2,2", "--list"])
-    assert code == 2
-    assert json.loads(out)["error"]["kind"] == "enumeration-bound"
-    # the flag wins over the variable, and a value that is no integer is
-    # refused with a message naming the variable
-    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2,2,2,2", "--list"])
-    assert code == 0 and json.loads(out)["count"] == 67
-    monkeypatch.setenv("SPLITBOUND_ENUM_LIMIT", "abc")
-    msg = _refused_fast(["group", "subgroups", "2", "--list"], "input")
-    assert msg == "SPLITBOUND_ENUM_LIMIT='abc' is not an integer"
-    code, out, _ = invoke(["--enum-limit", "16", "group", "subgroups", "2", "--list"])
-    assert code == 0 and json.loads(out)["count"] == 2
-    monkeypatch.delenv("SPLITBOUND_ENUM_LIMIT")
+    # the enumeration limit is retired: --enum-limit is a usage error, and
+    # SPLITBOUND_ENUM_LIMIT changes no stdout byte and no exit status, not
+    # even when it is no integer; verify's enumerating oracles run on their
+    # fixed small inputs and still pass
+    argv = ["group", "subgroups", "2,2,2,2", "--list"]
+    for value in ("10", "100000"):
+        assert _exit_code(["--enum-limit", value, *argv]) == 2
+    monkeypatch.delenv("SPLITBOUND_ENUM_LIMIT", raising=False)
+    calls = [argv, ["group", "subgroups", "2", "--list"],
+             ["pgl", "element", "--group", "4097", "--a", "(1)", "--chi", "(0)"],
+             ["form", "max-isotropic", "--form", _nonsplit_spec()], ["verify", "lagrangian"]]
+    want = [invoke(call)[:2] for call in calls]
+    assert [code for code, _ in want] == [0, 0, 0, 2, 0]
+    assert json.loads(want[-1][1])["passed"]
+    for value in ("1", "8", "abc", ""):
+        monkeypatch.setenv("SPLITBOUND_ENUM_LIMIT", value)
+        assert [invoke(call)[:2] for call in calls] == want, value
 
 
 def test_text_format():

@@ -1,19 +1,21 @@
 """Seeded fuzz of the whole CLI: every subcommand and action, with small
-literals and malformed specs, under --enum-limit 256.  Each call must exit
+literals and malformed specs, run as a user runs them.  Each call must exit
 0 or 2 (a traceback fails the test) and print JSON that validates against
 schemas.json: the action's schema on exit 0, the error schema on exit 2.
 A `group reduce` that answers must also print a well-formed op log that
 replays to its `reduced`.
 
-`obstruct --mode compare` is drawn with --r and --rank1 up to 64, above
-the enumeration limit, and each such call must end within COMPARE_SECONDS
+`obstruct --mode compare` is drawn with --r and --rank1 up to 64 (module
+orders up to 4^64), and each such call must end within COMPARE_SECONDS
 with the closed-form answer.  `form max-isotropic` on a standard module,
-drawn up to |H| = 2^20, above the limit, enumerates nothing and must answer
-within MAX_ISOTROPIC_SECONDS; so must a degenerate form whose radical is a
-direct summand (a standard module plus a zero summand), drawn up to
-|H| = 2^14, also above the limit.  No other per-call time is asserted: inside
-the limit some queries still list many objects, and the literals are kept
-small enough that the ones drawn here stay quick.
+drawn up to |H| = 2^20, enumerates nothing and must answer within
+MAX_ISOTROPIC_SECONDS; so must a degenerate form whose radical is a direct
+summand (a standard module plus a zero summand), drawn up to |H| = 2^14.
+No other per-call time is asserted: `group subgroups --list` and `pgl
+element` print one entry per subgroup or per element, and a form whose
+radical is not a direct summand is enumerated, so the groups drawn (order
+at most 1728) and the arbitrary forms (order at most 64) are kept small
+enough that these calls stay quick.
 """
 
 import json
@@ -109,7 +111,7 @@ def _standard_spec(a):
 
 
 # the standard modules drawn: |H| from 4 to 2^20, (Z/2)^5 and the ones
-# after it above the enumeration limit the fuzz runs under
+# after it above 4096, the largest order of an enumerated form
 STANDARD_SPECS = [_standard_spec(a) for a in [
     (2,), (3,), (4,), (2, 2), (2, 4), (2, 2, 2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 4),
     (4, 4, 4), (2, 6, 6), (2,) * 10,
@@ -132,7 +134,7 @@ def _split_spec(p, a_exps, r_exps):
     return json.dumps({"group": [d for d, _ in slots], "gram": gram}), k
 
 
-# split degenerate forms, all above the enumeration limit the fuzz runs under
+# split degenerate forms, all above 4096, the largest order of an enumerated form
 SPLIT_SPECS = [_split_spec(p, a, r) for p, a, r in [
     (2, (1,) * 5, (1,)), (2, (1, 1, 1, 2), (2,)), (2, (1, 1, 1), (1, 3)),
     (3, (1, 1, 1), (2,)), (2, (1,) * 6, (1, 1)),
@@ -237,8 +239,8 @@ def f2_call(draw, action):
 
 @st.composite
 def obstruct_call(draw, mode):
-    # compare reads its types off the group types, so it takes literals far
-    # above the enumeration limit (4^64 is the largest module order drawn)
+    # compare reads its types off the group types, so it takes large
+    # literals (4^64 is the largest module order drawn)
     top = 64 if mode == "compare" else 6
     argv = ["obstruct", "--mode", mode, "--r", draw(_mostly(st.integers(1, top).map(str), ["-1", "0"]))]
     return f"obstruct {mode}", _flags(draw, argv, {
@@ -338,7 +340,7 @@ def test_cli_fuzz_exits_0_or_2_with_schema_valid_json(data):
         for action in actions:
             key, argv = data.draw(builder(action))
             t0 = time.perf_counter()
-            code, out, _ = invoke(["--enum-limit", "256"] + argv)
+            code, out, _ = invoke(argv)
             if key == "obstruct compare":
                 assert time.perf_counter() - t0 < COMPARE_SECONDS, argv
             if key == "form max-isotropic" and _is_standard(argv):
@@ -386,8 +388,8 @@ def test_cli_fuzz_group_reduce_prints_ops_that_replay(data):
 
 
 # the whole-CLI draws above answer about half of their 30 compare calls, so
-# well-formed ones are drawn here: module orders up to 7^128, far above the
-# enumeration limit, each within COMPARE_SECONDS
+# well-formed ones are drawn here: module orders up to 7^128, each within
+# COMPARE_SECONDS
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,
           phases=[Phase.explicit, Phase.generate])
 @given(p=st.sampled_from([2, 3, 5, 7]), r=st.integers(1, 64), m=st.integers(1, 32),
@@ -405,7 +407,7 @@ def test_cli_fuzz_compare_answers_above_the_enum_limit(p, r, m, e):
 
 
 # well-formed standard modules on chains of up to five factors 2..12
-# (|H| up to 12^10), far above the enumeration limit: each answers within
+# (|H| up to 12^10): each answers within
 # MAX_ISOTROPIC_SECONDS with a Lagrangian witness and the types of the LR rule
 @settings(max_examples=100, derandomize=True, deadline=None, database=None,
           phases=[Phase.explicit, Phase.generate])
@@ -416,7 +418,7 @@ def test_cli_fuzz_max_isotropic_answers_above_the_enum_limit(chain):
 
     spec, _ = _standard_spec(chain)
     t0 = time.perf_counter()
-    code, out, _ = invoke(["--enum-limit", "256", "form", "max-isotropic", "--form", spec])
+    code, out, _ = invoke(["form", "max-isotropic", "--form", spec])
     assert time.perf_counter() - t0 < MAX_ISOTROPIC_SECONDS, chain
     assert code == 0, (chain, out)
     payload = json.loads(out)
@@ -430,7 +432,7 @@ def test_cli_fuzz_max_isotropic_answers_above_the_enum_limit(chain):
 
 # well-formed split degenerate forms: a standard module on up to three
 # factors plus a zero summand on up to two, over p = 2, 3 (|H| up to 3^24),
-# mostly above the enumeration limit: each answers within
+# mostly above 4096: each answers within
 # MAX_ISOTROPIC_SECONDS with an isotropic witness of order |A| |R| that holds
 # R, and the types type(R) ∪ nu for nu a Lagrangian type of the module on A
 @settings(max_examples=60, derandomize=True, deadline=None, database=None,
@@ -444,7 +446,7 @@ def test_cli_fuzz_max_isotropic_answers_split_degenerate_forms(p, a_exps, r_exps
 
     spec, _ = _split_spec(p, a_exps, r_exps)
     t0 = time.perf_counter()
-    code, out, _ = invoke(["--enum-limit", "256", "form", "max-isotropic", "--form", spec])
+    code, out, _ = invoke(["form", "max-isotropic", "--form", spec])
     assert time.perf_counter() - t0 < MAX_ISOTROPIC_SECONDS, (p, a_exps, r_exps)
     assert code == 0, (spec, out)
     payload = json.loads(out)

@@ -8,7 +8,6 @@ import pytest
 
 from splitbound.errors import (
     AmbientMismatchError,
-    EnumerationBoundError,
     InputError,
     InvalidInvariantError,
     PairingMismatchError,
@@ -347,11 +346,20 @@ def test_no_subgroup_has_order_below_one():
             assert list(_iter_bases_general(inv, order)) == [], (inv, order)
 
 
+def divisors(n):
+    """The divisors of n >= 1, ascending, by the linear scan."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_divisors_match_the_linear_list():
-    from splitbound.finabel import _divisors
+    # the one divisor lister, given the primes of n, against the linear scan
+    from splitbound.finabel import _divisors_over
 
     for n in range(1, 3000):
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+        primes = [p for p, _ in _exponent_partitions(make_group([n] if n > 1 else []))]
+        assert _divisors_over(1, n, primes) == divisors(n), n
+        for lo in (2, 6, 7):
+            assert _divisors_over(lo, n, primes) == [d for d in divisors(n) if d % lo == 0], n
 
 
 def test_elementary_groups_list_in_the_oracle_order():
@@ -554,13 +562,12 @@ def test_enumeration_deterministic_order():
         assert orders == sorted(orders, reverse=True)
 
 
-def test_enumeration_bound_error():
-    big = make_group([2] * 13)
-    with pytest.raises(EnumerationBoundError) as exc:
-        enumerate_subgroups(big)
-    assert "4096" in str(exc.value)
-    # explicit override allows larger groups
-    assert len(enumerate_subgroups(make_group([8191]), limit=10000)) == 2
+def test_enumeration_reads_no_order_bound():
+    # every partial basis completes, so the work grows with the subgroups
+    # listed, not with |A|: Z/8191 and Z/2^40 list their 2 and 41
+    assert len(enumerate_subgroups(make_group([8191]))) == 2
+    subs = enumerate_subgroups(make_group([2 ** 40]))
+    assert [s.order for s in subs] == [2 ** e for e in range(40, -1, -1)]
 
 
 def test_embeds_into_examples():
@@ -990,7 +997,6 @@ def test_quotient_of_the_nonunit_block_matches_the_full_cokernel():
     # above every unit pivot; checked on every subgroup of every group of
     # order <= 64, and on the bases of generator spans and of the least
     # isotropic subgroups of seeded alternating forms on those groups
-    from splitbound.finabel import _divisors
     from splitbound.qzforms import SkewForm, least_isotropic_basis, standard_module
 
     rng = random.Random(20)
@@ -1018,7 +1024,7 @@ def test_quotient_of_the_nonunit_block_matches_the_full_cokernel():
                 gram[j][i] = -gram[i][j]
         forms = [SkewForm(a, gram)] + ([standard_module(a)] if a.order <= 8 else [])
         for w in forms:
-            for order in _divisors(w.group.order):
+            for order in divisors(w.group.order):
                 basis = least_isotropic_basis(w, order)
                 if basis is not None:
                     assert_zero_above_unit_pivots(basis)

@@ -6,7 +6,10 @@ helpers of `finabel` (the group layer every module builds on) and of
 business: what they need of it belongs in `finabel` or in a public name.
 
 Subgroup enumeration is pinned the same way: outside `verify`, only the
-functions on an allowlist call an enumerator.
+functions on an allowlist call an enumerator, and only the one enumeration
+that no output bound covers raises EnumerationBoundError.  No module
+imports `os`: the package reads no environment variable, so the same
+arguments give the same bytes in every environment.
 """
 
 import ast
@@ -103,20 +106,19 @@ ENUMERATING = {
 }
 
 
-def enumerator_calls(path: Path):
-    """(top-level function, enumerator) for every call of an enumerator in
-    the file, by bare name or by attribute; nested functions count as the
-    top-level function (or "Class.method") they sit in."""
+def _owned(path: Path, name_of):
+    """(top-level function, name) for every node of the file that
+    name_of(node) names (not None); nested functions count as the
+    top-level function (or "Class.method") they sit in, and module level
+    as None."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    calls = []
+    found = []
 
     def visit(node, owner, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in ENUMERATORS:
-                    calls.append((owner, name))
+            name = name_of(child)
+            if name is not None:
+                found.append((owner, name))
             if owner is None and isinstance(child, ast.ClassDef):
                 visit(child, None, f"{scope}{child.name}.")
             elif owner is None and isinstance(child, ast.FunctionDef):
@@ -125,7 +127,46 @@ def enumerator_calls(path: Path):
                 visit(child, owner, scope)
 
     visit(tree, None, "")
-    return calls
+    return found
+
+
+def _bare_or_attribute(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def enumerator_calls(path: Path):
+    """(top-level function, enumerator) for every call of an enumerator in
+    the file, by bare name or by attribute."""
+    def called(node):
+        return _bare_or_attribute(node.func) if isinstance(node, ast.Call) else None
+
+    return [(owner, name) for owner, name in _owned(path, called) if name in ENUMERATORS]
+
+
+def raise_sites(path: Path):
+    """(top-level function, exception) for every raise of a named
+    exception (a class or a call of it, by bare name or by attribute) in
+    the file; a bare re-raise names none."""
+    def raised(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return None
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _bare_or_attribute(exc)
+
+    return _owned(path, raised)
+
+
+def imported_modules(path: Path):
+    """The top-level name of every module the file imports, at any depth:
+    `import a.b` and `from a.b import c` give "a"; a relative import gives
+    none."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
 
 
 def test_production_enumerates_only_where_the_allowlist_says():
@@ -156,3 +197,61 @@ def test_enumerator_calls_are_found_by_name_and_attribute(tmp_path):
         ("f", "enumerate_subgroups"), ("f", "iter_isotropic_bases"),
         ("C.m", "_iter_bases_general"), (None, "iter_subgroup_bases"),
     ], key=str)
+
+
+def test_enumeration_bound_is_raised_only_by_the_non_split_pass():
+    # max_isotropic's non-split pass is the one production enumeration whose
+    # output does not bound its work; every other command is bounded by what
+    # it prints
+    seen = set()
+    for module in sorted(MODULES):
+        for owner, name in raise_sites(PACKAGE / f"{module}.py"):
+            seen.add((module, owner, name))
+    assert {(m, o) for m, o, name in seen if name == "EnumerationBoundError"} == {
+        ("qzforms", "max_isotropic")}
+    # the walk sees the other refusals too
+    assert ("cli", "_cmd_pgl", "OutputBoundError") in seen
+
+
+def test_raise_sites_are_found_by_name_and_attribute(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from . import errors\n"
+        "def f(n):\n"
+        "    def g():\n"
+        "        raise errors.EnumerationBoundError(n, 1)\n"
+        "    try:\n"
+        "        return g\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        raise InputError('x') from None\n"
+        "raise StopIteration\n"
+    )
+    assert sorted(raise_sites(src), key=str) == sorted([
+        ("f", "EnumerationBoundError"), ("C.m", "InputError"), (None, "StopIteration"),
+    ], key=str)
+
+
+def test_no_module_imports_os():
+    # an environment variable or a path the package picks itself would make
+    # the same arguments print different bytes on different machines
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "os" not in imported_modules(path), path.name
+    # the walk sees the imports the package does make
+    assert {"argparse", "json", "sys"} <= imported_modules(PACKAGE / "cli.py")
+
+
+def test_imported_modules_are_found_in_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "import json, os.path as osp\n"
+        "from . import finabel\n"
+        "from .errors import InputError\n"
+        "from importlib.resources import files\n"
+        "def f():\n"
+        "    from os import environ\n"
+        "    return environ\n"
+    )
+    assert imported_modules(src) == {"json", "os", "importlib"}

@@ -3,7 +3,6 @@ import pytest
 from splitbound.errors import (
     AmbientMismatchError,
     DegenerateFormError,
-    EnumerationBoundError,
     InvalidFormError,
     PreconditionError,
 )
@@ -398,12 +397,13 @@ def test_least_isotropic_basis_matches_enumeration_at_every_order():
     # ones included, on every group of order <= 64 and on (2,2,4,4), (4,4,4,4)
     import random
 
-    from splitbound.finabel import _divisors
+    from test_finabel import divisors
+
     from splitbound.qzforms import least_isotropic_basis
 
     def check(w):
-        for order in _divisors(w.group.order):
-            want = min(iter_isotropic_bases(w, order, limit=w.group.order), default=None)
+        for order in divisors(w.group.order):
+            want = min(iter_isotropic_bases(w, order), default=None)
             assert least_isotropic_basis(w, order) == want, (w.gram, order)
 
     for inv in iter_abelian_types(16):
@@ -538,7 +538,7 @@ def test_isotropic_bases_match_filter_on_random_forms():
     # every order dividing |H|, degenerate forms included
     import random
 
-    from splitbound.finabel import _divisors
+    from test_finabel import divisors
 
     rng = random.Random(31)
     degenerate = nondegenerate = 0
@@ -551,7 +551,7 @@ def test_isotropic_bases_match_filter_on_random_forms():
             else:
                 degenerate += 1
             by_order = isotropic_bases_by_filter(w)
-            for order in _divisors(g.order):
+            for order in divisors(g.order):
                 got = list(iter_isotropic_bases(w, order))
                 assert_same_bases(got, by_order.get(order, set()), (inv, order, w.gram))
     assert degenerate and nondegenerate, (degenerate, nondegenerate)
@@ -573,14 +573,6 @@ def test_isotropic_counts_match_taylor():
         for k in range(n + 1):
             expected = gaussian(n, k, p) * prod(p ** i + 1 for i in range(n - k + 1, n + 1))
             assert sum(1 for _ in iter_isotropic_bases(w, p ** k)) == expected, (p, n, k)
-
-
-def test_isotropic_bases_limit_is_on_the_group_order():
-    # as for the exhaustive filter, the refusal depends on |H| alone
-    w = standard_module(make_group([2, 2]))
-    with pytest.raises(EnumerationBoundError):
-        next(iter_isotropic_bases(w, 1, limit=8))
-    assert len(list(iter_isotropic_bases(w, 4, limit=16))) == 15
 
 
 def test_radical_is_kept_on_the_form(monkeypatch):
@@ -714,7 +706,7 @@ def test_lagrangian_types_are_realised():
 
 def isotropic_types_by_enumeration(w, order):
     g = w.group
-    bases = iter_isotropic_bases(w, order, limit=g.order)
+    bases = iter_isotropic_bases(w, order)
     return sorted({Subgroup(g, basis).sub_invariants for basis in bases})
 
 
@@ -728,11 +720,12 @@ def test_isotropic_types_match_enumeration():
 
     from math import isqrt
 
-    from splitbound.finabel import _divisors
+    from test_finabel import divisors
+
     from splitbound.qzforms import isotropic_types
 
     def check(w):
-        for d in _divisors(isqrt(w.group.order)):
+        for d in divisors(isqrt(w.group.order)):
             assert isotropic_types(w, d) == isotropic_types_by_enumeration(w, d), (w.gram, d)
 
     for inv in iter_abelian_types(16):
@@ -1211,14 +1204,14 @@ def test_isotropic_bases_at_every_order_match_the_isotropy_filter():
     # iter_isotropic_bases at each order d against the is_isotropic filter
     # of the canonical subgroup list, on every standard module with
     # |A| <= 16 and on random symplectic forms
-    from splitbound.finabel import _divisors
+    from test_finabel import divisors
 
     def check(w):
         by_order = {}
         for s in enumerate_subgroups(w.group):
             if is_isotropic(w, s):
                 by_order.setdefault(s.order, set()).add(s.basis)
-        for d in _divisors(w.group.order):
+        for d in divisors(w.group.order):
             got = list(iter_isotropic_bases(w, d))
             assert_same_bases(got, by_order.get(d, set()), (w.gram, d))
 
@@ -1234,9 +1227,9 @@ def test_isotropic_recursion_keeps_the_oracle_order():
     # none), in the oracle's yield order
     from functools import lru_cache
 
-    from test_finabel import assert_same_stream, hermite_bases_oracle
+    from test_finabel import assert_same_stream, divisors, hermite_bases_oracle
 
-    from splitbound.finabel import _divisors, _iter_bases_general
+    from splitbound.finabel import _iter_bases_general
 
     standard, nondegenerate = seeded_symplectic_forms()
     for w in standard + nondegenerate:
@@ -1249,7 +1242,7 @@ def test_isotropic_recursion_keeps_the_oracle_order():
         def pairs_to_zero(row, kept):
             return all(pairs_to_zero_with(row, v) for v in kept)
 
-        for d in [None, *_divisors(g.order)]:
+        for d in [None, *divisors(g.order)]:
             assert_same_stream(_iter_bases_general(g.invariants, d, pairs_to_zero),
                                hermite_bases_oracle(g.invariants, d, pairs_to_zero),
                                (w.gram, d))
