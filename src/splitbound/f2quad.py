@@ -159,7 +159,7 @@ def radical_basis(q: F2QuadForm) -> list[int]:
             pivots.append((row, tag))
         else:
             kernel.append(tag)
-    # reduce kernel to echelon form for a canonical answer
+    # reduce kernel to echelon form for a deterministic answer
     return sorted(_echelon(kernel))
 
 

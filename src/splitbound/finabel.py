@@ -1209,10 +1209,13 @@ def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
 def replay_ops(a: FinAbGroup, xi, ops) -> list[Element]:
     """Apply a reduce_tuple ops log to a fresh copy of the tuple: a
     ("sub", i, j, q) op sets xi_i -= q * xi_j, a ("swap", i, j) op swaps
-    two positions.  An op of another kind or length, or whose positions
-    are not two distinct indices of the tuple, or whose q is not an int
-    >= 1, is refused with PreconditionError."""
-    xs = [Element(a, x.coords) for x in xi]
+    two positions.  An entry of another group is refused as reduce_tuple
+    refuses it; an op of another kind or length, or whose positions are
+    not two distinct indices of the tuple, or whose q is not an int >= 1,
+    with PreconditionError."""
+    xs = list(xi)
+    if any(x.group != a for x in xs):
+        raise AmbientMismatchError("tuple entry from a different group")
     n = len(xs)
     for op in ops:
         op = tuple(op)

@@ -304,8 +304,8 @@ def iter_isotropic_bases(w: SkewForm, order: int | None):
 
     The subgroup recursion grows only isotropic bases: a basis row that
     pairs nontrivially with a row kept below it is cut with every
-    completion.  No bound is read: production calls it only from
-    max_isotropic's non-split pass, which bounds |H| first, and verify's
+    completion.  No bound is read: in production it gives only the types
+    of max_isotropic's non-split pass, which bounds |H| first, and verify's
     oracles call it on fixed small modules.
     """
     g = w.group
@@ -313,6 +313,8 @@ def iter_isotropic_bases(w: SkewForm, order: int | None):
     n = w.exponent
     scaled = w.scaled()
 
+    # _pair_value per kept row: rows are sparse and kept is short, so pairing
+    # each row with the Gram first (as _isotropic_basis does) measured slower
     def pairs_to_zero(row, kept):
         for v in kept:
             if _pair_value(scaled, n, row, v, k):
@@ -325,7 +327,8 @@ def iter_isotropic_bases(w: SkewForm, order: int | None):
 def least_isotropic_basis(w: SkewForm, order: int):
     """The lexicographically least Hermite basis of an isotropic subgroup of
     the given order, min(iter_isotropic_bases(w, order)), or None if there
-    is none; no subgroup is listed.
+    is none; no subgroup is listed.  At the largest order it is the witness
+    that max_isotropic prints on every form.
 
     Every isotropic subgroup lies in a maximal one, of order
     sqrt(|H| * |Rad w|) (max_isotropic), so the order must divide that.
@@ -433,28 +436,26 @@ def max_isotropic(w: SkewForm) -> MaxIsotropic:
 
     The order is sqrt(|H| * |Rad w|): every maximal isotropic subgroup X
     contains R = Rad w, and X / R is a Lagrangian of the nondegenerate
-    module N = H / R, of order sqrt|N| (Wall, Topology 2, 1963).  The
-    witness is the least canonical basis among the isotropic subgroups of
-    that order.  There are two branches:
+    module N = H / R, of order sqrt|N| (Wall, Topology 2, 1963).  On every
+    form the witness is the least Hermite basis among the isotropic
+    subgroups of that order, from the lex-first search
+    least_isotropic_basis: its cuts are exact, and its running time rests
+    on it not backtracking at that order, never seen but not proved.  The
+    types come from one of two branches:
       - split radical, type(R) ∪ type(N) = type(H), which holds for every
         nondegenerate form (R = 0): then R is a direct summand of H
         (Miyata, J. Math. Kyoto Univ. 7, 1967), H = R + C with C isometric
         to N, and X = R + (X ∩ C) with X ∩ C a Lagrangian of C.  N is
         hyperbolic, N ~ B + B*, so the types are type(R) ∪ nu for the
         Lagrangian types nu of the standard module on B, read off the
-        group type by standard_isotropic_types (see isotropic_types).  The
-        witness comes from the lex-first search least_isotropic_basis,
-        exact on degenerate forms too.  Nothing is enumerated and no
-        bound is read; the search's cuts are exact but its order cut
-        is not sharp, so its running time rests on it not backtracking at
-        the largest order, which the tests have never seen but which is
-        not proved;
-      - non-split radical: the types depend on how R sits in H, so the
-        witness and the types come from one pass of iter_isotropic_bases
-        (which never lists the other orders), one type per live block
-        (_types_by_live_block).  It is the one enumeration in production
-        whose output does not bound its work, so it is refused
-        (EnumerationBoundError) when |H| > MAX_ENUMERATED_ORDER.
+        group type by standard_isotropic_types (see isotropic_types).
+        Nothing is enumerated and no bound is read;
+      - non-split radical: the types depend on how R sits in H, so they
+        come from one pass of iter_isotropic_bases (which never lists the
+        other orders), one type per live block (_types_by_live_block).  It
+        is the one enumeration in production whose output does not bound
+        its work, so it is refused (EnumerationBoundError) when
+        |H| > MAX_ENUMERATED_ORDER, before any search.
     """
     g = w.group
     rad = radical(w)
@@ -462,20 +463,14 @@ def max_isotropic(w: SkewForm) -> MaxIsotropic:
     r_type = rad.sub_invariants
     n_type = g.invariants if rad.order == 1 else quotient(g, rad).invariants
     if _canonical_chain(r_type + n_type) == g.invariants:
-        witness = Subgroup(g, least_isotropic_basis(w, best))
         lag_types = standard_isotropic_types(FinAbGroup(n_type[::2]), best // rad.order)
         types = {_canonical_chain(r_type + nu) for nu in lag_types}
-        return MaxIsotropic(best, witness, sorted(types))
-    if g.order > MAX_ENUMERATED_ORDER:
-        raise EnumerationBoundError(g.order, MAX_ENUMERATED_ORDER)
-    witness_basis = None
-    types = set()
-    type_of = _types_by_live_block(g)
-    for basis in iter_isotropic_bases(w, best):
-        if witness_basis is None or basis < witness_basis:
-            witness_basis = basis
-        types.add(type_of(basis))
-    witness = Subgroup(g, witness_basis)
+    else:
+        if g.order > MAX_ENUMERATED_ORDER:
+            raise EnumerationBoundError(g.order, MAX_ENUMERATED_ORDER)
+        type_of = _types_by_live_block(g)
+        types = {type_of(basis) for basis in iter_isotropic_bases(w, best)}
+    witness = Subgroup(g, least_isotropic_basis(w, best))
     return MaxIsotropic(best, witness, sorted(types))
 
 

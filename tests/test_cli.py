@@ -123,7 +123,7 @@ def test_byte_determinism():
     assert code == 0 and json.loads(out)["order"] == 4
 
 
-def test_depth_above_enum_limit():
+def test_depth_reads_the_radical_of_a_large_group():
     # depth reads the radical, so order 2^14 > 4096 is answered
     code, out, _ = invoke(["pgl", "depth", "--group", "2,2,2,2,2,2,2"])
     assert code == 0
@@ -174,7 +174,7 @@ def test_pgl_element_refuses_large_groups_quickly():
     assert json.loads(out)["error"]["kind"] == "output-bound"
 
 
-def test_embeds_answers_above_the_enum_limit():
+def test_embeds_answers_large_groups_by_partition_containment():
     # decided by partition containment: nothing is enumerated, so no bound
     argv = ["group", "embeds", "2,4", "--into", "2,2,2,2,2,2,2,2,2,2,2,2,4"]
     code, out, _ = invoke(argv)
@@ -192,7 +192,7 @@ def _answered_fast(argv):
     return json.loads(out)
 
 
-def test_subgroup_census_answers_above_the_enum_limit():
+def test_subgroup_census_answers_large_groups_in_closed_form():
     # the plain form is Birkhoff's closed form: nothing is enumerated, so no bound
     payload = _answered_fast(["group", "subgroups", "2," * 11 + "2"])
     check_schema("group subgroups", payload)
@@ -283,18 +283,19 @@ def _standard_spec(group):
     return std.strip()
 
 
-def _nonsplit_spec():
-    """(Z/2)^5 x (Z/2)^5* plus Z/4 x Z/4 with w(e, f) = 1/2, |H| = 16384:
-    the radical 2(Z/4 x Z/4) ~ (2, 2) is not a direct summand, and it
-    leaves H/R ~ 2^12."""
-    spec = json.loads(_standard_spec("2,2,2,2,2"))
+def _nonsplit_spec(group="2,2,2,2,2"):
+    """The standard module on the group plus Z/4 x Z/4 with w(e, f) = 1/2;
+    on (Z/2)^5, |H| = 16384: the radical 2(Z/4 x Z/4) ~ (2, 2) is not a
+    direct summand, and it leaves H/R ~ 2^12."""
+    spec = json.loads(_standard_spec(group))
+    k = len(spec["group"])
     spec["group"] += [4, 4]
     spec["gram"] = [row + ["0/1", "0/1"] for row in spec["gram"]] + [
-        ["0/1"] * 11 + ["1/2"], ["0/1"] * 10 + ["1/2", "0/1"]]
+        ["0/1"] * (k + 1) + ["1/2"], ["0/1"] * k + ["1/2", "0/1"]]
     return json.dumps(spec)
 
 
-def test_isotropic_queries_keep_the_enum_limit():
+def test_isotropic_queries_bound_only_the_nonsplit_pass():
     # max-isotropic lists the isotropic subgroups of one order only on a
     # degenerate form whose radical is not a direct summand, so the bound on
     # |H| stays there (_nonsplit_spec)
@@ -361,6 +362,22 @@ def test_max_isotropic_answers_the_split_degenerate_baseline_row():
     _, out, _ = invoke(argv)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d23820c4f5eb2c49c1181033b66fdefd522fc71c291edbd477a07d71807a305b")
+
+
+def test_max_isotropic_prints_the_pinned_bytes_on_a_nonsplit_form():
+    # (Z/2)^3 x (Z/2)^3* plus Z/4 x Z/4 with w(e, f) = 1/2, |H| = 1024: the
+    # radical 2(Z/4 x Z/4) is not a direct summand, so the types come from
+    # the pass over the isotropic subgroups of order 64
+    import hashlib
+
+    code, out, err = invoke(["form", "max-isotropic", "--form", _nonsplit_spec("2,2,2")])
+    assert code == 0 and err == "", out
+    payload = json.loads(out)
+    check_schema("form max-isotropic", payload)
+    assert payload["order"] == 64
+    assert payload["types"] == [[2, 2, 2, 2, 4], [2, 2, 4, 4]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "975e897caafbeff4f3104c5729806a4187255806202fc127c88e2d4c72e2982b")
 
 
 def test_span_of_dense_generators_in_a_large_elementary_group():

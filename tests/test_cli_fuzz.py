@@ -394,7 +394,7 @@ def test_cli_fuzz_group_reduce_prints_ops_that_replay(data):
           phases=[Phase.explicit, Phase.generate])
 @given(p=st.sampled_from([2, 3, 5, 7]), r=st.integers(1, 64), m=st.integers(1, 32),
        e=st.integers(0, 70))
-def test_cli_fuzz_compare_answers_above_the_enum_limit(p, r, m, e):
+def test_cli_fuzz_compare_answers_large_modules_in_time(p, r, m, e):
     argv = ["obstruct", "--mode", "compare", "--p", str(p), "--r", str(r), "--e", str(e),
             "--rank1", str(2 * m)]
     t0 = time.perf_counter()
@@ -412,7 +412,7 @@ def test_cli_fuzz_compare_answers_above_the_enum_limit(p, r, m, e):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None,
           phases=[Phase.explicit, Phase.generate])
 @given(chain=st.lists(st.integers(2, 12), min_size=1, max_size=5))
-def test_cli_fuzz_max_isotropic_answers_above_the_enum_limit(chain):
+def test_cli_fuzz_max_isotropic_answers_standard_modules_in_time(chain):
     from splitbound.finabel import Subgroup
     from splitbound.qzforms import is_lagrangian, isotropic_types
 

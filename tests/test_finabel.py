@@ -717,6 +717,15 @@ def test_reduce_tuple_replay_and_span():
             replay_ops(a, xi, [("sub", 0, 1, 1), op])
 
 
+def test_replay_ops_refuses_entries_of_another_group():
+    # as reduce_tuple does: an entry of Z/2 is not read as an element of Z/4
+    a = make_group([4])
+    xi = [make_group([2]).element((1,))]
+    for refuse in (lambda: reduce_tuple(a, xi), lambda: replay_ops(a, xi, [])):
+        with pytest.raises(AmbientMismatchError, match="tuple entry from a different group"):
+            refuse()
+
+
 def reduce_tuple_oracle(a, xi):
     """The recursive form reduce_tuple replaced: (op log, reduced coords)."""
     coords = [list(x.coords) for x in xi]
