@@ -10,9 +10,17 @@ functions on an allowlist call an enumerator, and only the one enumeration
 that no output bound covers raises EnumerationBoundError.  No module
 imports `os`: the package reads no environment variable, so the same
 arguments give the same bytes in every environment.
+
+A cold call imports only the layers its command runs: `import
+splitbound.cli` loads `cli` and `errors`, and each handler imports what it
+uses.  A fresh process pins that per command.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -255,3 +263,48 @@ def test_imported_modules_are_found_in_every_form(tmp_path):
         "    return environ\n"
     )
     assert imported_modules(src) == {"json", "os", "importlib"}
+
+
+# What a fresh interpreter holds of the package after `import
+# splitbound.cli` and one run(argv): the command's own layers and the ones
+# they import, nothing else.
+LOADED_BY_CLI = {"splitbound", "splitbound.cli", "splitbound.errors"}
+FORM_2_2 = '{"group": [2, 2], "gram": [["0/1", "1/2"], ["1/2", "0/1"]]}'
+COMMAND_LAYERS = [
+    (None, set()),
+    (["tables", "divisors"], {"liedata"}),
+    (["tables", "check", "--type", "E8", "--p", "2", "--d", "1"], {"liedata", "finabel"}),
+    (["group", "subgroups", "2,2"], {"finabel"}),
+    (["form", "max-isotropic", "--form", FORM_2_2], {"finabel", "qzforms"}),
+    (["pgl", "depth", "--group", "2,2"], {"finabel", "qzforms", "heisenberg"}),
+    (["f2", "count", "--form", '{"dim": 2, "rows": ["0x3", "0x2"]}'], {"f2quad"}),
+    (["obstruct", "--mode", "thm13", "--r", "2"], {"finabel", "qzforms", "obstruction"}),
+    (["verify", "all", "--seed", "1"], MODULES - {"cli", "errors"}),
+]
+_LOAD_PROBE = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import splitbound.cli
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert splitbound.cli.run(argv) == 0, argv
+print(json.dumps([m for m in sys.modules if m.partition(".")[0] == "splitbound"]))
+"""
+
+
+def loaded_modules(argv):
+    """The splitbound modules a fresh interpreter holds after importing
+    splitbound.cli and, unless argv is None, running that argv."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", _LOAD_PROBE, json.dumps(argv)],
+                          capture_output=True, env=env, timeout=120, check=True)
+    return set(json.loads(done.stdout))
+
+
+def test_each_command_loads_only_its_layers():
+    for argv, layers in COMMAND_LAYERS:
+        want = LOADED_BY_CLI | {f"splitbound.{m}" for m in layers}
+        assert loaded_modules(argv) == want, argv
+    # verify loads all nine modules
+    assert len(want) == len(MODULES) + 1
