@@ -4,6 +4,9 @@ Every subcommand prints a single JSON object (sorted keys, LF terminated)
 so identical flags give byte-identical output; --format text renders the
 same data as key: value lines.  Validation and precondition failures exit
 with status 2 and a structured error object; unexpected faults exit 1.
+
+Each handler imports the layers it runs, so a cold call compiles only
+those: importing this module loads `errors` alone.
 """
 
 from __future__ import annotations
@@ -12,26 +15,7 @@ import argparse
 import json
 import sys
 
-from . import f2quad, heisenberg, liedata, obstruction, qzforms, verify
 from .errors import InputError, OutputBoundError, PreconditionError, SplitboundError, _int_text
-from .finabel import (
-    MAX_LISTED,
-    Element,
-    FinAbGroup,
-    QmodZ,
-    Subgroup,
-    _is_prime,
-    _types_by_live_block,
-    dual_group,
-    embeds_into,
-    enumerate_subgroups,
-    eval_character,
-    make_group,
-    quotient,
-    reduce_tuple,
-    subgroup_census,
-    subgroup_from_generators,
-)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -40,12 +24,14 @@ __all__ = ["main", "run", "build_parser"]
 # literals
 # ---------------------------------------------------------------------------
 
-def _parse_group(text: str) -> FinAbGroup:
+def _parse_group(text: str):
+    from . import finabel
+
     try:
         parts = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as ex:
         raise InputError(f"bad group literal {text!r}") from ex
-    return make_group(parts)
+    return finabel.make_group(parts)
 
 
 def _parse_coords(text: str) -> tuple[int, ...]:
@@ -61,11 +47,11 @@ def _parse_coords(text: str) -> tuple[int, ...]:
         raise InputError(f"bad element literal {text!r}") from ex
 
 
-def _parse_element(group: FinAbGroup, text: str) -> Element:
+def _parse_element(group, text: str):
     return group.element(_parse_coords(text))
 
 
-def _parse_elements(group: FinAbGroup, text: str) -> list[Element]:
+def _parse_elements(group, text: str) -> list:
     return [_parse_element(group, part) for part in text.split(";") if part.strip()]
 
 
@@ -93,20 +79,24 @@ def _load_spec(text: str) -> dict:
     return obj
 
 
-def _parse_form(text: str) -> qzforms.SkewForm:
+def _parse_form(text: str):
+    from . import finabel, qzforms
+
     obj = _load_spec(text)
     try:
         # JSON numbers load as int or float; a float is no invariant factor
         if any(isinstance(d, float) for d in obj["group"]):
             raise InputError("bad form spec: group entries must be integers")
-        group = make_group(obj["group"])
-        gram = [[QmodZ.parse(entry) for entry in row] for row in obj["gram"]]
+        group = finabel.make_group(obj["group"])
+        gram = [[finabel.QmodZ.parse(entry) for entry in row] for row in obj["gram"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise InputError(f"bad form spec: {ex}") from ex
     return qzforms.SkewForm(group, gram)
 
 
-def _parse_f2(text: str) -> f2quad.F2QuadForm:
+def _parse_f2(text: str):
+    from . import f2quad
+
     obj = _load_spec(text)
     try:
         dim = obj["dim"]
@@ -121,14 +111,14 @@ def _parse_f2(text: str) -> f2quad.F2QuadForm:
     return f2quad.F2QuadForm(dim, rows)
 
 
-def _form_obj(w: qzforms.SkewForm) -> dict:
+def _form_obj(w) -> dict:
     return {
         "group": list(w.group.invariants),
         "gram": [[str(e) for e in row] for row in w.gram],
     }
 
 
-def _subgroup_obj(s: Subgroup, invariants=None) -> dict:
+def _subgroup_obj(s, invariants=None) -> dict:
     return {
         "order": s.order,
         "invariants": list(s.sub_invariants if invariants is None else invariants),
@@ -136,7 +126,9 @@ def _subgroup_obj(s: Subgroup, invariants=None) -> dict:
     }
 
 
-def _descriptor(args) -> liedata.GroupDescriptor:
+def _descriptor(args):
+    from . import liedata
+
     series = _need(args, "type")
     n = getattr(args, "rank", None)
     return liedata.GroupDescriptor(series, n, not getattr(args, "adjoint", False))
@@ -147,6 +139,8 @@ def _descriptor(args) -> liedata.GroupDescriptor:
 # ---------------------------------------------------------------------------
 
 def _cmd_group(args) -> dict:
+    from . import finabel
+
     a = _parse_group(args.invariants)
     act = args.action
     if act == "info":
@@ -157,35 +151,34 @@ def _cmd_group(args) -> dict:
             "exponent": a.exponent,
         }
     if act == "dual":
-        return {"invariants": list(dual_group(a).invariants)}
+        return {"invariants": list(finabel.dual_group(a).invariants)}
     if act == "char":
-        chi = _parse_element(dual_group(a), _need(args, "chi"))
+        chi = _parse_element(finabel.dual_group(a), _need(args, "chi"))
         x = _parse_element(a, _need(args, "a"))
-        return {"value": str(eval_character(chi, x))}
+        return {"value": str(finabel.eval_character(chi, x))}
     if act == "span":
-        s = subgroup_from_generators(a, _parse_elements(a, args.gens or ""))
+        s = finabel.subgroup_from_generators(a, _parse_elements(a, args.gens or ""))
         return _subgroup_obj(s)
     if act == "quotient":
-        s = subgroup_from_generators(a, _parse_elements(a, args.gens or ""))
-        return {"invariants": list(quotient(a, s).invariants)}
+        s = finabel.subgroup_from_generators(a, _parse_elements(a, args.gens or ""))
+        return {"invariants": list(finabel.quotient(a, s).invariants)}
     if act == "subgroups":
         if not args.list:
-            count, types = subgroup_census(a)
+            count, types = finabel.subgroup_census(a)
             return {"count": count, "types": [list(t) for t in types]}
-        count, _ = subgroup_census(a)
-        if count > MAX_LISTED:
-            raise OutputBoundError(
-                f"{_int_text(count)} subgroups are more than the listing bound {MAX_LISTED}"
-            )
-        type_of = _types_by_live_block(a)
-        subs = [_subgroup_obj(s, type_of(s.basis)) for s in enumerate_subgroups(a)]
+        count, _ = finabel.subgroup_census(a)
+        if count > finabel.MAX_LISTED:
+            raise OutputBoundError(f"{_int_text(count)} subgroups are more than"
+                                   f" the listing bound {finabel.MAX_LISTED}")
+        type_of = finabel._types_by_live_block(a)
+        subs = [_subgroup_obj(s, type_of(s.basis)) for s in finabel.enumerate_subgroups(a)]
         return {"count": len(subs), "subgroups": subs}
     if act == "embeds":
         b = _parse_group(_need(args, "into"))
-        return {"embeds": embeds_into(a, b)}
+        return {"embeds": finabel.embeds_into(a, b)}
     if act == "reduce":
         xi = _parse_elements(a, _need(args, "tuple"))
-        log, reduced = reduce_tuple(a, xi)
+        log, reduced = finabel.reduce_tuple(a, xi)
         return {
             "ops": [list(op) for op in log],
             "reduced": [list(el.coords) for el in reduced],
@@ -195,6 +188,8 @@ def _cmd_group(args) -> dict:
 
 
 def _cmd_form(args) -> dict:
+    from . import finabel, qzforms
+
     act = args.action
     if act == "standard":
         return _form_obj(qzforms.standard_module(_parse_group(_need(args, "group"))))
@@ -215,18 +210,20 @@ def _cmd_form(args) -> dict:
             "witness": _subgroup_obj(mi.witness),
         }
     if act == "lagrangian":
-        s = subgroup_from_generators(w.group, _parse_elements(w.group, args.gens or ""))
+        s = finabel.subgroup_from_generators(w.group, _parse_elements(w.group, args.gens or ""))
         return {"lagrangian": qzforms.is_lagrangian(w, s)}
     if act == "quotient-lagrangian":
-        s = subgroup_from_generators(w.group, _parse_elements(w.group, args.gens or ""))
+        s = finabel.subgroup_from_generators(w.group, _parse_elements(w.group, args.gens or ""))
         return {"invariants": list(qzforms.quotient_by_lagrangian(w, s).invariants)}
     raise InputError(f"unknown form action {act!r}")
 
 
-def _pgl_subgroup(args) -> heisenberg.PglSubgroup:
+def _pgl_subgroup(args):
+    from . import finabel, heisenberg
+
     a = _parse_group(args.group)
     if args.elements is not None:
-        dual = dual_group(a)
+        dual = finabel.dual_group(a)
         pairs = []
         for part in args.elements.split(";"):
             part = part.strip()
@@ -245,16 +242,18 @@ def _pgl_subgroup(args) -> heisenberg.PglSubgroup:
 
 
 def _cmd_pgl(args) -> dict:
+    from . import finabel, heisenberg
+
     act = args.action
     if act == "element":
         a = _parse_group(args.group)
         x = _parse_element(a, _need(args, "a"))
-        chi = _parse_element(dual_group(a), _need(args, "chi"))
+        chi = _parse_element(finabel.dual_group(a), _need(args, "chi"))
         # the lift and its printed perm and diag have |A| entries each
-        if a.order > MAX_LISTED:
+        if a.order > finabel.MAX_LISTED:
             raise OutputBoundError(
                 f"the lift's perm and diag have {_int_text(a.order)} entries each,"
-                f" more than the listing bound {MAX_LISTED}"
+                f" more than the listing bound {finabel.MAX_LISTED}"
             )
         lift = heisenberg.phi(x, chi).canonical_lift()
         return {
@@ -273,6 +272,8 @@ def _cmd_pgl(args) -> dict:
 
 
 def _cmd_f2(args) -> dict:
+    from . import f2quad
+
     act = args.action
     if act == "census":
         if args.lemma == "quad":
@@ -315,6 +316,8 @@ def _cmd_f2(args) -> dict:
 
 
 def _cmd_obstruct(args) -> dict:
+    from . import finabel, obstruction, qzforms
+
     mode = args.mode
     if mode == "f":
         return {"bound": obstruction.f_bound(args.r)}
@@ -344,8 +347,8 @@ def _cmd_obstruct(args) -> dict:
         # built: their isotropic types come from those groups alone
         o1 = p ** (m - min(args.e, m))
         o2 = p ** (r - min(args.e, r))
-        types1 = qzforms.standard_isotropic_types(make_group([p] * m), o1)
-        types2 = qzforms.standard_isotropic_types(make_group([p ** r]), o2)
+        types1 = qzforms.standard_isotropic_types(finabel.make_group([p] * m), o1)
+        types2 = qzforms.standard_isotropic_types(finabel.make_group([p ** r]), o2)
         return {
             "bound": obstruction.comparison_from_types(o1, types1, o2, types2),
             "types": {
@@ -357,6 +360,8 @@ def _cmd_obstruct(args) -> dict:
 
 
 def _cmd_tables(args) -> dict:
+    from . import liedata
+
     act = args.action
     if act == "torsion":
         return {"primes": sorted(liedata.torsion_primes(_descriptor(args)))}
@@ -369,6 +374,8 @@ def _cmd_tables(args) -> dict:
             out["resolution"] = resolution
         return out
     if act == "check":
+        from .finabel import _is_prime
+
         desc = _descriptor(args)
         p, d = _need(args, "p"), _need(args, "d")
         if p >= 2 and not _is_prime(p):  # p < 2 is depth_consistency's precondition
@@ -385,6 +392,8 @@ def _cmd_tables(args) -> dict:
 
 
 def _cmd_verify(args, fmt: str) -> int:
+    from . import verify
+
     checks = verify.run_suite(args.suite, args.seed)
     ok = all(c.passed for c in checks)
     if fmt == "json":
@@ -412,6 +421,10 @@ def _cmd_verify(args, fmt: str) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+# the suite names verify.run_suite answers
+SUITES = ("isometry", "lagrangian", "ec8", "partitions", "all")
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--det-one", action="store_true", help="determinant-one forms")
 
     v = sub.add_parser("verify", help="replay named invariant suites")
-    v.add_argument("suite", choices=verify.SUITES)
+    v.add_argument("suite", choices=SUITES)
     v.add_argument("--seed", type=int, default=0)
 
     return top

@@ -8,12 +8,10 @@ uncovered descriptor raises UnsupportedTypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from math import prod
 
 from .errors import PreconditionError, UnsupportedTypeError
-from .finabel import _valuation
 
 _EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
 _SERIES = ("A", "B", "C", "D") + _EXCEPTIONAL
@@ -30,34 +28,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GroupDescriptor:
     """Type of an almost simple group: series, rank, isogeny flavor."""
 
-    series: str
-    n: int | None = None
-    simply_connected: bool = True
+    __slots__ = ("series", "n", "simply_connected")
 
-    def __post_init__(self):
-        if self.series not in _SERIES:
-            raise PreconditionError(f"unknown series {self.series!r}")
-        if self.series in _EXCEPTIONAL:
-            if self.n is not None:
+    def __init__(self, series: str, n: int | None = None, simply_connected: bool = True):
+        if series not in _SERIES:
+            raise PreconditionError(f"unknown series {series!r}")
+        if series in _EXCEPTIONAL:
+            if n is not None:
                 raise PreconditionError("exceptional types carry no rank parameter")
         else:
-            if self.n is None or self.n < 1:
+            if n is None or n < 1:
                 raise PreconditionError("classical types need a rank n >= 1")
-            if self.series == "B" and self.n < 2:
+            if series == "B" and n < 2:
                 raise PreconditionError("B_n requires n >= 2")
-            if self.series == "D" and self.n < 4:
+            if series == "D" and n < 4:
                 raise PreconditionError("D_n requires n >= 4")
+        self.series = series
+        self.n = n
+        self.simply_connected = simply_connected
 
     def label(self) -> str:
         base = self.series if self.series in _EXCEPTIONAL else f"{self.series}_{self.n}"
         return base + ("" if self.simply_connected else " (adjoint form)")
 
 
-# formula tokens appearing in the table, mapped to exact evaluators
+# formula tokens appearing in the table, mapped to exact evaluators; the
+# v2 rows serve C_n and D_n, whose n >= 1, and there 2^v2(n) is n & -n
 _FORMULAS = {
     "1": lambda n: 1,
     "2": lambda n: 2,
@@ -67,8 +66,8 @@ _FORMULAS = {
     "2^n": lambda n: 2 ** n,
     "2^max(1,n-4)": lambda n: 2 ** max(1, n - 4),
     "2^max(1,n-5)": lambda n: 2 ** max(1, n - 5),
-    "2^(v2(n)+1)": lambda n: 2 ** (_valuation(n, 2) + 1),
-    "2^(v2(n)+n)": lambda n: 2 ** (_valuation(n, 2) + n),
+    "2^(v2(n)+1)": lambda n: 2 * (n & -n),
+    "2^(v2(n)+n)": lambda n: (n & -n) << n,
     "2*3^4": lambda n: 2 * 3 ** 4,
     "2^5*3": lambda n: 2 ** 5 * 3,
     "2^7*3^3*5": lambda n: 2 ** 7 * 3 ** 3 * 5,
@@ -162,6 +161,8 @@ def tits_n(g: GroupDescriptor) -> int:
 def depth_consistency(g: GroupDescriptor, p: int, d: int) -> bool:
     """Whether a depth-d abelian p-subgroup is consistent with n(G):
     p^d must divide the tabulated splitting bound (d <= its p-exponent)."""
+    from .finabel import _valuation
+
     if p < 2 or d < 0:
         raise PreconditionError("need p >= 2 and d >= 0")
     return d <= _valuation(tits_n(g), p)

@@ -36,9 +36,7 @@ from .finabel import (
     subgroup_from_generators,
 )
 
-SUITES = ("isometry", "lagrangian", "ec8", "partitions", "all")
-
-__all__ = ["Check", "SUITES", "run_suite", "iter_abelian_types", "subquot_profile"]
+__all__ = ["Check", "run_suite", "iter_abelian_types", "subquot_profile"]
 
 
 @dataclass

@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import splitbound.verify  # noqa: F401  (loads every layer the tracer wraps)
 from splitbound import qzforms
 from splitbound.cli import run
 from splitbound.finabel import full_subgroup, make_group, trivial_subgroup

@@ -983,6 +983,13 @@ def _fresh_process(argv):
     return done.returncode, done.stdout.decode()
 
 
+def test_a_fresh_process_prints_the_bytes_of_run():
+    # a cold process imports each command's layers on its first call
+    for argv in ONE_PER_COMMAND:
+        code, out, _ = invoke(argv)
+        assert (code, out) == _fresh_process(argv), argv
+
+
 def _exit_code(argv):
     try:
         return invoke(argv)[0]

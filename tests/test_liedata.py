@@ -3,6 +3,7 @@ from math import lcm
 import pytest
 
 from splitbound.errors import PreconditionError, UnsupportedTypeError
+from splitbound.finabel import _valuation
 from splitbound.liedata import (
     GroupDescriptor,
     depth_consistency,
@@ -142,3 +143,45 @@ def test_table_roundtrip():
     assert rows["tits"]["G2"]["nsc"] == "-"
     assert rows["depths"]["E8"] == {2: 2, 3: 1, 5: 1}
     assert rows["e8_resolution"] == "lcm"
+
+
+def _token_oracle(token: str, n: int) -> int:
+    """A raw tits token of the table, evaluated as an expression in n with
+    v2 read by finabel._valuation."""
+    expr = token.replace("^", "**")
+    return eval(expr, {"__builtins__": {}}, {"n": n, "max": max, "v2": lambda m: _valuation(m, 2)})
+
+
+def _descriptors():
+    """(descriptor, tits token) for every classical series at n = 1..64 and
+    every exceptional type, in both isogeny flavours, that the table covers."""
+    tits = table_rows()["tits"]
+    lowest = {"A": 1, "B": 2, "C": 1, "D": 4}
+    for key, tokens in tits.items():
+        series = key.split("_")[0]
+        ranks = range(lowest[series], 65) if series in lowest else [None]
+        for n in ranks:
+            for sc, token in ((True, tokens["sc"]), (False, tokens["nsc"])):
+                if token != "-":
+                    yield GroupDescriptor(series, n, sc), token
+
+
+def test_tits_n_evaluates_every_table_token():
+    # pins the closed forms of the v2 rows (2^v2(n) as n & -n) and the rest
+    seen = set()
+    for desc, token in _descriptors():
+        assert tits_n(desc) == _token_oracle(token, desc.n or 0), (desc.label(), token)
+        seen.add(token)
+    assert {"2^(v2(n)+1)", "2^(v2(n)+n)"} <= seen and len(seen) == 13
+
+
+def test_depth_consistency_reads_the_p_exponent_of_tits_n():
+    rows = table_rows()
+    primes = set().union(*rows["torsion"].values(), *rows["depths"].values())
+    assert primes == {2, 3, 5}
+    for desc, token in _descriptors():
+        want = _token_oracle(token, desc.n or 0)
+        for p in sorted(primes):
+            for d in range(9):
+                assert depth_consistency(desc, p, d) == (d <= _valuation(want, p)), (
+                    desc.label(), p, d)
