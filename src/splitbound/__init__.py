@@ -56,7 +56,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # no binding is kept here: the owning module's is read on every access
+    # nothing is cached here, so a name rebound on its module reads the same here
     module = _OWNER.get(name)
     if module is None:  # a submodule not imported yet: the import system loads it
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

