@@ -26,7 +26,6 @@ from .errors import (
 from .finabel import _is_prime, _prime_power, _valuation
 from .qzforms import SkewForm, is_nondegenerate, isotropic_types, radical
 
-MAX_SEARCH_R = 40
 # the largest r that f_bound takes: its O(sqrt r) runs answer well within a
 # second there, and a 20-digit r would run for days
 MAX_F_R = 10 ** 11
@@ -119,15 +118,13 @@ def f_bound(r: int, e: int = 0) -> int:
 
 
 def partition_feasible(q: ObstructionQuery, c: PartitionCandidate) -> bool:
-    """n_v + n_{v+1} >= [r/v] - e for every v >= 1 (missing entries are 0)."""
+    """n_v + n_{v+1} >= [r/v] - e for every v >= 1 (missing entries are 0).
+    The need is positive only for v <= r // (e + 1), so only those v run."""
     exps = c.exponents
     ln = len(exps)
-    for v in range(1, q.r + 1):
-        need = q.r // v - q.e
-        if need <= 0:
-            continue
+    for v in range(1, q.r // (q.e + 1) + 1):
         have = (exps[v - 1] if v - 1 < ln else 0) + (exps[v] if v < ln else 0)
-        if have < need:
+        if have < q.r // v - q.e:
             return False
     return True
 
@@ -137,60 +134,51 @@ def min_splitting_exponent(q: ObstructionQuery) -> tuple[int, PartitionCandidate
     witness in (total ascending, lexicographic) search order.
 
     The pairwise constraints alone force total >= f_e(r), which is asserted.
+    So p^total, which the caller prints, cannot print at any p when
+    2^{f_e(r)} cannot, and that is refused (OutputBoundError) before the
+    DP.  Every r whose 2^{f_e(r)} prints is answered, in O(f_e(r)) work.
     """
-    if q.r > MAX_SEARCH_R:
-        raise PreconditionError(f"r = {q.r} above the search bound {MAX_SEARCH_R}")
     r, e = q.r, q.e
-
-    def need_at(v: int) -> int:
-        # constraint n_v + n_{v+1} >= need_at(v); nonincreasing in v
-        return max(0, r // v - e) if 1 <= v <= r else 0
-
-    # best[v][prev]: (least sum over positions >= v, least n_v reaching it)
-    # given n_{v-1} = prev, or None when no nonincreasing completion
-    # satisfies the constraints; n_v = 0 means an all-zero tail.  Past
-    # position r + 1 every need is 0, so the rows are filled from r + 1 down.
-    best: list = [None] * (r + 3)
-    best[r + 2] = [(0, 0)] * (r + 1)
-    for v in range(r + 1, 0, -1):
-        below = best[v + 1]
-        cost = [None] + [val + t[0] if (t := below[val]) else None for val in range(1, r + 1)]
-        need_prev = need_at(v - 1)
-        # n_v ranges over [max(need_prev - prev, 1), prev], empty below
-        # prev = start; from prev = stop on an all-zero tail is feasible,
-        # hence optimal.  The window widens on both sides as prev grows, so
-        # its least cost (the least n_v on ties) is kept as it widens.
-        start = (need_prev + 1) // 2
-        stop = need_prev if need_at(v) == 0 else r + 1
-        row = [None] * start
-        found = None
-        left = max(need_prev - start, 1)
-        right = left - 1
-        for prev in range(start, stop):
-            while right < prev:  # a larger n_v wins only when strictly cheaper
-                right += 1
-                c = cost[right]
-                if c is not None and (found is None or c < found[0]):
-                    found = (c, right)
-            while left > need_prev - prev and left > 1:  # a smaller n_v wins ties
-                left -= 1
-                c = cost[left]
-                if c is not None and (found is None or c <= found[0]):
-                    found = (c, left)
+    fe = f_bound(r, e)
+    checked_power(2, fe)
+    # N_v = [r/v] - e is positive exactly for v = 1..last, with N_0 := N_1
+    # and N_v := 0 past last.  An optimum has n_v <= N_{v-1}: lowering a
+    # larger entry, and every later entry above N_{v-1}, to N_{v-1} keeps
+    # the order and every pair constraint (N falls) and lowers the total.
+    last = r // (e + 1)
+    cap = [max(0, r // max(v, 1) - e) for v in range(last + 2)]
+    # rows[v][prev]: least (sum over positions >= v, n_v) given
+    # n_{v-1} = prev, or None when no completion is feasible.  A prev above
+    # N_{v-1} reads as N_{v-1}, whose window is already all of 0..N_{v-1}.
+    # An entry 0 ends the partition: past last its row holds only (0, 0).
+    rows: list = [None] * (last + 3)
+    rows[last + 2] = [(0, 0)]
+    for v in range(last + 1, 0, -1):
+        below, n, n_next = rows[v + 1], cap[v - 1], cap[v]
+        cost = [x + t[0] if (t := below[min(x, n_next)]) else None for x in range(n + 1)]
+        # n_v ranges over [n - prev, prev], which gains a cell on each
+        # side as prev rises; the least (cost, n_v) gives the least entry
+        # on ties
+        row, found = [], None
+        for prev in range(n + 1):
+            if n - prev <= prev:
+                for x in (n - prev, prev):
+                    if cost[x] is not None and (found is None or (cost[x], x) < found):
+                        found = (cost[x], x)
             row.append(found)
-        row += [(0, 0)] * (r + 1 - len(row))
-        best[v] = row
+        rows[v] = row
 
     # the least n_v at every position gives the lexicographically least
-    # witness of the least total
-    total, val = best[1][r]  # the constant partition (r, ..., r) is feasible
+    # witness of the least total; position 1 reads the full window
+    total, val = rows[1][cap[0]]
     witness: list[int] = []
     while val:
         witness.append(val)
-        val = best[len(witness) + 1][val][1]
+        v = len(witness) + 1
+        val = rows[v][min(val, cap[v - 1])][1]
     cand = PartitionCandidate(tuple(witness))
     assert partition_feasible(q, cand)
-    assert total >= f_bound(r, e)
+    assert total >= fe
     return total, cand
 
 

@@ -484,10 +484,26 @@ def test_min_partition_bound_beyond_the_digit_limit():
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"]["kind"] == "output-bound"
+    assert out == ('{"error": {"kind": "output-bound", "message": "p^104 has more than 4300 '
+                   'decimal digits (the int-to-str limit)"}}\n')
     code, out, _ = invoke(["obstruct", "--mode", "min-partition", "--p", str(P100), "--r", "3"])
     assert code == 0
     payload = json.loads(out)
     assert payload["bound"] == P100 ** payload["total"]
+
+
+def test_min_partition_is_bounded_by_what_it_prints():
+    # the DP runs over O(f_e(r)) states, so every r whose p^total prints
+    # answers within a second, and the rest are refused with kind output-bound
+    argv = ["obstruct", "--mode", "min-partition", "--p", "2", "--r"]
+    payload = _answered_fast(argv + ["2998"])
+    assert payload["total"] == 14283 and payload["bound"] == 2 ** 14283
+    msg = _refused_fast(argv + ["2999"], "output-bound")
+    assert msg == "p^14285 has more than 4300 decimal digits (the int-to-str limit)"
+    # a large e leaves few positive needs, and partition_feasible checks only those
+    payload = _answered_fast(argv + [str(10 ** 11), "--e", str(10 ** 11 - 1)])
+    assert payload == {"bound": 2, "fe": 1, "total": 1, "witness": [1]}
+    _refused_fast(argv + [str(10 ** 11), "--e", str(5 * 10 ** 10)], "output-bound")
 
 
 def test_group_info_large_prime_answers_fast():

@@ -11,7 +11,9 @@ with the closed-form answer.  `form max-isotropic` on a standard module,
 drawn up to |H| = 2^20, enumerates nothing and must answer within
 MAX_ISOTROPIC_SECONDS; so must a degenerate form whose radical is a direct
 summand (a standard module plus a zero summand), drawn up to |H| = 2^14.
-No other per-call time is asserted: `group subgroups --list` and `pgl
+`obstruct --mode min-partition`, drawn up to r = 3,100 (where p^total stops
+printing) and near r = 10^11, must answer or refuse with kind output-bound
+within MIN_PARTITION_SECONDS.  No other per-call time is asserted: `group subgroups --list` and `pgl
 element` print one entry per subgroup or per element, and a form whose
 radical is not a direct summand is enumerated, so the groups drawn (order
 at most 1728) and the arbitrary forms (order at most 64) are kept small
@@ -461,3 +463,55 @@ def test_cli_fuzz_max_isotropic_answers_split_degenerate_forms(p, a_exps, r_exps
     types = {_canonical_chain(rad.sub_invariants + t)
              for t in isotropic_types(standard_module(a), a.order)}
     assert payload["types"] == [list(t) for t in sorted(types)], spec
+
+
+# the per-call wall-time bound on every well-formed `min-partition` draw
+MIN_PARTITION_SECONDS = 1.0
+
+
+@st.composite
+def _min_partition_query(draw):
+    """(p, r, e): r up to 3,100, a quarter of them from 2,900 (where 2^total
+    stops printing), or one time in eight near 10^11; e drawn from
+    0..r + 1, mostly near either end."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 10 ** 99 + 289]))
+    branch = draw(st.integers(0, 7))
+    if branch == 7:
+        r = draw(st.integers(10 ** 11 - 5, 10 ** 11))
+    else:
+        r = draw(st.integers(2900 if branch >= 5 else 1, 3100))
+    e = draw(st.one_of(st.integers(0, 3), st.integers(max(0, r - 3), r + 1),
+                       st.integers(0, r + 1)))
+    return p, r, e
+
+
+# well-formed min-partition queries near the output bound: each answers
+# within MIN_PARTITION_SECONDS with a feasible witness of a total at least
+# f_e(r) and bound p^total, or is refused with kind output-bound
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(query=_min_partition_query())
+def test_cli_fuzz_min_partition_answers_or_refuses_in_time(query):
+    from splitbound.obstruction import f_bound
+
+    p, r, e = query
+    argv = ["obstruct", "--mode", "min-partition", "--p", str(p), "--r", str(r), "--e", str(e)]
+    t0 = time.perf_counter()
+    code, out, _ = invoke(argv)
+    assert time.perf_counter() - t0 < MIN_PARTITION_SECONDS, query
+    assert code in (0, 2), (query, out)
+    payload = json.loads(out)
+    if code == 2:
+        check_schema("error", payload)
+        assert payload["error"]["kind"] == "output-bound", (query, out)
+        return
+    check_schema("obstruct min-partition", payload)
+    wit = payload["witness"]
+    assert all(n >= 1 for n in wit) and wit == sorted(wit, reverse=True), query
+    # the need [r/v] - e falls with v, and from v = len(wit) + 2 on it
+    # meets two zero entries, so no later v needs a check
+    padded = wit + [0, 0, 0]
+    for v in range(1, len(wit) + 3):
+        assert padded[v - 1] + padded[v] >= r // v - e, (query, v)
+    assert payload["total"] == sum(wit) >= payload["fe"] == f_bound(r, e), query
+    assert payload["bound"] == p ** payload["total"], query

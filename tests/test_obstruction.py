@@ -113,8 +113,9 @@ def test_min_splitting_exponent():
             break
     assert best == wit.exponents
 
-    with pytest.raises(PreconditionError):
-        min_splitting_exponent(ObstructionQuery(2, 41, 0))
+    # r = 41 answers: no bound below the output's caps r
+    total, wit = min_splitting_exponent(ObstructionQuery(2, 41, 0))
+    assert total == 106 and (total, wit.exponents) == windowed_dp_oracle(ObstructionQuery(2, 41, 0))
 
 
 def test_min_splitting_against_formula_sweep():
@@ -174,7 +175,7 @@ def partition_search_oracle(q):
 
 
 def test_min_splitting_exponent_matches_two_pass_search():
-    # every (r, e) the search bound admits, e up to r + 1 (all needs <= 0)
+    # every (r, e) with r <= 40, e up to r + 1 (all needs <= 0)
     cases = 0
     for r in range(1, 41):
         for e in range(0, r + 2):
@@ -183,6 +184,73 @@ def test_min_splitting_exponent_matches_two_pass_search():
             assert (total, wit.exponents) == partition_search_oracle(q), (r, e)
             cases += 1
     assert cases == 900
+
+
+def windowed_dp_oracle(q):
+    """The DP min_splitting_exponent replaced: one row per position
+    1..r + 1 over every previous entry 0..r, O(r^2), with the window minima
+    kept by hand."""
+    r, e = q.r, q.e
+
+    def need_at(v: int) -> int:
+        # constraint n_v + n_{v+1} >= need_at(v); nonincreasing in v
+        return max(0, r // v - e) if 1 <= v <= r else 0
+
+    # best[v][prev]: (least sum over positions >= v, least n_v reaching it)
+    # given n_{v-1} = prev, or None when no nonincreasing completion
+    # satisfies the constraints; n_v = 0 means an all-zero tail.  Past
+    # position r + 1 every need is 0, so the rows are filled from r + 1 down.
+    best: list = [None] * (r + 3)
+    best[r + 2] = [(0, 0)] * (r + 1)
+    for v in range(r + 1, 0, -1):
+        below = best[v + 1]
+        cost = [None] + [val + t[0] if (t := below[val]) else None for val in range(1, r + 1)]
+        need_prev = need_at(v - 1)
+        # n_v ranges over [max(need_prev - prev, 1), prev], empty below
+        # prev = start; from prev = stop on an all-zero tail is feasible,
+        # hence optimal.  The window widens on both sides as prev grows, so
+        # its least cost (the least n_v on ties) is kept as it widens.
+        start = (need_prev + 1) // 2
+        stop = need_prev if need_at(v) == 0 else r + 1
+        row = [None] * start
+        found = None
+        left = max(need_prev - start, 1)
+        right = left - 1
+        for prev in range(start, stop):
+            while right < prev:  # a larger n_v wins only when strictly cheaper
+                right += 1
+                c = cost[right]
+                if c is not None and (found is None or c < found[0]):
+                    found = (c, right)
+            while left > need_prev - prev and left > 1:  # a smaller n_v wins ties
+                left -= 1
+                c = cost[left]
+                if c is not None and (found is None or c <= found[0]):
+                    found = (c, left)
+            row.append(found)
+        row += [(0, 0)] * (r + 1 - len(row))
+        best[v] = row
+
+    # the least n_v at every position gives the lexicographically least
+    # witness of the least total
+    total, val = best[1][r]  # the constant partition (r, ..., r) is feasible
+    witness: list[int] = []
+    while val:
+        witness.append(val)
+        val = best[len(witness) + 1][val][1]
+    return total, tuple(witness)
+
+
+def test_min_splitting_exponent_matches_the_windowed_dp():
+    # every (r, e) with r <= 80 and e up to r + 1, then e in {0, r // 2}
+    # up to r = 300, where the O(r^2) oracle still runs in milliseconds
+    cases = [(r, e) for r in range(1, 81) for e in range(r + 2)]
+    cases += [(r, e) for r in range(81, 301) for e in (0, r // 2)]
+    assert len(cases) == 3840
+    for r, e in cases:
+        q = ObstructionQuery(2, r, e)
+        total, wit = min_splitting_exponent(q)
+        assert (total, wit.exponents) == windowed_dp_oracle(q), (r, e)
 
 
 def test_index_divisor():
