@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import isqrt, log10, prod
+from math import inf, isqrt, log10, prod
 
 from .errors import (
     DegenerateFormError,
@@ -148,23 +148,21 @@ def min_splitting_exponent(q: ObstructionQuery) -> tuple[int, PartitionCandidate
     last = r // (e + 1)
     cap = [max(0, r // max(v, 1) - e) for v in range(last + 2)]
     # rows[v][prev]: least (sum over positions >= v, n_v) given
-    # n_{v-1} = prev, or None when no completion is feasible.  A prev above
-    # N_{v-1} reads as N_{v-1}, whose window is already all of 0..N_{v-1}.
+    # n_{v-1} = prev, or (inf, 0) when no completion is feasible.  A prev
+    # above N_{v-1} reads as N_{v-1}, whose window is all of 0..N_{v-1}.
     # An entry 0 ends the partition: past last its row holds only (0, 0).
     rows: list = [None] * (last + 3)
     rows[last + 2] = [(0, 0)]
     for v in range(last + 1, 0, -1):
         below, n, n_next = rows[v + 1], cap[v - 1], cap[v]
-        cost = [x + t[0] if (t := below[min(x, n_next)]) else None for x in range(n + 1)]
+        cost = [(x + below[min(x, n_next)][0], x) for x in range(n + 1)]
         # n_v ranges over [n - prev, prev], which gains a cell on each
         # side as prev rises; the least (cost, n_v) gives the least entry
         # on ties
-        row, found = [], None
+        row, found = [], (inf, 0)
         for prev in range(n + 1):
             if n - prev <= prev:
-                for x in (n - prev, prev):
-                    if cost[x] is not None and (found is None or (cost[x], x) < found):
-                        found = (cost[x], x)
+                found = min(found, cost[n - prev], cost[prev])
             row.append(found)
         rows[v] = row
 

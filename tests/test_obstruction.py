@@ -113,9 +113,10 @@ def test_min_splitting_exponent():
             break
     assert best == wit.exponents
 
-    # r = 41 answers: no bound below the output's caps r
-    total, wit = min_splitting_exponent(ObstructionQuery(2, 41, 0))
-    assert total == 106 and (total, wit.exponents) == windowed_dp_oracle(ObstructionQuery(2, 41, 0))
+    # r = 41 answers: only what the answer prints bounds r
+    q = ObstructionQuery(2, 41, 0)
+    total, wit = min_splitting_exponent(q)
+    assert total == 106 and (total, wit.exponents) == windowed_dp_oracle(q)
 
 
 def test_min_splitting_against_formula_sweep():
