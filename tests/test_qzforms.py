@@ -313,12 +313,15 @@ def test_max_isotropic():
     assert max_isotropic(z).order == 4
 
 
-def test_max_isotropic_matches_oracle_on_standard_modules():
+def test_max_isotropic_matches_oracle_on_standard_modules(standard_filter):
     # order sqrt(|H| |Rad|), witness and types against exhaustive search,
-    # every standard module of order <= 256
-    for inv in iter_abelian_types(16):
-        w = standard_module(make_group(inv))
-        assert max_isotropic(w) == max_isotropic_oracle(w), inv
+    # every standard module of order <= 256: max_isotropic_oracle's answer,
+    # read off the shared filter
+    for inv, w, by_order in standard_filter:
+        best = max(by_order)
+        types = sorted({Subgroup(w.group, basis).sub_invariants for basis in by_order[best]})
+        want = MaxIsotropic(best, Subgroup(w.group, min(by_order[best])), types)
+        assert max_isotropic(w) == want, inv
 
 
 def test_max_isotropic_matches_oracle_on_random_forms():
@@ -500,6 +503,18 @@ def isotropic_bases_by_filter(w):
     return out
 
 
+@pytest.fixture(scope="session")
+def standard_filter():
+    """(invariants, standard module, isotropic_bases_by_filter as a dict)
+    for every standard module with |A| <= 16 (|H| <= 256), filtered once
+    for the tests that read it."""
+    out = []
+    for inv in iter_abelian_types(16):
+        w = standard_module(make_group(inv))
+        out.append((inv, w, dict(isotropic_bases_by_filter(w))))
+    return out
+
+
 def sparse_random_form(rng, g, zero_share=0.3):
     """Alternating form whose upper entries are zero with probability
     zero_share and uniform otherwise."""
@@ -523,15 +538,13 @@ def assert_same_bases(got, expected, context):
     assert set(got) == expected, context
 
 
-def test_isotropic_bases_match_filter_on_standard_modules():
+def test_isotropic_bases_match_filter_on_standard_modules(standard_filter):
     # the Lagrangians of every standard module of order <= 256
     from math import isqrt
 
-    for inv in iter_abelian_types(16):
-        w = standard_module(make_group(inv))
+    for inv, w, by_order in standard_filter:
         lag = isqrt(w.group.order)
-        expected = isotropic_bases_by_filter(w)[lag]
-        assert_same_bases(list(iter_isotropic_bases(w, lag)), expected, inv)
+        assert_same_bases(list(iter_isotropic_bases(w, lag)), by_order[lag], inv)
 
 
 def test_isotropic_bases_match_filter_on_random_forms():
@@ -1200,24 +1213,28 @@ def seeded_symplectic_forms():
     return standard, nondegenerate
 
 
-def test_isotropic_bases_at_every_order_match_the_isotropy_filter():
-    # iter_isotropic_bases at each order d against the is_isotropic filter
-    # of the canonical subgroup list, on every standard module with
-    # |A| <= 16 and on random symplectic forms
+def test_isotropic_bases_at_every_order_match_the_isotropy_filter(standard_filter):
+    # iter_isotropic_bases at each order d against the isotropy filter of
+    # every subgroup, on every standard module with |A| <= 16 (the shared
+    # filter) and on random symplectic forms (the is_isotropic filter of
+    # the canonical subgroup list)
     from test_finabel import divisors
 
-    def check(w):
-        by_order = {}
-        for s in enumerate_subgroups(w.group):
-            if is_isotropic(w, s):
-                by_order.setdefault(s.order, set()).add(s.basis)
+    def check(w, by_order):
         for d in divisors(w.group.order):
             got = list(iter_isotropic_bases(w, d))
             assert_same_bases(got, by_order.get(d, set()), (w.gram, d))
 
     standard, nondegenerate = seeded_symplectic_forms()
-    for w in standard + nondegenerate:
-        check(w)
+    assert [w.gram for w in standard] == [w.gram for _, w, _ in standard_filter]
+    for _, w, by_order in standard_filter:
+        check(w, by_order)
+    for w in nondegenerate:
+        by_order = {}
+        for s in enumerate_subgroups(w.group):
+            if is_isotropic(w, s):
+                by_order.setdefault(s.order, set()).add(s.basis)
+        check(w, by_order)
     assert len(nondegenerate) >= 20, len(nondegenerate)
 
 
