@@ -15,7 +15,8 @@ import argparse
 import json
 import sys
 
-from .errors import InputError, OutputBoundError, PreconditionError, SplitboundError, _int_text
+from .errors import (MAX_INT_DIGITS, InputError, OutputBoundError, PreconditionError,
+                     SplitboundError, _int_text)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -72,7 +73,7 @@ def _load_spec(text: str) -> dict:
             raise InputError(f"cannot read spec file: {ex}") from ex
     try:
         obj = json.loads(text)
-    except ValueError as ex:  # malformed, or an integer above the int-to-str limit
+    except ValueError as ex:  # malformed, or an integer of more than MAX_INT_DIGITS digits
         raise InputError(f"bad JSON spec: {ex}") from ex
     if not isinstance(obj, dict):
         raise InputError("form spec must be a JSON object")
@@ -521,7 +522,7 @@ _HANDLERS = {
 def _emit(obj: dict, fmt: str) -> None:
     """Write obj as one JSON line or as key: value lines.  The text is
     rendered whole before anything is written, so a result with an integer
-    above the int-to-str limit is refused (OutputBoundError) unprinted."""
+    of more than MAX_INT_DIGITS digits is refused (OutputBoundError) unprinted."""
     def lines(prefix, val):
         if isinstance(val, dict):
             for key in sorted(val):
@@ -536,23 +537,28 @@ def _emit(obj: dict, fmt: str) -> None:
         else:
             text = "".join(line + "\n" for line in lines("", obj))
     except ValueError as ex:
-        limit = sys.get_int_max_str_digits()
         raise OutputBoundError(
-            f"the result has an integer of more than {limit} decimal digits"
+            f"the result has an integer of more than {MAX_INT_DIGITS} decimal digits"
             " (the int-to-str limit)"
         ) from ex
     sys.stdout.write(text)
 
 
 def run(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # what the call parses (type=int, int(), json.loads) and prints (str(),
+    # json.dumps) is held to MAX_INT_DIGITS; the caller gets its own limit back
+    caller_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:
+        args = _PARSER.parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args, args.format)
         _emit(_HANDLERS[args.command](args), args.format)
     except SplitboundError as ex:
         _emit({"error": {"kind": ex.kind, "message": str(ex)}}, args.format)
         return 2
+    finally:
+        sys.set_int_max_str_digits(caller_limit)
     return 0
 
 

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from math import log10
 
+# The most decimal digits an integer read or printed may have (CPython's default
+# int-to-str limit); cli.run holds the interpreter's limit to it for each call.
+MAX_INT_DIGITS = 4300
+
 
 class SplitboundError(Exception):
     """Base class for all domain errors."""
@@ -49,7 +53,7 @@ class EnumerationBoundError(SplitboundError):
 
 def _int_text(n: int) -> str:
     """n in decimal for a message, or "<d digits>" when its d digits are
-    above the int-to-str limit (sys.get_int_max_str_digits())."""
+    above the int-to-str limit (MAX_INT_DIGITS inside cli.run)."""
     try:
         return str(n)
     except ValueError:
@@ -60,8 +64,7 @@ def _int_text(n: int) -> str:
 
 
 class OutputBoundError(SplitboundError):
-    """A result would have more decimal digits than the interpreter's
-    int-to-str limit (sys.get_int_max_str_digits()) lets it print."""
+    """A result would have more than MAX_INT_DIGITS decimal digits."""
 
     kind = "output-bound"
 

@@ -17,8 +17,8 @@ from itertools import product
 from .errors import PreconditionError
 
 MAX_BRUTE_DIM = 24
-# largest dimension the CLI accepts; 2^MAX_DIM has 309 decimal digits, inside
-# every int-to-str limit Python allows (at least 640)
+# largest dimension the CLI accepts; 2^MAX_DIM has 309 decimal digits, well
+# inside errors.MAX_INT_DIGITS
 MAX_DIM = 1024
 
 _BLOCK_COUNTS = {

@@ -30,13 +30,13 @@ _prime_power settle it up to FACTOR_MAX_BITS and refuse above.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from itertools import accumulate, product, starmap, zip_longest
 from math import ceil, gcd, isqrt, log10, prod
 from operator import mul
 
 from .errors import (
+    MAX_INT_DIGITS,
     AmbientMismatchError,
     InputError,
     InvalidInvariantError,
@@ -1103,7 +1103,7 @@ def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
     alpha_lambda(nu; p).  Nothing is enumerated.  Refused
     (OutputBoundError) before anything is listed when there are more than
     MAX_LISTED types, when the count is known to have more decimal digits
-    than the int-to-str limit, or when the types may print more than
+    than MAX_INT_DIGITS, or when the types may print more than
     MAX_PRINTED_DIGITS digits.
     """
     parts = _exponent_partitions(a)
@@ -1117,16 +1117,16 @@ def subgroup_census(a: FinAbGroup) -> tuple[int, list[tuple[int, ...]]]:
     # type with nu'_i = floor(lambda'_i / 2) alone has alpha >=
     # p^{sum_i floor(lambda'_i^2 / 4)}, as [n choose m]_p >= p^{m(n-m)};
     # lambda'_i = j + 1 on the columns lambda_{j+1} < i <= lambda_j.  So the
-    # count is at least 2^bits, which is above 10^limit once 3 * bits > 10 * limit.
-    limit = sys.get_int_max_str_digits()
+    # count is at least 2^bits, which is above 10^MAX_INT_DIGITS once
+    # 3 * bits > 10 * MAX_INT_DIGITS.
     bits = sum(
         (p.bit_length() - 1)
         * sum((x - y) * ((j + 1) ** 2 // 4) for j, (x, y) in enumerate(zip(lam, lam[1:] + (0,))))
         for p, lam in parts
     )
-    if limit and 3 * bits > 10 * limit:
+    if 3 * bits > 10 * MAX_INT_DIGITS:
         raise OutputBoundError(
-            f"the subgroup count has more than {limit} decimal digits"
+            f"the subgroup count has more than {MAX_INT_DIGITS} decimal digits"
             " (the int-to-str limit)"
         )
     # A type has at most max_p len(lambda_p) factors f, of at most

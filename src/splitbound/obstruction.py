@@ -12,11 +12,11 @@ divisibility exponent f_e(r).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import inf, isqrt, log10, prod
 
 from .errors import (
+    MAX_INT_DIGITS,
     DegenerateFormError,
     HypothesisViolationError,
     OutputBoundError,
@@ -88,12 +88,11 @@ def splitting_order_bound(q: ObstructionQuery) -> int:
 
 def checked_power(p: int, exp: int) -> int:
     """p**exp for a prime p, refused (OutputBoundError) before the power is
-    allocated when it has more decimal digits than the int-to-str limit."""
+    allocated when it has more than MAX_INT_DIGITS decimal digits."""
     # p**exp has floor(exp * log10 p) + 1 digits (p is no power of 10)
-    limit = sys.get_int_max_str_digits()
-    if limit and exp * log10(p) >= limit:
+    if exp * log10(p) >= MAX_INT_DIGITS:
         raise OutputBoundError(
-            f"p^{exp} has more than {limit} decimal digits (the int-to-str limit)"
+            f"p^{exp} has more than {MAX_INT_DIGITS} decimal digits (the int-to-str limit)"
         )
     return p ** exp
 

@@ -452,17 +452,16 @@ def test_compare_refuses_types_it_cannot_print():
 
 
 def test_thm13_bound_beyond_the_digit_limit():
-    # p^(2r-2) is refused before it is computed once it has more decimal
-    # digits than the interpreter prints; the largest printable one answers
-    import sys
+    # p^(2r-2) is refused before it is computed once it has more than
+    # MAX_INT_DIGITS decimal digits; the largest printable one answers
+    from splitbound.errors import MAX_INT_DIGITS
 
-    limit = sys.get_int_max_str_digits()
     code, out, _ = invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", "10000"])
     assert code == 2
     payload = json.loads(out)
     check_schema("error", payload)
     assert payload["error"]["kind"] == "output-bound"
-    cap = 10 ** limit  # 2^e prints iff 2^e < cap
+    cap = 10 ** MAX_INT_DIGITS  # 2^e prints iff 2^e < cap
     exp = 2
     while 2 ** (exp + 2) < cap:
         exp += 2
@@ -471,6 +470,35 @@ def test_thm13_bound_beyond_the_digit_limit():
     assert code == 0 and json.loads(out) == {"bound": 2 ** exp}
     code, out, _ = invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", str(r + 1)])
     assert code == 2 and json.loads(out)["error"]["kind"] == "output-bound"
+
+
+def test_run_gives_the_caller_its_int_to_str_limit_back(monkeypatch):
+    # run reads and prints under errors.MAX_INT_DIGITS whatever the
+    # interpreter's limit, and an in-process caller finds its own limit
+    # again however the call ends
+    from splitbound import cli
+
+    def boom(args):
+        raise RuntimeError("an unexpected fault")
+
+    bound = f'{{"bound": {2 ** 2398}}}\n'  # 722 digits: above 700, inside the bound
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(700)
+    try:
+        assert invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", "1200"])[:2] == (0, bound)
+        assert sys.get_int_max_str_digits() == 700
+        code, out, _ = invoke(["obstruct", "--mode", "thm13", "--p", "2", "--r", "7144"])
+        assert code == 2 and json.loads(out)["error"]["kind"] == "output-bound"
+        assert sys.get_int_max_str_digits() == 700
+        with pytest.raises(SystemExit):
+            invoke(["no-such-command"])
+        assert sys.get_int_max_str_digits() == 700
+        monkeypatch.setitem(cli._HANDLERS, "tables", boom)
+        with pytest.raises(RuntimeError):
+            invoke(["tables", "divisors"])
+        assert sys.get_int_max_str_digits() == 700
+    finally:
+        sys.set_int_max_str_digits(caller)
 
 
 # a 100-digit prime: 10^99 + 289

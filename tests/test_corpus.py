@@ -1,12 +1,21 @@
 """The byte corpus (tests/corpus.py): every command kind prints the bytes
-pinned here.
+pinned here, under every interpreter setting.
 
 A deliberate change to what a command prints updates that kind's digest in
 the same change, and says why.  A failure names the command kinds whose
 bytes moved.
 """
 
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 from corpus import calls, digests
+
+TESTS = Path(__file__).resolve().parent
 
 PINNED = {
     "f2 census": "e82bacbc4d29e54911cb97d5b920b5e05d0b8dbf1939a7ca7028294aa5e05b44",
@@ -54,3 +63,82 @@ def test_every_command_kind_prints_the_pinned_bytes():
     got = digests(calls())
     assert sorted(got) == sorted(PINNED)
     assert [kind for kind in PINNED if got[kind] != PINNED[kind]] == []
+
+
+# (interpreter flags, environment) of one fresh process each; the int-to-str
+# limit is PYTHONINTMAXSTRDIGITS's to set, 0 meaning none
+SETTINGS = {
+    "default": ([], {}),
+    "PYTHONINTMAXSTRDIGITS=640": ([], {"PYTHONINTMAXSTRDIGITS": "640"}),
+    "PYTHONINTMAXSTRDIGITS=0": ([], {"PYTHONINTMAXSTRDIGITS": "0"}),
+    "PYTHONHASHSEED=0": ([], {"PYTHONHASHSEED": "0"}),
+    "PYTHONHASHSEED=1": ([], {"PYTHONHASHSEED": "1"}),
+    "python -O": (["-O"], {}),
+}
+_UNSET = ("PYTHONINTMAXSTRDIGITS", "PYTHONHASHSEED", "PYTHONOPTIMIZE")
+
+
+def _cap_memory():
+    # a bound that a setting opens would build a power of gigabytes
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _python(flags, extra, args):
+    """A fresh interpreter with the flags and environment, on args."""
+    env = {k: v for k, v in os.environ.items() if k not in _UNSET}
+    env.update(extra, PYTHONPATH=str(TESTS.parent / "src"))
+    return subprocess.Popen([sys.executable, *flags, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, preexec_fn=_cap_memory)
+
+
+def _outcomes(procs, timeout):
+    """{name: (exit status, stdout, stderr)} of each process, each given
+    timeout seconds; a process still running when one overruns is killed."""
+    try:
+        outcomes = {}
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=timeout)
+            outcomes[name] = proc.returncode, out, err
+        return outcomes
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+
+def test_no_interpreter_setting_moves_a_byte():
+    # per setting, the command kinds whose bytes differ from the pins, or
+    # the last line of a run that did not finish
+    procs = {name: _python(flags, extra, [str(TESTS / "corpus.py")])
+             for name, (flags, extra) in SETTINGS.items()}
+    moved = {}
+    for name, (code, out, err) in _outcomes(procs, 300).items():
+        if code:
+            moved[name] = [f"exit {code}", *err.strip().splitlines()[-1:]]
+            continue
+        got = json.loads(out)
+        moved[name] = sorted(kind for kind in PINNED | got if got.get(kind) != PINNED.get(kind))
+    assert moved == {name: [] for name in SETTINGS}
+
+
+_TIMED = """
+import io, json, time
+from contextlib import redirect_stdout
+from splitbound.cli import run
+out = io.StringIO()
+t0 = time.perf_counter()
+with redirect_stdout(out):
+    code = run(["obstruct", "--mode", "thm13", "--p", "2", "--r", "1000000"])
+print(json.dumps([code, out.getvalue(), time.perf_counter() - t0]))
+"""
+
+
+def test_thm13_is_bounded_with_the_interpreter_limit_off():
+    # with no int-to-str limit the bound p^(2r-2) is still refused unbuilt
+    proc = _python([], {"PYTHONINTMAXSTRDIGITS": "0"}, ["-c", _TIMED])
+    status, out, err = _outcomes({"limit 0": proc}, 60)["limit 0"]
+    assert status == 0, err[-2000:]
+    code, printed, seconds = json.loads(out)
+    assert code == 2 and json.loads(printed)["error"]["kind"] == "output-bound"
+    assert seconds < 1.0, seconds

@@ -144,13 +144,19 @@ def _bare_or_attribute(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def enumerator_calls(path: Path):
-    """(top-level function, enumerator) for every call of an enumerator in
-    the file, by bare name or by attribute."""
+def calls_of(path: Path, names):
+    """(top-level function, name) for every call in the file of a function
+    in names, by bare name or by attribute."""
     def called(node):
         return _bare_or_attribute(node.func) if isinstance(node, ast.Call) else None
 
-    return [(owner, name) for owner, name in _owned(path, called) if name in ENUMERATORS]
+    return [(owner, name) for owner, name in _owned(path, called) if name in names]
+
+
+def enumerator_calls(path: Path):
+    """(top-level function, enumerator) for every call of an enumerator in
+    the file, by bare name or by attribute."""
+    return calls_of(path, ENUMERATORS)
 
 
 def raise_sites(path: Path):
@@ -251,6 +257,16 @@ def test_no_module_imports_os():
         assert "os" not in imported_modules(path), path.name
     # the walk sees the imports the package does make
     assert {"argparse", "json", "sys"} <= imported_modules(PACKAGE / "cli.py")
+
+
+def test_only_cli_run_touches_the_int_to_str_limit():
+    # errors.MAX_INT_DIGITS is the one digit bound: cli.run holds the
+    # interpreter's limit to it for the call, and nothing else reads or
+    # sets the limit, so no interpreter setting moves a bound or a byte
+    limit_calls = {"get_int_max_str_digits", "set_int_max_str_digits"}
+    seen = {(path.stem, owner, name) for path in sorted(PACKAGE.glob("*.py"))
+            for owner, name in calls_of(path, limit_calls)}
+    assert seen == {("cli", "run", name) for name in limit_calls}
 
 
 def test_imported_modules_are_found_in_every_form(tmp_path):
