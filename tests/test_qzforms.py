@@ -146,14 +146,47 @@ def test_standard_module_defining_formula():
                         assert evaluate(w, embed(a1, c1), embed(a2, c2)) == want
 
 
+def _gram(k, **entries):
+    """A k x k Gram of zeros with the named entries, e.g. e01=(1, 2)."""
+    rows = [[QmodZ(0, 1)] * k for _ in range(k)]
+    for name, (num, den) in entries.items():
+        rows[int(name[1])][int(name[2])] = QmodZ(num, den)
+    return rows
+
+
+def _refusal(group, gram) -> str:
+    with pytest.raises(InvalidFormError) as info:
+        SkewForm(group, gram)
+    return str(info.value)
+
+
+ALTERNATING = "Gram diagonal must vanish (alternating)"
+SKEW = "Gram matrix must be skew-symmetric"
+ORDER = "entry order incompatible with generator order"
+
+
 def test_skewform_validation():
     g = make_group([2, 2])
-    with pytest.raises(InvalidFormError):
-        SkewForm(g, [[QmodZ(1, 2), QmodZ(0, 1)], [QmodZ(0, 1), QmodZ(0, 1)]])
-    with pytest.raises(InvalidFormError):
-        SkewForm(g, [[QmodZ(0, 1), QmodZ(1, 4)], [QmodZ(3, 4), QmodZ(0, 1)]])
-    with pytest.raises(InvalidFormError):
-        SkewForm(g, [[QmodZ(0, 1)]])
+    assert _refusal(g, _gram(2, e00=(1, 2))) == ALTERNATING
+    assert _refusal(g, _gram(2, e01=(1, 2))) == SKEW
+    assert _refusal(g, _gram(2, e01=(1, 2), e10=(1, 4))) == SKEW  # equal numerators
+    assert _refusal(g, _gram(2, e01=(1, 4), e10=(3, 4))) == ORDER
+    assert _refusal(g, [[QmodZ(0, 1)]]) == "Gram matrix must be 2x2"
+    assert _refusal(g, _gram(2)[:1] + [[QmodZ(0, 1)]]) == "Gram matrix must be 2x2"
+    # several faults: the first in row-major order wins, and at one entry
+    # skew-symmetry is checked before the order; a row's diagonal entry is
+    # checked before any entry of that row
+    g3 = make_group([2, 2, 2])
+    skew_then_order = _gram(3, e01=(1, 2), e02=(1, 4), e20=(3, 4))
+    assert _refusal(g3, skew_then_order) == SKEW
+    order_then_skew = _gram(3, e01=(1, 4), e10=(3, 4), e02=(1, 2))
+    assert _refusal(g3, order_then_skew) == ORDER
+    assert _refusal(g3, _gram(3, e00=(1, 2), e01=(1, 2))) == ALTERNATING
+    assert _refusal(g3, _gram(3, e11=(1, 2), e01=(1, 2))) == SKEW
+    assert _refusal(g3, _gram(3, e11=(1, 2), e01=(1, 4), e10=(3, 4))) == ORDER
+    # entries of different orders are never skew: 1/4 against 1/2 on Z/2 x Z/4
+    assert _refusal(make_group([2, 4]), _gram(2, e01=(1, 4), e10=(1, 2))) == SKEW
+    SkewForm(make_group([2, 4]), _gram(2, e01=(1, 2), e10=(1, 2)))
 
 
 def test_evaluate_alternating_and_skew():
