@@ -413,7 +413,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hnf(rows, invariants) -> list[list[int]]:
+def _hnf(rows, invariants, drop=0) -> list[list[int]]:
     """Row Hermite form of the lattice L spanned by the rows and every
     d_t * e_t, for the invariants d_1, ..., d_k: upper triangular, positive
     pivots, entries above each pivot reduced into [0, pivot).
@@ -423,34 +423,47 @@ def _hnf(rows, invariants) -> list[list[int]]:
     Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
     section 2.4.2).  The carrier of column t starts as d_t * e_t, and every
     merged, residue and reduced row is taken modulo the d_t again, so every
-    entry stays below its invariant factor and nothing grows.
+    entry stays below its invariant factor and nothing grows.  The first
+    row r with x = r[t] != 0 merges into d_t * e_t directly: with
+    g = e d_t + f x, the carrier becomes f r (r itself when x | d_t) and
+    the residue (d_t / g) r.  The rows before `drop` are left unreduced
+    by the later pivots, for a caller that keeps only the rows from
+    `drop` on; those rows are as with drop = 0.
     """
     k = len(invariants)
     work = [[x % d for x, d in zip(r, invariants)] for r in rows]
     work = [r for r in work if any(r)]
     result: list[list[int]] = []
     for col, d in enumerate(invariants):
-        carrier = [0] * k
-        carrier[col] = d
+        carrier = None
         rest = []
         for r in work:
             x = r[col]
             if x == 0:
                 rest.append(r)
                 continue
-            c = carrier[col]
-            if x % c == 0:  # the carrier stays; r is reduced by it
-                q = x // c
-                residue = [(v - q * u) % m for u, v, m in zip(carrier, r, invariants)]
+            if carrier is None:  # the first merge, into d * e_col
+                g, _e, f = _xgcd(d, x)
+                a = d // g
+                residue = [a * v % m for v, m in zip(r, invariants)]
+                carrier = r if f == 1 else [f * v % m for v, m in zip(r, invariants)]
             else:
-                g, e, f = _xgcd(c, x)
-                a, b = c // g, x // g
-                residue = [(a * v - b * u) % m for u, v, m in zip(carrier, r, invariants)]
-                carrier = [(e * u + f * v) % m for u, v, m in zip(carrier, r, invariants)]
+                c = carrier[col]
+                if x % c == 0:  # the carrier stays; r is reduced by it
+                    q = x // c
+                    residue = [(v - q * u) % m for u, v, m in zip(carrier, r, invariants)]
+                else:
+                    g, e, f = _xgcd(c, x)
+                    a, b = c // g, x // g
+                    residue = [(a * v - b * u) % m for u, v, m in zip(carrier, r, invariants)]
+                    carrier = [(e * u + f * v) % m for u, v, m in zip(carrier, r, invariants)]
             if any(residue):
                 rest.append(residue)
+        if carrier is None:
+            carrier = [0] * k
+            carrier[col] = d
         pivot = carrier[col]
-        for prow in result:
+        for prow in result[drop:]:
             q = prow[col] // pivot
             if q:
                 for t in range(col, k):

@@ -78,16 +78,18 @@ class SkewForm:
 
     def __init__(self, group: FinAbGroup, gram):
         k = group.rank
-        rows = tuple(tuple(entry for entry in row) for row in gram)
+        rows = tuple(map(tuple, gram))
         if len(rows) != k or any(len(r) != k for r in rows):
             raise InvalidFormError(f"Gram matrix must be {k}x{k}")
-        for i in range(k):
-            if not rows[i][i].is_zero():
+        # on reduced residues, a = -b iff the denominators agree and the
+        # numerators sum to 0 modulo them
+        for i, (row, col, d) in enumerate(zip(rows, zip(*rows), group.invariants)):
+            if row[i].num:
                 raise InvalidFormError("Gram diagonal must vanish (alternating)")
-            for j in range(k):
-                if rows[i][j] != -rows[j][i]:
+            for a, b in zip(row, col):
+                if a.den != b.den or (a.num + b.num) % a.den:
                     raise InvalidFormError("Gram matrix must be skew-symmetric")
-                if group.invariants[i] % rows[i][j].den:
+                if d % a.den:
                     raise InvalidFormError(
                         "entry order incompatible with generator order"
                     )
@@ -102,11 +104,12 @@ class SkewForm:
         return self.group.exponent
 
     def scaled(self):
-        """Gram matrix as integers modulo the group exponent N (num * N/den)."""
+        """Gram matrix as integers modulo the group exponent N (num * N/den,
+        already below N as num < den)."""
         if self._scaled is None:
             n = self.exponent
             self._scaled = tuple(
-                tuple(e.num * (n // e.den) % n for e in row) for row in self.gram
+                tuple(e.num * (n // e.den) for e in row) for row in self.gram
             )
         return self._scaled
 
@@ -193,9 +196,10 @@ def _pairing_kernel(w: SkewForm, rows, m: int) -> Subgroup:
     | x_i) whose m pairing entries all vanish, from one Hermite form modulo
     (n,)*m + D of the rows (Cohen, GTM 138, section 2.4.2).  The form is
     upper triangular, so its rows after the m pairing columns span exactly
-    those combinations, and their tails are that subgroup's Hermite basis."""
+    those combinations, and their tails are that subgroup's Hermite basis.
+    The first m rows are dropped, so _hnf leaves them unreduced (drop=m)."""
     g = w.group
-    return Subgroup(g, [r[m:] for r in _hnf(rows, (w.exponent,) * m + g.invariants)[m:]])
+    return Subgroup(g, [r[m:] for r in _hnf(rows, (w.exponent,) * m + g.invariants, m)[m:]])
 
 
 def _annihilated(w: SkewForm, xs, ys) -> Subgroup:
