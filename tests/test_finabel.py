@@ -18,10 +18,12 @@ from splitbound.finabel import (
     Subgroup,
     _cokernel_invariants,
     _exponent_partitions,
+    _hnf,
     _live_block,
     _nonunit_block,
     _snf_with_transforms,
     _subgroup_type_counts,
+    _xgcd,
     dual_group,
     embeds_into,
     enumerate_subgroups,
@@ -1071,6 +1073,105 @@ def test_cokernel_matches_plocal_oracle_on_random_matrices():
         for x in factors:
             order *= x
         assert _cokernel_invariants(mat, k, order) == cokernel_oracle(mat, k, *factors), (mat, order)
+
+
+def hnf_oracle(rows, invariants) -> list[list[int]]:
+    """Hermite form modulo D as finabel._hnf built it before its first merge
+    into d * e_col was special-cased and its dropped rows were skipped:
+    every row, the first too, merges through the general branch, and every
+    earlier pivot row is reduced by each later pivot."""
+    k = len(invariants)
+    work = [[x % d for x, d in zip(r, invariants)] for r in rows]
+    work = [r for r in work if any(r)]
+    result = []
+    for col, d in enumerate(invariants):
+        carrier = [0] * k
+        carrier[col] = d
+        rest = []
+        for r in work:
+            x = r[col]
+            if x == 0:
+                rest.append(r)
+                continue
+            c = carrier[col]
+            if x % c == 0:
+                q = x // c
+                residue = [(v - q * u) % m for u, v, m in zip(carrier, r, invariants)]
+            else:
+                g, e, f = _xgcd(c, x)
+                a, b = c // g, x // g
+                residue = [(a * v - b * u) % m for u, v, m in zip(carrier, r, invariants)]
+                carrier = [(e * u + f * v) % m for u, v, m in zip(carrier, r, invariants)]
+            if any(residue):
+                rest.append(residue)
+        pivot = carrier[col]
+        for prow in result:
+            q = prow[col] // pivot
+            if q:
+                for t in range(col, k):
+                    prow[t] = (prow[t] - q * carrier[t]) % invariants[t]
+        result.append(carrier)
+        work = rest
+    return result
+
+
+def _first_merge_divides(rows, invariants):
+    """Whether the first row nonzero in column 0 modulo d_0 has x | d_0
+    (None when there is no such row)."""
+    if not invariants:
+        return None
+    d = invariants[0]
+    x = next((r[0] % d for r in rows if r[0] % d), None)
+    return None if x is None else d % x == 0
+
+
+def test_hnf_matches_the_oracle_on_tuples_and_pairing_matrices():
+    rng = random.Random(37)
+    divides = Counter()
+    # generator tuples on every group type of order <= 64: negative entries,
+    # zero rows and rows that are 0 modulo D; the full form, and the rows
+    # from a random drop on
+    for inv in iter_abelian_types(64):
+        k = len(inv)
+        for _ in range(20):
+            rows = [[rng.randint(-2 * d, 2 * d) for d in inv] for _ in range(rng.randint(1, k + 2))]
+            rows.insert(rng.randrange(len(rows) + 1), [0] * k)
+            rows.insert(rng.randrange(len(rows) + 1), [d * rng.randint(-2, 2) for d in inv])
+            want = hnf_oracle(rows, inv)
+            assert _hnf(rows, inv) == want, (inv, rows)
+            drop = rng.randint(0, k)
+            assert _hnf(rows, inv, drop)[drop:] == want[drop:], (inv, rows, drop)
+            divides[_first_merge_divides(rows, inv)] += 1
+    assert divides[True] and divides[False]
+    # the k x 2k pairing matrices (scaled Gram | unit rows) of random forms
+    # of rank <= 8 on chains mixing the primes 2, 3 and 5, modulo (n,)*k + D,
+    # and |xs| x |ys| pairing matrices as _annihilated builds them; about
+    # one form in three has a zero generator row
+    for _ in range(600):
+        k = rng.randint(1, 8)
+        inv = [rng.choice([2, 3, 4, 6])]
+        while len(inv) < k:
+            inv.append(inv[-1] * rng.choice([1, 1, 1, 2, 3, 5]))
+        n = inv[-1]
+        scaled = [[0] * k for _ in range(k)]
+        dead = rng.randrange(k) if rng.randrange(3) == 0 else None
+        for i in range(k):
+            for j in range(i + 1, k):
+                if dead not in (i, j):
+                    cap = gcd(inv[i], inv[j])
+                    scaled[i][j] = rng.randrange(cap) * (n // cap)
+                    scaled[j][i] = -scaled[i][j] % n
+        units = [[int(i == j) for j in range(k)] for i in range(k)]
+        rows = [s + e for s, e in zip(scaled, units)]
+        mods = (n,) * k + tuple(inv)
+        assert _hnf(rows, mods, k)[k:] == hnf_oracle(rows, mods)[k:], (inv, scaled)
+        xs = [[rng.randrange(d) for d in inv] for _ in range(rng.randint(1, k))]
+        ys = [[rng.randrange(d) for d in inv] for _ in range(rng.randint(1, k))]
+        m = len(ys)
+        rows = [[sum(x[i] * scaled[i][j] * y[j] for i in range(k) for j in range(k)) % n
+                 for y in ys] + x for x in xs]
+        mods = (n,) * m + tuple(inv)
+        assert _hnf(rows, mods, m)[m:] == hnf_oracle(rows, mods)[m:], (inv, scaled, xs, ys)
 
 
 def test_canonical_chain_matches_bucket_oracle():
