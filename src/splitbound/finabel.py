@@ -1231,7 +1231,10 @@ def replay_ops(a: FinAbGroup, xi, ops) -> list[Element]:
         raise AmbientMismatchError("tuple entry from a different group")
     n = len(xs)
     for op in ops:
-        op = tuple(op)
+        try:
+            op = tuple(op)
+        except TypeError:  # not iterable: no op at all
+            raise PreconditionError(f"malformed op {op!r}") from None
         if op[:1] == ("sub",) and len(op) == 4:
             _kind, i, j, q = op
         elif op[:1] == ("swap",) and len(op) == 3:

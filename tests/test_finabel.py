@@ -713,9 +713,10 @@ def test_reduce_tuple_replay_and_span():
         ("sub", 0, 1, True),  # q not an int >= 1
         ("sub", 0, 0, 1), ("swap", 1, 1), ("sub", 0, 2, 1), ("swap", -1, 0),
         ("sub", "0", 1, 1),  # positions not two distinct indices of the tuple
+        5, None,  # not a sequence
     ]
     for op in malformed:
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="malformed op"):
             replay_ops(a, xi, [("sub", 0, 1, 1), op])
 
 
