@@ -407,15 +407,14 @@ def _cmd_verify(args, fmt: str) -> int:
             ],
         }
         _emit(payload, fmt)
-        for c in checks:
-            sys.stderr.write(f"# {c.name}: {c.millis:.1f} ms\n")
     else:
         for c in checks:
             word = "PASS" if c.passed else "FAIL"
-            sys.stdout.write(
-                f"{word} {c.name} count={c.count} ({c.millis:.1f} ms)\n"
-            )
+            sys.stdout.write(f"{word} {c.name} count={c.count}\n")
         sys.stdout.write(("ok" if ok else "FAILED") + f" suite={args.suite}\n")
+    # timings go to stderr in both formats, so stdout stays byte-deterministic
+    for c in checks:
+        sys.stderr.write(f"# {c.name}: {c.millis:.1f} ms\n")
     return 0 if ok else 1
 
 

@@ -9,8 +9,7 @@ errors, and the rows on either side of each bound (`MAX_LISTED`,
 bound).  `digests(calls)` runs each argv in this process through
 `cli.run` and hashes, per command kind, the argv, the exit status and
 stdout of every call of that kind in order.  stderr is not hashed: `verify`
-writes its timings there, and its text format prints them on stdout, so
-those are masked.
+writes its timings there.
 
 The corpus builds every literal it passes as a string, so the interpreter's
 own int-to-str limit never touches the argvs.  Run as a script, it prints
@@ -23,7 +22,6 @@ import hashlib
 import io
 import json
 import random
-import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -456,9 +454,6 @@ def calls(seed: int = SEED) -> list[tuple[str, list[str]]]:
     return out
 
 
-_TIMING = re.compile(r"\(\d+\.\d ms\)")
-
-
 def outcome(argv) -> tuple[int, str]:
     """(exit status, stdout) of run(argv); an argparse usage error exits
     through SystemExit."""
@@ -473,12 +468,10 @@ def outcome(argv) -> tuple[int, str]:
 
 def digests(corpus) -> dict[str, str]:
     """sha256 per command kind over (argv, exit status, stdout) of each of
-    its calls, in corpus order; verify's text timings are masked."""
+    its calls, in corpus order."""
     hashes = {}
     for kind, argv in corpus:
         code, out = outcome(argv)
-        if kind == "verify":
-            out = _TIMING.sub("(ms)", out)
         h = hashes.setdefault(kind, hashlib.sha256())
         h.update(json.dumps([argv, code]).encode() + b"\n" + out.encode() + b"\n")
     return {kind: h.hexdigest() for kind, h in hashes.items()}

@@ -1188,7 +1188,7 @@ def test_verify_reports_a_check_whose_library_call_asserts_as_failed(monkeypatch
     lines = out.splitlines()
     failed = [line for line in lines if not line.startswith("PASS ")]
     assert len(lines) == 20 and len(failed) == 2
-    assert failed[0].startswith("FAIL partitions.search-vs-formula count=0 (")
+    assert failed[0] == "FAIL partitions.search-vs-formula count=0"
     assert failed[1] == "FAILED suite=all"
     assert "# partitions.search-vs-formula: AssertionError" in err
 
@@ -1216,7 +1216,11 @@ def test_verify_suite_cli():
     # timings land on stderr, keeping stdout byte-deterministic
     assert "ms" in err
 
-    code, out, _ = invoke(["--format", "text", "verify", "partitions", "--seed", "1"])
+    # the text format too: one line per check on stdout, each time on stderr
+    code, out, err = invoke(["--format", "text", "verify", "partitions", "--seed", "1"])
     assert code == 0
     assert out.count("PASS") == 4
     assert out.strip().endswith("suite=partitions")
+    assert "ms" not in out
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "# " + line.split()[1] for line in out.splitlines()[:-1]]

@@ -55,7 +55,7 @@ PINNED = {
     "tables tits": "7790a69084788568b6c8d197c4866c74a87474f7b0800fb0eb7c0df771c2886b",
     "tables torsion": "cd028568cd7f5850c7a9a2f8efe269542f5af700f5d3d34eefcd615226148ba5",
     "usage": "0f203f6a78db7f871a655b5cf154c2946bf1b9410777b7e34fd4a96b3ffaa4ce",
-    "verify": "2ace03acfd643c1f846e9513b4022f57d1e6cc5b0d3ebe56adc572bdf40098fb",
+    "verify": "96502e1f4ea8e0233e1a1c064613c86e52fd282114426176b2ce5666d74e04b7",
 }
 
 
