@@ -64,6 +64,15 @@ def _need(args, flag: str):
     return value
 
 
+def _spec_int(literal: str) -> int:
+    """A JSON integer literal of at most MAX_INT_DIGITS digits, as an int."""
+    if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+        raise InputError(
+            f"bad JSON spec: an integer has more than {MAX_INT_DIGITS} decimal digits"
+        )
+    return int(literal)
+
+
 def _load_spec(text: str) -> dict:
     if text.startswith("@"):
         try:
@@ -72,8 +81,8 @@ def _load_spec(text: str) -> dict:
         except (OSError, UnicodeDecodeError) as ex:
             raise InputError(f"cannot read spec file: {ex}") from ex
     try:
-        obj = json.loads(text)
-    except ValueError as ex:  # malformed, or an integer of more than MAX_INT_DIGITS digits
+        obj = json.loads(text, parse_int=_spec_int)
+    except ValueError as ex:
         raise InputError(f"bad JSON spec: {ex}") from ex
     if not isinstance(obj, dict):
         raise InputError("form spec must be a JSON object")

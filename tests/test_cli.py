@@ -643,10 +643,20 @@ def test_enumeration_refusals_name_long_orders_by_digit_count():
 
 
 def test_json_specs_with_integers_above_the_int_to_str_limit_are_refused():
-    big = "1" + "0" * 4400
-    _refused_fast(["f2", "count", "--form", f'{{"dim": {big}, "rows": []}}'], "input")
-    spec = f'{{"group": [{big}], "gram": [["0/1"]]}}'
-    _refused_fast(["form", "radical", "--form", spec], "input")
+    # in the package's words, not the interpreter's; a sign is no digit
+    msg = "bad JSON spec: an integer has more than 4300 decimal digits"
+    for big in ("1" + "0" * 4400, "1" + "0" * 4300, "-1" + "0" * 4300):
+        argv = ["f2", "count", "--form", f'{{"dim": {big}, "rows": []}}']
+        assert _refused_fast(argv, "input") == msg
+        spec = f'{{"group": [{big}], "gram": [["0/1"]]}}'
+        assert _refused_fast(["form", "radical", "--form", spec], "input") == msg
+    # 4,300 digits are read
+    big = "1" + "0" * 4299
+    msg = _refused_fast(["f2", "count", "--form", f'{{"dim": {big}, "rows": []}}'],
+                        "precondition")
+    assert msg == f"dimension {big} above the bound 1024"
+    spec = f'{{"group": [-{big}], "gram": [["0/1"]]}}'
+    assert _refused_fast(["form", "radical", "--form", spec], "invalid-invariant")
 
 
 def test_compare_checks_the_limit_before_building_modules():

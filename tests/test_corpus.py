@@ -19,7 +19,7 @@ TESTS = Path(__file__).resolve().parent
 
 PINNED = {
     "f2 census": "e82bacbc4d29e54911cb97d5b920b5e05d0b8dbf1939a7ca7028294aa5e05b44",
-    "f2 count": "12c7100e320ce46a2bd591d3415aada65ef9d5b623be1e86b953ce38ab7d5fba",
+    "f2 count": "851fdd498124572cf1ee2f958e9b277f87958a2c467c1777c9a686b604777b38",
     "f2 decompose": "fc4889c943cd9080f3f0c92299fc00b2b5e5b7ed15dc243fdbf53612acba6469",
     "f2 ec8": "caacb3a55321a5d53307eaa9d770e89cdc5efb90cda9a22ed3fa44feb066cd83",
     "f2 radical": "425f978c6ca042a36ca8be6807a14a1e1f46b03f212947d22c495ca78cd72b33",
@@ -28,7 +28,7 @@ PINNED = {
     "form max-isotropic": "025eabb29b5dc0071b57f6f984021ead42ea0b472b3e4f79e570210be5d7629e",
     "form nondegenerate": "92ac56b0c80fb6750c15ec12fa943dff71185fd09feab70f4f8c0ef4eb9d07a2",
     "form quotient-lagrangian": "173b1fa0a0ff844a537aea7fee642efa84b9a7e8d8225a6ea41f9bde35d73e28",
-    "form radical": "341c584a6ab9310f6550e7a200221218744b4e44db638e42c0913f15664ebae4",
+    "form radical": "3c8dec3d5a2954cc0ce94f8a759d3cfc9b0b43d725624ca9e72f0672bdef1c5d",
     "form standard": "544940d5bbca1e8c14171f2b61f92f4e8ea54b916a1b8969b44f709e11d14e93",
     "group char": "136f4bdc6066d5066d070e40590577ce43b3be2b38b3231b7f256b8faab108ca",
     "group dual": "f86eaa5f36eae7c60846454e1c34ce92d77375f97dd2c4a5f5b40dc975a55ec2",
