@@ -67,9 +67,8 @@ def _need(args, flag: str):
 def _spec_int(literal: str) -> int:
     """A JSON integer literal of at most MAX_INT_DIGITS digits, as an int."""
     if len(literal.lstrip("-")) > MAX_INT_DIGITS:
-        raise InputError(
-            f"bad JSON spec: an integer has more than {MAX_INT_DIGITS} decimal digits"
-        )
+        raise InputError("bad JSON spec: an integer has more than"
+                         f" {MAX_INT_DIGITS} decimal digits")
     return int(literal)
 
 

@@ -460,8 +460,7 @@ def _hnf(rows, invariants, drop=0) -> list[list[int]]:
             if any(residue):
                 rest.append(residue)
         if carrier is None:
-            carrier = [0] * k
-            carrier[col] = d
+            carrier = [d if t == col else 0 for t in range(k)]
         pivot = carrier[col]
         for prow in result[drop:]:
             q = prow[col] // pivot
@@ -1233,7 +1232,7 @@ def replay_ops(a: FinAbGroup, xi, ops) -> list[Element]:
     for op in ops:
         try:
             op = tuple(op)
-        except TypeError:  # not iterable: no op at all
+        except TypeError:
             raise PreconditionError(f"malformed op {op!r}") from None
         if op[:1] == ("sub",) and len(op) == 4:
             _kind, i, j, q = op

@@ -81,8 +81,7 @@ class SkewForm:
         rows = tuple(map(tuple, gram))
         if len(rows) != k or any(len(r) != k for r in rows):
             raise InvalidFormError(f"Gram matrix must be {k}x{k}")
-        # on reduced residues, a = -b iff the denominators agree and the
-        # numerators sum to 0 modulo them
+        # reduced residues: a = -b iff equal denominators, numerators summing to 0
         for i, (row, col, d) in enumerate(zip(rows, zip(*rows), group.invariants)):
             if row[i].num:
                 raise InvalidFormError("Gram diagonal must vanish (alternating)")
@@ -104,8 +103,7 @@ class SkewForm:
         return self.group.exponent
 
     def scaled(self):
-        """Gram matrix as integers modulo the group exponent N (num * N/den,
-        already below N as num < den)."""
+        """Gram matrix as integers modulo the group exponent N (num * N/den < N)."""
         if self._scaled is None:
             n = self.exponent
             self._scaled = tuple(
