@@ -511,10 +511,76 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _declared(parser, skip=None):
+    """(options by option string, positionals, defaults by dest) of parser's
+    actions: store with one str or int value, and store_true.  -h is left to
+    argparse; a parser with any other action is argparse's alone (None)."""
+    options, positionals, defaults = {}, [], {}
+    for a in parser._actions:
+        if type(a) is argparse._HelpAction or a is skip:
+            continue
+        if not (type(a) is argparse._StoreTrueAction or type(a) is argparse._StoreAction
+                and a.nargs is None and a.type in (None, int)
+                and not (a.type and isinstance(a.default, str))):
+            return None
+        defaults[a.dest] = a.default
+        options.update(dict.fromkeys(a.option_strings, a))
+        positionals += [] if a.option_strings else [a]
+    return options, positionals, defaults
+
+
+def _value(action, text: str):
+    """argparse's value for text given to action; ValueError where it refuses text."""
+    value = text if action.type is None else action.type(text)
+    if text.startswith("-") or action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _read(declared, tokens, values: dict) -> None:
+    """Store into values argparse's reading of one parser's tokens; ValueError if not plain."""
+    options, positionals, defaults = declared
+    values.update(defaults)
+    seen, args, tokens = set(), [], iter(tokens)
+    for tok in tokens:
+        a = options.get(tok)
+        if a is None or a in seen:  # _value refuses a repeated option as a positional
+            args.append(tok)
+        else:  # an option with no value left gets "-", which _value refuses
+            seen.add(a)
+            values[a.dest] = a.const if a.nargs == 0 else _value(a, next(tokens, "-"))
+    if any(a.required and a not in seen for a in options.values()):
+        raise ValueError(tokens)
+    for a, text in zip(positionals, args, strict=True):  # ValueError on a count mismatch
+        values[a.dest] = _value(a, text)
+
+
+def _fast_parse(argv: list):
+    """_PARSER.parse_args(argv) read off _TABLE for a plain argv: an optional
+    leading --format, a command, its positionals, and each declared option at
+    most once, as `--name value` (value not starting with '-') or a bare flag.
+    None for any other argv, so argparse keeps help, usage and every error."""
+    head, commands = _TABLE
+    i = 0
+    while head and i < len(argv) and argv[i] in head[0]:
+        i += 1 if head[0][argv[i]].nargs == 0 else 2
+    if not head or i >= len(argv) or commands.get(argv[i]) is None:
+        return None
+    values = {_SUBPARSERS.dest: argv[i]}
+    try:
+        _read(head, argv[:i], values)
+        _read(commands[argv[i]], argv[i + 1:], values)
+    except ValueError:
+        return None
+    return argparse.Namespace(**values)
+
+
 # One parser serves every run() in the process: parse_args returns a new
 # Namespace each call and keeps nothing from the last.  It is built here, not
 # on first use, so a wrapper around build_parser never ends up on it.
 _PARSER = build_parser()
+_SUBPARSERS = next(a for a in _PARSER._actions if type(a) is argparse._SubParsersAction)
+_TABLE = _declared(_PARSER, _SUBPARSERS), {n: _declared(p) for n, p in _SUBPARSERS.choices.items()}
 
 _HANDLERS = {
     "group": _cmd_group,
@@ -552,12 +618,15 @@ def _emit(obj: dict, fmt: str) -> None:
 
 
 def run(argv=None) -> int:
+    """Answer argv (sys.argv[1:] if None) on stdout and return the exit status.
+    _fast_parse reads a plain argv; argparse parses, helps or refuses the rest."""
     # what the call parses (type=int, int(), json.loads) and prints (str(),
     # json.dumps) is held to MAX_INT_DIGITS; the caller gets its own limit back
     caller_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:
-        args = _PARSER.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _fast_parse(argv) or _PARSER.parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args, args.format)
         _emit(_HANDLERS[args.command](args), args.format)
