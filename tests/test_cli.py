@@ -1019,10 +1019,13 @@ def test_run_builds_no_parser(monkeypatch):
     from splitbound import cli
 
     def refuse(*args, **kwargs):
-        raise AssertionError("run built a parser")
+        raise AssertionError("run built or ran a parser")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    # a plain argv is read off the declarations: a command that a later
+    # declaration takes off the table path fails here, not only runs slower
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
     for argv in ONE_PER_COMMAND:
         code, out, _ = invoke(argv)
         assert code == 0 and out, argv
@@ -1077,6 +1080,117 @@ def test_the_shared_parser_carries_nothing_between_calls():
     # help is rendered at call time, the same as by a fresh parser
     assert _help(run, ["--help"]) == (0, build_parser().format_help())
     assert _help(run, ["pgl", "--help"]) == _help(build_parser().parse_args, ["pgl", "--help"])
+
+
+def _argparse_reads(parser, argv):
+    """vars() of parser.parse_args(argv), or None where it exits (usage
+    error or help)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _declarations(parser):
+    """{command: (its positional actions, its option actions but -h)}."""
+    import argparse
+
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: ([a for a in p._actions if not a.option_strings],
+                   [a for a in p._actions if a.option_strings and a.dest != "help"])
+            for name, p in sub.choices.items()}
+
+
+def _plain_value(draw, st, action):
+    if action.choices is not None:
+        return draw(st.sampled_from(list(action.choices)))
+    if action.type is int:
+        return str(draw(st.integers(0, 99)))
+    return draw(st.sampled_from(["2,4", "(1,0)", "(1,3);(0,2)", "E8", '{"dim": 1}', "", "x y"]))
+
+
+def _perturbed(draw, st, units):
+    """units, each (action or None, its tokens) in argv order, with one
+    perturbation of the kinds a plain argv excludes."""
+    units = list(units)
+    i = draw(st.integers(0, len(units)))
+    options = [k for k, (a, _) in enumerate(units) if a.option_strings]
+    valued = [k for k, (a, toks) in enumerate(units) if toks[-1:] != a.option_strings[:1]]
+    kind = draw(st.sampled_from(["repeat", "abbreviate", "equals", "dash", "choice", "int",
+                                 "insert", "drop"]))
+    if kind in ("repeat", "abbreviate", "equals") and options:
+        k = draw(st.sampled_from(options))
+        a, toks = units[k]
+        if kind == "repeat":
+            units.insert(i, units[k])
+        elif kind == "abbreviate":
+            units[k] = a, [toks[0][:-1], *toks[1:]]
+        else:
+            units[k] = a, ["=".join(toks)]
+    elif kind in ("dash", "choice", "int") and valued:
+        k = draw(st.sampled_from(valued))
+        a, toks = units[k]
+        bad = {"dash": ["-5", "-x", "-(1)", "--"], "choice": ["nope", "Json"],
+               "int": ["x", "1.5", "", "2 3"]}[kind]
+        units[k] = a, [*toks[:-1], draw(st.sampled_from(bad))]
+    elif kind == "drop" and units:  # a missing positional or required option
+        del units[min(i, len(units) - 1)]
+    else:  # -h, --, a misplaced --format, an unknown option or an extra positional
+        stray = draw(st.sampled_from([["-h"], ["--help"], ["--"], ["--format", "json"],
+                                      ["--nope"], ["2"], ["info"]]))
+        units.insert(i, (None, stray))
+    return units
+
+
+def test_plain_argv_parses_as_argparse_does():
+    # the table path (cli._fast_parse) either builds the Namespace argparse
+    # builds or leaves the argv to argparse, which it must for every usage
+    # error and help; argvs are drawn from build_parser()'s own declarations
+    from corpus import calls
+
+    from splitbound import cli
+    from splitbound.cli import build_parser
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parser = build_parser()
+    commands = _declarations(parser)
+
+    def check(argv, plain=False):
+        got, want = cli._fast_parse(list(argv)), _argparse_reads(parser, argv)
+        if got is None:
+            assert not plain, argv
+        else:
+            assert vars(got) == want, argv
+        if want is None:
+            assert got is None, argv
+
+    @hypothesis.settings(max_examples=800, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def drawn(data):
+        draw = data.draw
+        command = draw(st.sampled_from(sorted(commands)))
+        positionals, options = commands[command]
+        units = [(a, [_plain_value(draw, st, a)]) for a in positionals]
+        for a in options:
+            if a.required or draw(st.booleans()):
+                value = [] if a.nargs == 0 else [_plain_value(draw, st, a)]
+                units.append((a, [a.option_strings[0], *value]))
+        # options interleave with the positionals, which keep their order
+        order = draw(st.permutations(range(len(units))))
+        slots = iter(units[:len(positionals)])
+        units = [next(slots) if k < len(positionals) else units[k] for k in order]
+        head = draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+        check([*head, command, *(tok for _, toks in units for tok in toks)], plain=True)
+        if draw(st.booleans()):
+            command = draw(st.sampled_from([command, command, "nope"]))
+            units = _perturbed(draw, st, units)
+            check([*head, command, *(tok for _, toks in units for tok in toks)])
+
+    drawn()
+    for _, argv in calls():
+        check(argv)
 
 
 def test_enum_limit_flag_and_env(monkeypatch):
