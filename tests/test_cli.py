@@ -657,6 +657,14 @@ def test_json_specs_with_integers_above_the_int_to_str_limit_are_refused():
     assert msg == f"dimension {big} above the bound 1024"
     spec = f'{{"group": [-{big}], "gram": [["0/1"]]}}'
     assert _refused_fast(["form", "radical", "--form", spec], "invalid-invariant")
+    # so are the numerator and denominator of a Gram entry, and 4,300 are read
+    msg = ("bad form spec: a Q/Z literal's numerator or denominator has more than"
+           " 4300 decimal digits")
+    for entry in (f"0/1{'0' * 4300}", f"{big}0/2", f"-{big}0/2", f" 1/{'1' * 4301} "):
+        spec = json.dumps({"group": [2], "gram": [[entry]]})
+        assert _refused_fast(["form", "radical", "--form", spec], "input") == msg
+    spec = json.dumps({"group": [2], "gram": [[f"0/{big}"]]})
+    assert invoke(["form", "radical", "--form", spec])[0] == 0
 
 
 def test_compare_checks_the_limit_before_building_modules():
