@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import (MAX_INT_DIGITS, InputError, OutputBoundError, PreconditionError,
-                     SplitboundError, _int_text)
+                     SplitboundError, _int_text, _over_digit_bound)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -25,27 +25,42 @@ __all__ = ["main", "run", "build_parser"]
 # literals
 # ---------------------------------------------------------------------------
 
+def _shown(text: str) -> str:
+    """text quoted for a message, cut after its first 60 characters."""
+    return repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
+
+
+def _bad_literal(what: str, text: str, parts) -> InputError:
+    """The refusal of a literal one of whose parts int() refused; it names
+    the digit bound when a part is above it."""
+    why = (f": an entry has more than {MAX_INT_DIGITS} decimal digits"
+           if any(map(_over_digit_bound, parts)) else "")
+    return InputError(f"bad {what} literal {_shown(text)}{why}")
+
+
 def _parse_group(text: str):
     from . import finabel
 
+    parts = text.split(",")
     try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
+        ints = [int(x) for x in parts if x.strip() != ""]
     except ValueError as ex:
-        raise InputError(f"bad group literal {text!r}") from ex
-    return finabel.make_group(parts)
+        raise _bad_literal("group", text, parts) from ex
+    return finabel.make_group(ints)
 
 
 def _parse_coords(text: str) -> tuple[int, ...]:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
-        raise InputError(f"element literal must be parenthesized: {text!r}")
+        raise InputError(f"element literal must be parenthesized: {_shown(text)}")
     inner = body[1:-1].strip()
     if not inner:
         return ()
+    parts = inner.split(",")
     try:
-        return tuple(int(x) for x in inner.split(","))
+        return tuple(int(x) for x in parts)
     except ValueError as ex:
-        raise InputError(f"bad element literal {text!r}") from ex
+        raise _bad_literal("element", text, parts) from ex
 
 
 def _parse_element(group, text: str):
@@ -239,7 +254,7 @@ def _pgl_subgroup(args):
             if not part:
                 continue
             if not (part.startswith("(") and part.endswith(")")) or "|" not in part:
-                raise InputError(f"pgl element literal must be '(a|chi)': {part!r}")
+                raise InputError(f"pgl element literal must be '(a|chi)': {_shown(part)}")
             left, right = part[1:-1].split("|", 1)
             pairs.append(
                 (_parse_element(a, f"({left})"), _parse_element(dual, f"({right})"))

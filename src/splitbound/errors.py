@@ -63,6 +63,12 @@ def _int_text(n: int) -> str:
         return f"<{k + 1} digits>"
 
 
+def _over_digit_bound(text: str) -> bool:
+    """Whether text has more than MAX_INT_DIGITS decimal digits, counted as
+    int() counts them against the int-to-str limit."""
+    return sum(map(str.isdigit, text)) > MAX_INT_DIGITS
+
+
 class OutputBoundError(SplitboundError):
     """A result would have more than MAX_INT_DIGITS decimal digits."""
 

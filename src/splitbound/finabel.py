@@ -44,6 +44,7 @@ from .errors import (
     PairingMismatchError,
     PreconditionError,
     _int_text,
+    _over_digit_bound,
 )
 
 __all__ = [
@@ -118,8 +119,7 @@ class QmodZ:
         if not isinstance(text, str):
             raise TypeError(f"Q/Z literal must be a 'num/den' string, not {text!r}")
         num, _, den = text.partition("/")
-        # counted as int() counts them, so the interpreter's own text never shows
-        if max(sum(map(str.isdigit, num)), sum(map(str.isdigit, den))) > MAX_INT_DIGITS:
+        if _over_digit_bound(num) or _over_digit_bound(den):  # before int() refuses it
             raise ValueError("a Q/Z literal's numerator or denominator has more than"
                              f" {MAX_INT_DIGITS} decimal digits")
         return cls(int(num), int(den) if den else 1)

@@ -667,6 +667,31 @@ def test_json_specs_with_integers_above_the_int_to_str_limit_are_refused():
     assert invoke(["form", "radical", "--form", spec])[0] == 0
 
 
+def test_literals_above_the_digit_bound_are_refused_in_a_short_message():
+    # the refusal names the bound and echoes at most 60 characters
+    big = "1" + "0" * 4300
+    cut = f"{big[:60]!r}..."
+    assert _refused_fast(["group", "info", f"2,{big}"], "input") == (
+        f"bad group literal {'2,' + big[:58]!r}...: an entry has more than 4300 decimal digits")
+    form = json.dumps({"group": [2], "gram": [["0/1"]]})
+    for argv in (["group", "span", "2", "--gens", f"({big})"],
+                 ["group", "char", "2", "--chi", "(1)", "--a", f"({big})"],
+                 ["group", "reduce", "2", "--tuple", f"(1);({big})"],
+                 ["form", "evaluate", "--form", form, "--x", "(1)", "--y", f"({big})"],
+                 ["pgl", "alpha", "--group", "2", "--elements", f"({big}|1)"]):
+        assert _refused_fast(argv, "input") == (
+            f"bad element literal {'(' + big[:59]!r}...: an entry has more than 4300 decimal"
+            " digits"), argv
+    # a long literal refused for another reason is cut as well
+    assert _refused_fast(["group", "info", big[:99] + "x"], "input") == f"bad group literal {cut}"
+    assert _refused_fast(["group", "span", "2", "--gens", big], "input") == (
+        f"element literal must be parenthesized: {cut}")
+    assert _refused_fast(["pgl", "alpha", "--group", "2", "--elements", f"({big})"],
+                         "input") == f"pgl element literal must be '(a|chi)': {'(' + big[:59]!r}..."
+    # 4,300 digits are read
+    assert invoke(["group", "span", "2", "--gens", f"({big[:-1]})"])[0] == 0
+
+
 def test_compare_checks_the_limit_before_building_modules():
     # the module orders must be printable, so p^rank1 and p^(2r) are
     # checked first; the enumeration limit no longer applies

@@ -33,7 +33,7 @@ PINNED = {
     "group char": "136f4bdc6066d5066d070e40590577ce43b3be2b38b3231b7f256b8faab108ca",
     "group dual": "f86eaa5f36eae7c60846454e1c34ce92d77375f97dd2c4a5f5b40dc975a55ec2",
     "group embeds": "4752c0da0163d81122465b75cd5e55c4f0d13f9e52dab531078626e3dabde2ec",
-    "group info": "2ef6c209de2cc1d18ff91d37f1b4f4a133267435d93fb1cd1719996dbffc8af2",
+    "group info": "8897abd9dfd82d95e3c4fc22c0f6ba25eb8e3b16f73b8c51b5f9c3a84350b51f",
     "group quotient": "6ece9a8f0f9cb360d2ca2cc796bfbd1fc8f9e4c045ac3fbadb6c8b3e4ad6b26b",
     "group reduce": "ac7ce3c143a2faba4014650bf843ff53a0fe3d0fce5562cff64f65a192a39545",
     "group span": "057110c30d3f4d6f6188825245a5ed2e8b786b9260d300262fda8daa1dab55cc",
