@@ -108,10 +108,12 @@ def _parse_form(text: str):
 
     obj = _load_spec(text)
     try:
-        # JSON numbers load as int or float; a float is no invariant factor
-        if any(isinstance(d, float) for d in obj["group"]):
-            raise InputError("bad form spec: group entries must be integers")
+        # JSON numbers load as int, float or bool; only an int is an invariant factor
+        if not isinstance(obj["group"], list) or any(type(d) is not int for d in obj["group"]):
+            raise InputError("bad form spec: group must be a list of integers")
         group = finabel.make_group(obj["group"])
+        if not isinstance(obj["gram"], list) or not all(isinstance(r, list) for r in obj["gram"]):
+            raise InputError("bad form spec: gram must be a list of lists")
         gram = [[finabel.QmodZ.parse(entry) for entry in row] for row in obj["gram"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise InputError(f"bad form spec: {ex}") from ex
@@ -124,6 +126,8 @@ def _parse_f2(text: str):
     obj = _load_spec(text)
     try:
         dim = obj["dim"]
+        if not isinstance(obj["rows"], list) or not all(isinstance(r, str) for r in obj["rows"]):
+            raise InputError("bad F2 form spec: rows must be a list of strings")
         rows = [int(r, 16) for r in obj["rows"]]
     except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"bad F2 form spec: {ex}") from ex

@@ -827,6 +827,22 @@ MALFORMED_SPECS = {
     "dim 2.5": ["f2", "count", "--form", '{"dim": 2.5, "rows": ["0x2", "0x0"]}'],
     "dim string": ["f2", "count", "--form", '{"dim": "2", "rows": ["0x2", "0x0"]}'],
     "dim true": ["f2", "count", "--form", '{"dim": true, "rows": ["0x2"]}'],
+    "group 2": ["form", "radical", "--form", '{"group": 2, "gram": [["0/1"]]}'],
+    "group object": ["form", "radical", "--form", '{"group": {"a": 1}, "gram": [["0/1"]]}'],
+    "group true": ["form", "radical", "--form", '{"group": [true], "gram": [["0/1"]]}'],
+    "gram string": ["form", "radical", "--form", '{"group": [2], "gram": "0"}'],
+    "gram row string": ["form", "radical", "--form", '{"group": [2], "gram": ["0"]}'],
+    "rows ints": ["f2", "count", "--form", '{"dim": 2, "rows": [1, 2]}'],
+    "rows string": ["f2", "count", "--form", '{"dim": 1, "rows": "1"}'],
+}
+# the refusals of a spec's shape, in the package's words, not Python's
+SPEC_MESSAGES = {
+    **dict.fromkeys(["group 4.0", "group 1e400", "group NaN", "group 2", "group object",
+                     "group true"], "bad form spec: group must be a list of integers"),
+    **dict.fromkeys(["gram string", "gram row string"],
+                    "bad form spec: gram must be a list of lists"),
+    **dict.fromkeys(["rows ints", "rows string"],
+                    "bad F2 form spec: rows must be a list of strings"),
 }
 
 
@@ -834,7 +850,8 @@ MALFORMED_SPECS = {
 def test_malformed_spec_is_an_input_error(case, tmp_path):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in MALFORMED_SPECS[case]]
-    _refused_fast(argv, "input")
+    msg = _refused_fast(argv, "input")
+    assert msg == SPEC_MESSAGES.get(case, msg)
 
 
 # -- specific output values ---------------------------------------------------------

@@ -28,7 +28,7 @@ PINNED = {
     "form max-isotropic": "025eabb29b5dc0071b57f6f984021ead42ea0b472b3e4f79e570210be5d7629e",
     "form nondegenerate": "92ac56b0c80fb6750c15ec12fa943dff71185fd09feab70f4f8c0ef4eb9d07a2",
     "form quotient-lagrangian": "173b1fa0a0ff844a537aea7fee642efa84b9a7e8d8225a6ea41f9bde35d73e28",
-    "form radical": "3c8dec3d5a2954cc0ce94f8a759d3cfc9b0b43d725624ca9e72f0672bdef1c5d",
+    "form radical": "baf37438bc8cec2c35c22ede4d4e7f3071f475ce6f73297987a1256dc5478152",
     "form standard": "544940d5bbca1e8c14171f2b61f92f4e8ea54b916a1b8969b44f709e11d14e93",
     "group char": "136f4bdc6066d5066d070e40590577ce43b3be2b38b3231b7f256b8faab108ca",
     "group dual": "f86eaa5f36eae7c60846454e1c34ce92d77375f97dd2c4a5f5b40dc975a55ec2",
