@@ -66,7 +66,7 @@ def _int_text(n: int) -> str:
 def _over_digit_bound(text: str) -> bool:
     """Whether text has more than MAX_INT_DIGITS decimal digits, counted as
     int() counts them against the int-to-str limit."""
-    return sum(map(str.isdigit, text)) > MAX_INT_DIGITS
+    return len(text) > MAX_INT_DIGITS and sum(map(str.isdigit, text)) > MAX_INT_DIGITS
 
 
 class OutputBoundError(SplitboundError):
