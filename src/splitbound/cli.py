@@ -531,9 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _declared(parser, skip=None):
-    """(options by option string, positionals, defaults by dest) of parser's
-    actions: store with one str or int value, and store_true.  -h is left to
-    argparse; a parser with any other action is argparse's alone (None)."""
+    """(options by option string, positionals, defaults by dest, required
+    options) of parser's actions: store with one str or int value, and
+    store_true.  -h is left to argparse; a parser with any other action is
+    argparse's alone (None)."""
     options, positionals, defaults = {}, [], {}
     for a in parser._actions:
         if type(a) is argparse._HelpAction or a is skip:
@@ -545,7 +546,7 @@ def _declared(parser, skip=None):
         defaults[a.dest] = a.default
         options.update(dict.fromkeys(a.option_strings, a))
         positionals += [] if a.option_strings else [a]
-    return options, positionals, defaults
+    return options, positionals, defaults, {a for a in options.values() if a.required}
 
 
 def _value(action, text: str):
@@ -558,7 +559,7 @@ def _value(action, text: str):
 
 def _read(declared, tokens, values: dict) -> None:
     """Store into values argparse's reading of one parser's tokens; ValueError if not plain."""
-    options, positionals, defaults = declared
+    options, positionals, defaults, required = declared
     values.update(defaults)
     seen, args, tokens = set(), [], iter(tokens)
     for tok in tokens:
@@ -568,7 +569,7 @@ def _read(declared, tokens, values: dict) -> None:
         else:  # an option with no value left gets "-", which _value refuses
             seen.add(a)
             values[a.dest] = a.const if a.nargs == 0 else _value(a, next(tokens, "-"))
-    if any(a.required and a not in seen for a in options.values()):
+    if not required <= seen:
         raise ValueError(tokens)
     for a, text in zip(positionals, args, strict=True):  # ValueError on a count mismatch
         values[a.dest] = _value(a, text)
@@ -591,7 +592,9 @@ def _fast_parse(argv: list):
         _read(commands[argv[i]], argv[i + 1:], values)
     except ValueError:
         return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    vars(args).update(values)  # what Namespace(**values) does, one setattr at a time
+    return args
 
 
 # One parser serves every run() in the process: parse_args returns a new
