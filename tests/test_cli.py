@@ -686,8 +686,8 @@ def test_literals_above_the_digit_bound_are_refused_in_a_short_message():
     assert _refused_fast(["group", "info", big[:99] + "x"], "input") == f"bad group literal {cut}"
     assert _refused_fast(["group", "span", "2", "--gens", big], "input") == (
         f"element literal must be parenthesized: {cut}")
-    assert _refused_fast(["pgl", "alpha", "--group", "2", "--elements", f"({big})"],
-                         "input") == f"pgl element literal must be '(a|chi)': {'(' + big[:59]!r}..."
+    msg = _refused_fast(["pgl", "alpha", "--group", "2", "--elements", f"({big})"], "input")
+    assert msg == f"pgl element literal must be '(a|chi)': {'(' + big[:59]!r}..."
     # 4,300 digits are read
     assert invoke(["group", "span", "2", "--gens", f"({big[:-1]})"])[0] == 0
 
@@ -1166,6 +1166,7 @@ def _perturbed(draw, st, units):
     units = list(units)
     i = draw(st.integers(0, len(units)))
     options = [k for k, (a, _) in enumerate(units) if a.option_strings]
+    # the units that end in a value: positionals, and options that are no flag
     valued = [k for k, (a, toks) in enumerate(units) if toks[-1:] != a.option_strings[:1]]
     kind = draw(st.sampled_from(["repeat", "abbreviate", "equals", "dash", "choice", "int",
                                  "insert", "drop"]))
