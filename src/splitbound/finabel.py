@@ -194,7 +194,9 @@ class FinAbGroup:
         return bool(inv) and all(d == inv[0] for d in inv) and _is_prime(inv[0])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinAbGroup) and self.invariants == other.invariants
+        return self is other or (
+            isinstance(other, FinAbGroup) and self.invariants == other.invariants
+        )
 
     def __hash__(self) -> int:
         return hash(self.invariants)
@@ -210,35 +212,46 @@ class Element:
 
     def __init__(self, group: FinAbGroup, coords):
         coords = tuple(coords)
-        if len(coords) != group.rank:
+        if len(coords) != len(group.invariants):
             raise AmbientMismatchError(
                 f"expected {group.rank} coordinates, got {len(coords)}"
             )
         self.group = group
-        self.coords = tuple(c % d for c, d in zip(coords, group.invariants))
+        self.coords = tuple([c % d for c, d in zip(coords, group.invariants)])
 
     def _check(self, other: "Element") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise AmbientMismatchError("elements of different groups")
 
+    # The operations reduce each coordinate in one pass and build their
+    # result through _element, which validates nothing.
+
     def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        g = self.group
+        if other.group is not g:
+            self._check(other)
+        return _element(g, tuple([(a + b) % d for a, b, d
+                                  in zip(self.coords, other.coords, g.invariants)]))
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        g = self.group
+        if other.group is not g:
+            self._check(other)
+        return _element(g, tuple([(a - b) % d for a, b, d
+                                  in zip(self.coords, other.coords, g.invariants)]))
 
     def __neg__(self) -> "Element":
-        return Element(self.group, tuple(-a for a in self.coords))
+        g = self.group
+        return _element(g, tuple([-a % d for a, d in zip(self.coords, g.invariants)]))
 
     def __mul__(self, n: int) -> "Element":
-        return Element(self.group, tuple(n * a for a in self.coords))
+        g = self.group
+        return _element(g, tuple([n * a % d for a, d in zip(self.coords, g.invariants)]))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def order(self) -> int:
         n = 1
@@ -250,7 +263,7 @@ class Element:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Element)
-            and self.group == other.group
+            and (self.group is other.group or self.group == other.group)
             and self.coords == other.coords
         )
 
@@ -259,6 +272,18 @@ class Element:
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
+
+
+_new_element = object.__new__
+
+
+def _element(group: FinAbGroup, coords: tuple) -> Element:
+    """The trusted constructor: coords must already be a tuple of residues,
+    coords[i] in [0, d_i), one per invariant factor of the group."""
+    el = _new_element(Element)
+    el.group = group
+    el.coords = coords
+    return el
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +460,15 @@ def _hnf(rows, invariants, drop=0) -> list[list[int]]:
     `drop` on; those rows are as with drop = 0.
     """
     k = len(invariants)
+    if k == 1:  # a cyclic group: the lattice is gcd(d, rows) * Z
+        return [[gcd(invariants[0], *[r[0] for r in rows])]]
     work = [[x % d for x, d in zip(r, invariants)] for r in rows]
     work = [r for r in work if any(r)]
     result: list[list[int]] = []
     for col, d in enumerate(invariants):
+        if not work:  # only relation rows are left, and they reduce no entry
+            result += [[invariants[c] if t == c else 0 for t in range(k)] for c in range(col, k)]
+            break
         carrier = None
         rest = []
         for r in work:
@@ -447,10 +477,14 @@ def _hnf(rows, invariants, drop=0) -> list[list[int]]:
                 rest.append(r)
                 continue
             if carrier is None:  # the first merge, into d * e_col
-                g, _e, f = _xgcd(d, x)
-                a = d // g
+                if d % x:
+                    g, _e, f = _xgcd(d, x)
+                    a = d // g
+                    carrier = r if f == 1 else [f * v % m for v, m in zip(r, invariants)]
+                else:  # g = x and f = 1
+                    a = d // x
+                    carrier = r
                 residue = [a * v % m for v, m in zip(r, invariants)]
-                carrier = r if f == 1 else [f * v % m for v, m in zip(r, invariants)]
             else:
                 c = carrier[col]
                 if x % c == 0:  # the carrier stays; r is reduced by it
@@ -624,8 +658,8 @@ class Subgroup:
 
     def __init__(self, ambient: FinAbGroup, basis):
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in basis)
-        det = prod(self.basis[i][i] for i in range(ambient.rank))
+        self.basis = tuple(map(tuple, basis))
+        det = prod([self.basis[i][i] for i in range(len(ambient.invariants))])
         self.order = ambient.order // det
         self._sub_invariants = None
         self._canon = None
@@ -788,12 +822,10 @@ def eval_character(chi: Element, a: Element) -> QmodZ:
 
 def subgroup_from_generators(a: FinAbGroup, gens) -> Subgroup:
     """Canonical subgroup spanned by the generators (empty -> trivial)."""
-    rows = []
-    for g in gens:
-        if g.group != a:
-            raise AmbientMismatchError("generator from a different group")
-        rows.append(g.coords)
-    return Subgroup(a, _hnf(rows, a.invariants))
+    gens = list(gens)
+    if any(g.group is not a and g.group != a for g in gens):
+        raise AmbientMismatchError("generator from a different group")
+    return Subgroup(a, _hnf([g.coords for g in gens], a.invariants))
 
 
 def trivial_subgroup(a: FinAbGroup) -> Subgroup:
@@ -1173,21 +1205,19 @@ def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
     """
     xs = list(xi)
     for x in xs:
-        if x.group != a:
+        if x.group is not a and x.group != a:
             raise AmbientMismatchError("tuple entry from a different group")
     s = len(xs)
     k = a.rank
     if s < k:
         raise PreconditionError(f"tuple length {s} < rank {k}")
-    coords = [list(x.coords) for x in xs]
+    coords = [x.coords for x in xs]  # a row becomes a new list when it changes
     inv = a.invariants
     log: list[tuple] = []
 
     def op_sub(i: int, j: int, q: int):
         # q repeats of xi_i -= xi_j, applied and logged as one op
-        ci, cj = coords[i], coords[j]
-        for t in range(k):
-            ci[t] = (ci[t] - q * cj[t]) % inv[t]
+        coords[i] = [(x - q * y) % d for x, y, d in zip(coords[i], coords[j], inv)]
         log.append(("sub", i, j, q))
 
     def op_swap(i: int, j: int):
@@ -1216,7 +1246,8 @@ def reduce_tuple(a: FinAbGroup, xi) -> tuple[list[tuple], list[Element]]:
         c = k - 1 - first
         for j in range(first + 1, s):
             clear_pair(first, j, c)
-    reduced = [Element(a, cs) for cs in coords]
+    # every row is reduced modulo the invariants already
+    reduced = [_element(a, tuple(cs)) for cs in coords]
     nonzero = sum(1 for el in reduced if not el.is_zero())
     assert nonzero <= k
     return log, reduced
@@ -1230,7 +1261,7 @@ def replay_ops(a: FinAbGroup, xi, ops) -> list[Element]:
     not two distinct indices of the tuple, or whose q is not an int >= 1,
     with PreconditionError."""
     xs = list(xi)
-    if any(x.group != a for x in xs):
+    if any(x.group is not a and x.group != a for x in xs):
         raise AmbientMismatchError("tuple entry from a different group")
     n = len(xs)
     for op in ops:
@@ -1238,16 +1269,17 @@ def replay_ops(a: FinAbGroup, xi, ops) -> list[Element]:
             op = tuple(op)
         except TypeError:
             raise PreconditionError(f"malformed op {op!r}") from None
-        if op[:1] == ("sub",) and len(op) == 4:
+        sub = len(op) == 4
+        if sub and op[0] == "sub":
             _kind, i, j, q = op
-        elif op[:1] == ("swap",) and len(op) == 3:
+        elif len(op) == 3 and op[0] == "swap":
             (_kind, i, j), q = op, 1
         else:
             raise PreconditionError(f"malformed op {op!r}")
-        if not (all(type(x) is int for x in (i, j, q)) and q >= 1
+        if not (type(i) is int and type(j) is int and type(q) is int and q >= 1
                 and i != j and 0 <= i < n and 0 <= j < n):
             raise PreconditionError(f"malformed op {op!r}")
-        if op[0] == "sub":
+        if sub:
             xs[i] = xs[i] - q * xs[j]
         else:
             xs[i], xs[j] = xs[j], xs[i]

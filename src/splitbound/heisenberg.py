@@ -96,17 +96,16 @@ class MonomialMatrix:
         return self.group.exponent
 
     def _check(self, other: "MonomialMatrix") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise AmbientMismatchError("matrices over different index groups")
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         self._check(other)
         p1, d1 = self.perm, self.diag
-        p2, d2 = other.perm, other.diag
         n = self.modulus
-        perm = tuple(p1[p2[b]] for b in range(len(p1)))
-        diag = tuple((d2[b] + d1[p2[b]]) % n for b in range(len(p1)))
-        return MonomialMatrix(self.group, perm, diag)
+        perm = tuple([p1[c] for c in other.perm])
+        diag = tuple([(d + d1[c]) % n for d, c in zip(other.diag, other.perm)])
+        return _matrix(self.group, perm, diag)
 
     def inverse(self) -> "MonomialMatrix":
         n = self.modulus
@@ -129,14 +128,12 @@ class MonomialMatrix:
 
     def scale(self, exponent: int) -> "MonomialMatrix":
         n = self.modulus
-        return MonomialMatrix(
-            self.group, self.perm, tuple((d + exponent) % n for d in self.diag)
-        )
+        return _matrix(self.group, self.perm, tuple([(d + exponent) % n for d in self.diag]))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MonomialMatrix)
-            and self.group == other.group
+            and (self.group is other.group or self.group == other.group)
             and self.perm == other.perm
             and self.diag == other.diag
         )
@@ -146,6 +143,19 @@ class MonomialMatrix:
 
     def __repr__(self) -> str:
         return f"MonomialMatrix(perm={self.perm}, diag={self.diag}, mod={self.modulus})"
+
+
+_new_matrix = object.__new__
+
+
+def _matrix(group: FinAbGroup, perm: tuple, diag: tuple) -> MonomialMatrix:
+    """The trusted constructor, for a product or a rescaling: perm is a
+    permutation and diag a tuple of residues modulo the group exponent."""
+    m = _new_matrix(MonomialMatrix)
+    m.group = group
+    m.perm = perm
+    m.diag = diag
+    return m
 
 
 def identity_matrix(group: FinAbGroup) -> MonomialMatrix:

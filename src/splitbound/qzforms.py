@@ -311,15 +311,31 @@ def iter_isotropic_bases(w: SkewForm, order: int | None):
     oracles call it on fixed small modules.
     """
     g = w.group
-    k = g.rank
     n = w.exponent
     scaled = w.scaled()
+    # Every candidate row of one step is tested against the same kept list,
+    # so each kept row v is paired with the Gram once, into the k-vector
+    # S v, and a candidate pairs with v as row . S v = w(row, v), the value
+    # _pair_value gives.  (Pairing the candidate first gains nothing: it
+    # changes at every test.)  A kept list is its parent plus one row, so
+    # consecutive lists share a prefix of the same row objects, and only the
+    # rows past it are paired again.  `last` holds the rows whose vectors
+    # `paired` holds, so no other row can take their identity.
+    last, paired = [], []
 
-    # _pair_value per kept row: rows are sparse and kept is short, so pairing
-    # each row with the Gram first (as _isotropic_basis does) measured slower
     def pairs_to_zero(row, kept):
-        for v in kept:
-            if _pair_value(scaled, n, row, v, k):
+        nonlocal last, paired
+        if kept is not last:
+            j = 0
+            for u, v in zip(kept, last):
+                if u is not v:
+                    break
+                j += 1
+            last = kept
+            paired = paired[:j] + [[sum(map(mul, gram_row, v)) for gram_row in scaled]
+                                   for v in kept[j:]]
+        for pv in paired:
+            if sum(map(mul, row, pv)) % n:
                 return False
         return True
 

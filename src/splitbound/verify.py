@@ -145,12 +145,14 @@ def _quotient_classes(inv: tuple[int, ...]):
 
 
 def random_group(rng: random.Random, max_order: int) -> FinAbGroup:
-    return make_group(rng.choice(_abelian_types(max_order)))
+    return rng.choice(_abelian_groups(max_order))
 
 
 @lru_cache(maxsize=4)
-def _abelian_types(max_order: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(iter_abelian_types(max_order))
+def _abelian_groups(max_order: int) -> tuple[FinAbGroup, ...]:
+    """The groups of iter_abelian_types(max_order), built once and in its
+    order: a group is immutable, so draws can share them."""
+    return tuple(map(make_group, iter_abelian_types(max_order)))
 
 
 def _random_f2_form(m: int, rng: random.Random) -> f2quad.F2QuadForm:
@@ -172,14 +174,19 @@ def _random_invertible_f2(m: int, rng: random.Random) -> list[int]:
 
 
 def _conjugate_form(q: f2quad.F2QuadForm, mat: list[int]) -> f2quad.F2QuadForm:
-    """q'(x) = q(Tx) where column j of T is mat[j]."""
+    """q'(x) = q(Tx) where column j of T is mat[j].  Each q(mat[i]) is
+    taken once, and the polarization b(v, w) = q(v + w) + q(v) + q(w)
+    reads them back."""
     m = q.dim
+    value = q.value
+    qs = [value(v) for v in mat]
     rows = [0] * m
     for i in range(m):
-        if q.value(mat[i]):
+        v, qv = mat[i], qs[i]
+        if qv:
             rows[i] |= 1 << i
         for j in range(i + 1, m):
-            if f2quad.bilinear(q, mat[i], mat[j]):
+            if value(v ^ mat[j]) ^ qv ^ qs[j]:
                 rows[i] |= 1 << j
     return f2quad.F2QuadForm(m, rows)
 
@@ -220,10 +227,10 @@ def suite_isometry(seed: int = 0) -> list[Check]:
             a = make_group(inv)
             dual = dual_group(a)
             n = a.exponent
+            diagonals = [(chi, heisenberg.diag_matrix(chi)) for chi in dual.elements()]
             for x in a.elements():
                 px = heisenberg.perm_matrix(x)
-                for chi in dual.elements():
-                    dchi = heisenberg.diag_matrix(chi)
+                for chi, dchi in diagonals:
                     v = eval_character(chi, x)
                     lhs = dchi * px
                     rhs = (px * dchi).scale(v.num * (n // v.den))
@@ -464,10 +471,7 @@ def suite_tuple_reduction(seed: int = 0) -> list[Check]:
         for _ in range(_TUPLE_REDUCTION_INSTANCES):
             a = random_group(rng, 64)
             s = a.rank + rng.randrange(0, 4)
-            xi = [
-                a.element(tuple(rng.randrange(d) for d in a.invariants))
-                for _ in range(s)
-            ]
+            xi = [a.element([rng.randrange(d) for d in a.invariants]) for _ in range(s)]
             log, reduced = reduce_tuple(a, xi)
             if sum(1 for el in reduced if not el.is_zero()) > a.rank:
                 return False, count
