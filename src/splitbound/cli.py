@@ -103,10 +103,17 @@ def _load_spec(text: str) -> dict:
     return obj
 
 
+def _require_keys(obj: dict, what: str, keys) -> None:
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"{what}: missing key {key!r}")
+
+
 def _parse_form(text: str):
     from . import finabel, qzforms
 
     obj = _load_spec(text)
+    _require_keys(obj, "bad form spec", ("group", "gram"))
     try:
         # JSON numbers load as int, float or bool; only an int is an invariant factor
         if not isinstance(obj["group"], list) or any(type(d) is not int for d in obj["group"]):
@@ -115,7 +122,7 @@ def _parse_form(text: str):
         if not isinstance(obj["gram"], list) or not all(isinstance(r, list) for r in obj["gram"]):
             raise InputError("bad form spec: gram must be a list of lists")
         gram = [[finabel.QmodZ.parse(entry) for entry in row] for row in obj["gram"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as ex:
+    except (TypeError, ValueError, ZeroDivisionError) as ex:
         raise InputError(f"bad form spec: {ex}") from ex
     return qzforms.SkewForm(group, gram)
 
@@ -124,12 +131,13 @@ def _parse_f2(text: str):
     from . import f2quad
 
     obj = _load_spec(text)
+    _require_keys(obj, "bad F2 form spec", ("dim", "rows"))
     try:
         dim = obj["dim"]
         if not isinstance(obj["rows"], list) or not all(isinstance(r, str) for r in obj["rows"]):
             raise InputError("bad F2 form spec: rows must be a list of strings")
         rows = [int(r, 16) for r in obj["rows"]]
-    except (KeyError, TypeError, ValueError) as ex:
+    except (TypeError, ValueError) as ex:
         raise InputError(f"bad F2 form spec: {ex}") from ex
     # JSON numbers load as int, float or bool; only an int is a dimension
     if type(dim) is not int:

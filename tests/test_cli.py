@@ -834,6 +834,10 @@ MALFORMED_SPECS = {
     "gram row string": ["form", "radical", "--form", '{"group": [2], "gram": ["0"]}'],
     "rows ints": ["f2", "count", "--form", '{"dim": 2, "rows": [1, 2]}'],
     "rows string": ["f2", "count", "--form", '{"dim": 1, "rows": "1"}'],
+    "no group": ["form", "radical", "--form", '{"gram": [["0/1"]]}'],
+    "no gram": ["form", "radical", "--form", '{"group": [2]}'],
+    "no dim": ["f2", "count", "--form", '{"rows": []}'],
+    "no rows": ["f2", "count", "--form", '{"dim": 1}'],
 }
 # the refusals of a spec's shape, in the package's words, not Python's
 SPEC_MESSAGES = {
@@ -843,6 +847,10 @@ SPEC_MESSAGES = {
                     "bad form spec: gram must be a list of lists"),
     **dict.fromkeys(["rows ints", "rows string"],
                     "bad F2 form spec: rows must be a list of strings"),
+    "no group": "bad form spec: missing key 'group'",
+    "no gram": "bad form spec: missing key 'gram'",
+    "no dim": "bad F2 form spec: missing key 'dim'",
+    "no rows": "bad F2 form spec: missing key 'rows'",
 }
 
 

@@ -25,7 +25,7 @@ PINNED = {
     "f2 radical": "425f978c6ca042a36ca8be6807a14a1e1f46b03f212947d22c495ca78cd72b33",
     "form evaluate": "236c98a678b0d0b76ae33867c0da4f639dff61a18c7ee0776e1d961e569e8c19",
     "form lagrangian": "c17f001d03ef5d3b77b512284e9330d941aa9185d441ad9744b851cacad59e17",
-    "form max-isotropic": "025eabb29b5dc0071b57f6f984021ead42ea0b472b3e4f79e570210be5d7629e",
+    "form max-isotropic": "538df5581828786aca502f9654a3b7987c606143753a0dabd3c6a522c108df86",
     "form nondegenerate": "92ac56b0c80fb6750c15ec12fa943dff71185fd09feab70f4f8c0ef4eb9d07a2",
     "form quotient-lagrangian": "173b1fa0a0ff844a537aea7fee642efa84b9a7e8d8225a6ea41f9bde35d73e28",
     "form radical": "baf37438bc8cec2c35c22ede4d4e7f3071f475ce6f73297987a1256dc5478152",
