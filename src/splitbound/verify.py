@@ -136,12 +136,20 @@ def _quotient_classes(inv: tuple[int, ...]):
     for units, rest in _coordinate_splits(len(inv)):
         ds = tuple(inv[i] for i in rest)
         after = [bisect_left(rest, i) for i in units]
-        for block in _iter_bases_general(ds, keep_pivot=lambda h, _d: h != 1):
+        for block in _nonunit_blocks(ds):
             n = 1
             for i, s in zip(units, after):
                 for g in coker(tuple(row[s:] for row in block[s:])):
                     n *= gcd(g, inv[i])
             yield units, block, coker(block), n
+
+
+@lru_cache(maxsize=_SUBQUOT_CACHE_SIZE)
+def _nonunit_blocks(ds: tuple[int, ...]) -> tuple:
+    """The Hermite bases over the chain ds whose every pivot lies above 1.
+    They depend on ds alone, and every split of every type with these
+    non-unit invariants lists them."""
+    return tuple(_iter_bases_general(ds, keep_pivot=lambda h, _d: h != 1))
 
 
 def random_group(rng: random.Random, max_order: int) -> FinAbGroup:
