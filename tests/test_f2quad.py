@@ -247,6 +247,23 @@ def test_dim7_census():
     assert count_anisotropic(form_from_blocks(["a", "h", "h", "zero"])) == 72
 
 
+def test_conjugate_form_is_q_of_tx():
+    # _conjugate_form(q, T) is x -> q(Tx), column j of T being mat[j], on
+    # every x: its polarization reads each q(mat[i]) from one cache
+    rng = random.Random(29)
+    for m in range(1, 9):
+        for _ in range(12):
+            q = random_form(m, rng)
+            mat = _random_invertible_f2(m, rng)
+            q2 = _conjugate_form(q, mat)
+            for x in range(1 << m):
+                tx = 0
+                for j in range(m):
+                    if x >> j & 1:
+                        tx ^= mat[j]
+                assert q2.value(x) == q.value(tx), (q.rows, mat, x)
+
+
 def test_dim7_random_conjugates():
     rng = random.Random(12)
     classes = [

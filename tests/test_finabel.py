@@ -147,6 +147,67 @@ def test_make_group_rejects_bad_invariants():
         make_group([0])
 
 
+def drawn_chain(draw, st, max_order=4096):
+    """A group of order <= max_order from drawn cyclic orders; the empty
+    draw gives rank 0."""
+    orders, room = [], max_order
+    while room >= 2 and draw(st.booleans()):
+        orders.append(draw(st.integers(2, room)))
+        room //= orders[-1]
+    return make_group(orders)
+
+
+def test_trusted_element_arithmetic_builds_what_the_checked_constructor_builds():
+    # +, -, unary -, n * and * n, and reduce_tuple's rows, build their
+    # results without the checking constructor; each must equal
+    # Element(g, raw) on the raw integers, as a tuple
+    from splitbound.finabel import Element, FinAbGroup
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def drawn(data):
+        draw = data.draw
+        g = drawn_chain(draw, st)
+        e = g.exponent
+
+        def element():
+            return Element(g, [draw(st.integers(-3 * d, 3 * d)) for d in g.invariants])
+
+        def built(el, raw):
+            assert type(el.coords) is tuple and el.group is g
+            assert el.coords == Element(g, raw).coords
+
+        x, y = element(), element()
+        n = draw(st.integers(-3 * e, 3 * e))
+        built(x + y, [a + b for a, b in zip(x.coords, y.coords)])
+        built(x - y, [a - b for a, b in zip(x.coords, y.coords)])
+        built(-x, [-a for a in x.coords])
+        built(n * x, [n * a for a in x.coords])
+        built(x * n, [a * n for a in x.coords])
+        xi = [element() for _ in range(g.rank + draw(st.integers(0, 3)))]
+        for row in reduce_tuple(g, xi)[1]:
+            built(row, row.coords)
+        # a distinct but equal group works alongside; groups of other
+        # invariants are refused
+        twin = FinAbGroup(g.invariants)
+        assert twin is not g
+        z = Element(twin, y.coords)
+        assert z == y and x + z == x + y and x - z == x - y
+        others = [make_group(g.invariants + (2,))]
+        if g.rank:
+            others.append(make_group([2 * d for d in g.invariants]))
+        for other in others:
+            w = Element(other, [1] * other.rank)
+            for mixed in (lambda: x + w, lambda: w + x, lambda: x - w, lambda: w - x):
+                with pytest.raises(AmbientMismatchError):
+                    mixed()
+
+    drawn()
+
+
 def test_dual_group_is_isomorphic():
     for inv in ([4], [2, 4], [6]):
         assert dual_group(make_group(inv)).invariants == make_group(inv).invariants

@@ -155,6 +155,49 @@ def test_matrix_group_axioms():
                 assert (m1 * m2) * m3 == m1 * (m2 * m3)
 
 
+def test_trusted_matrix_products_build_what_the_checked_constructor_builds():
+    # a product and a rescaling build their result without the checking
+    # constructor; each must equal MonomialMatrix(...) on the raw exponent
+    # sums, and matrices over other invariants are refused
+    from test_finabel import drawn_chain
+
+    from splitbound.finabel import FinAbGroup
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def drawn(data):
+        draw = data.draw
+        g = drawn_chain(draw, st, 64)
+        n, size = g.exponent, g.order
+
+        def matrix(group):
+            perm = draw(st.permutations(range(size)))
+            raw = draw(st.lists(st.integers(-3 * n, 3 * n), min_size=size, max_size=size))
+            return MonomialMatrix(group, perm, raw)
+
+        def built(m, perm, raw):
+            assert type(m.perm) is tuple and type(m.diag) is tuple and m.group is g
+            want = MonomialMatrix(g, perm, raw)
+            assert (m.perm, m.diag) == (want.perm, want.diag)
+
+        x, y = matrix(g), matrix(g)
+        built(x * y, [x.perm[c] for c in y.perm],
+              [d + x.diag[c] for d, c in zip(y.diag, y.perm)])
+        e = draw(st.integers(-3 * n, 3 * n))
+        built(x.scale(e), x.perm, [d + e for d in x.diag])
+        twin = matrix(FinAbGroup(g.invariants))
+        assert (x * twin).group is g and x * twin == x * MonomialMatrix(g, twin.perm, twin.diag)
+        other = identity_matrix(make_group(g.invariants + (2,)))
+        for mixed in (lambda: x * other, lambda: other * x):
+            with pytest.raises(AmbientMismatchError):
+                mixed()
+
+    drawn()
+
+
 def test_braiding_identity():
     # D_chi P_a == chi(a) P_a D_chi, all pairs for |A| <= 16
     for inv in iter_abelian_types(16):

@@ -1302,6 +1302,52 @@ def test_isotropic_recursion_keeps_the_oracle_order():
                                    (w.gram, d))
 
 
+def test_kept_row_pairing_holds_no_state_between_streams():
+    # iter_isotropic_bases keeps the paired kept rows of its last step; two
+    # streams advanced in alternation, on two forms or on one form at two
+    # orders, must each give exactly the stream of the _pair_value filter
+    import random
+
+    from test_finabel import hermite_bases_oracle
+
+    from splitbound.qzforms import _pair_value
+
+    def oracle(w, order):
+        scaled, n, k = w.scaled(), w.exponent, w.group.rank
+
+        def pairs_to_zero(row, kept):
+            return all(_pair_value(scaled, n, row, v, k) == 0 for v in kept)
+
+        return list(hermite_bases_oracle(w.group.invariants, order, pairs_to_zero))
+
+    def alternated(streams):
+        got = [[] for _ in streams]
+        live = list(range(len(streams)))
+        while live:
+            for i in list(live):
+                basis = next(streams[i], None)
+                if basis is None:
+                    live.remove(i)
+                else:
+                    got[i].append(basis)
+        return got
+
+    rng = random.Random(43)
+    forms = [standard_module(make_group(inv)) for inv in ([2, 4], [3, 3], [2, 2, 2])]
+    forms += [random_form(rng, make_group(inv)) for inv in ([2, 4, 4], [4, 8], [2, 6, 6])]
+    runs = 0
+    for w1, w2 in zip(forms, forms[1:] + forms[:1]):
+        o1, o2 = max_isotropic(w1).order, max_isotropic(w2).order
+        p = next(p for p in range(2, o1 + 1) if o1 % p == 0)
+        for (a, d1), (b, d2) in (((w1, o1), (w2, o2)), ((w1, o1), (w1, o1 // p)),
+                                  ((w1, None), (w1, o1))):
+            streams = [iter_isotropic_bases(a, d1), iter_isotropic_bases(b, d2)]
+            got = alternated(streams)
+            assert got == [oracle(a, d1), oracle(b, d2)], (a.gram, d1, b.gram, d2)
+            runs += min(map(len, got)) > 1
+    assert runs >= 12, runs
+
+
 def subgroup_quotient_type_oracle(h1, inner):
     """H1/inner through an |H1|-element table: coordinates of every element
     of inner over H1's canonical basis, then the quotient of that span."""
