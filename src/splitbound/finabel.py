@@ -274,13 +274,10 @@ class Element:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-_new_element = object.__new__
-
-
 def _element(group: FinAbGroup, coords: tuple) -> Element:
     """The trusted constructor: coords must already be a tuple of residues,
     coords[i] in [0, d_i), one per invariant factor of the group."""
-    el = _new_element(Element)
+    el = object.__new__(Element)
     el.group = group
     el.coords = coords
     return el

@@ -145,13 +145,10 @@ class MonomialMatrix:
         return f"MonomialMatrix(perm={self.perm}, diag={self.diag}, mod={self.modulus})"
 
 
-_new_matrix = object.__new__
-
-
 def _matrix(group: FinAbGroup, perm: tuple, diag: tuple) -> MonomialMatrix:
     """The trusted constructor, for a product or a rescaling: perm is a
     permutation and diag a tuple of residues modulo the group exponent."""
-    m = _new_matrix(MonomialMatrix)
+    m = object.__new__(MonomialMatrix)
     m.group = group
     m.perm = perm
     m.diag = diag
