@@ -227,16 +227,14 @@ class Element:
     # result through _element, which validates nothing.
 
     def __add__(self, other: "Element") -> "Element":
+        self._check(other)
         g = self.group
-        if other.group is not g:
-            self._check(other)
         return _element(g, tuple([(a + b) % d for a, b, d
                                   in zip(self.coords, other.coords, g.invariants)]))
 
     def __sub__(self, other: "Element") -> "Element":
+        self._check(other)
         g = self.group
-        if other.group is not g:
-            self._check(other)
         return _element(g, tuple([(a - b) % d for a, b, d
                                   in zip(self.coords, other.coords, g.invariants)]))
 
@@ -463,9 +461,6 @@ def _hnf(rows, invariants, drop=0) -> list[list[int]]:
     work = [r for r in work if any(r)]
     result: list[list[int]] = []
     for col, d in enumerate(invariants):
-        if not work:  # only relation rows are left, and they reduce no entry
-            result += [[invariants[c] if t == c else 0 for t in range(k)] for c in range(col, k)]
-            break
         carrier = None
         rest = []
         for r in work:
@@ -474,14 +469,10 @@ def _hnf(rows, invariants, drop=0) -> list[list[int]]:
                 rest.append(r)
                 continue
             if carrier is None:  # the first merge, into d * e_col
-                if d % x:
-                    g, _e, f = _xgcd(d, x)
-                    a = d // g
-                    carrier = r if f == 1 else [f * v % m for v, m in zip(r, invariants)]
-                else:  # g = x and f = 1
-                    a = d // x
-                    carrier = r
+                g, _e, f = _xgcd(d, x)
+                a = d // g
                 residue = [a * v % m for v, m in zip(r, invariants)]
+                carrier = r if f == 1 else [f * v % m for v, m in zip(r, invariants)]
             else:
                 c = carrier[col]
                 if x % c == 0:  # the carrier stays; r is reduced by it
