@@ -114,6 +114,19 @@ def _nonsplit(chain) -> str:
     return json.dumps(obj)
 
 
+def _fixed_form(chain) -> str:
+    """An alternating form on the chain that draws nothing from an rng:
+    entry (i, j), i < j, is t/d_i with t = (3i + 5j + ij) mod d_i, and
+    0 when 3 divides i + j."""
+    k = len(chain)
+    gram = [["0/1"] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            t = (3 * i + 5 * j + i * j) % chain[i] if (i + j) % 3 else 0
+            gram[i][j], gram[j][i] = f"{t}/{chain[i]}", f"{-t}/{chain[i]}"
+    return json.dumps({"group": list(chain), "gram": gram})
+
+
 def _f2(rng, m) -> str:
     rows = [rng.getrandbits(m) >> i << i for i in range(m)]
     return json.dumps({"dim": m, "rows": [format(r, "#x") for r in rows]})
@@ -249,6 +262,27 @@ def _form_calls(rng):
         ("form quotient-lagrangian", ["form", "quotient-lagrangian", "--form", hyp,
                                       "--gens", "(1,0)"]),
     ]
+    # rank 8 at the sizes of the benchmark's form queries, with fixed
+    # literals only, so that no row above moves: the standard module on
+    # (6, 12, 72, 144), of order about 2^39, and a form on a chain of order
+    # 2^33 whose radical is Z/8 x Z/48
+    std = _standard([6, 12, 72, 144])
+    rad = _fixed_form([4, 4, 8, 8, 16, 48, 96, 192])
+    lag = "(1,0,0,0,0,0,0,0);(0,0,1,0,0,0,0,0);(0,0,0,0,1,0,0,0);(0,0,0,0,0,0,1,0)"
+    twisted = "(1,5,0,0,0,0,0,0);(0,0,7,1,0,0,0,0);(0,0,0,0,1,70,0,0);(0,0,0,0,0,0,143,1)"
+    short = "(1,0,0,0,0,0,0,0);(0,0,1,0,0,0,0,0);(0,0,0,0,1,0,0,0)"
+    crossed = "(1,0,0,0,0,0,0,0);(0,1,0,0,0,0,0,0);(0,0,0,0,1,0,0,0);(0,0,0,0,0,0,1,0)"
+    for spec, gens_tried in ((std, (lag, twisted, short, crossed)), (rad, (lag,))):
+        out += [("form nondegenerate", ["form", "nondegenerate", "--form", spec]),
+                ("form radical", ["form", "radical", "--form", spec])]
+        for gens in gens_tried:
+            out += [("form lagrangian", ["form", "lagrangian", "--form", spec, "--gens", gens]),
+                    ("form quotient-lagrangian", ["form", "quotient-lagrangian", "--form", spec,
+                                                  "--gens", gens])]
+    out += [("form nondegenerate", _text(["form", "nondegenerate", "--form", rad])),
+            ("form radical", _text(["form", "radical", "--form", std])),
+            ("form quotient-lagrangian", _text(["form", "quotient-lagrangian", "--form", std,
+                                                "--gens", twisted]))]
     return out
 
 

@@ -24,11 +24,11 @@ PINNED = {
     "f2 ec8": "caacb3a55321a5d53307eaa9d770e89cdc5efb90cda9a22ed3fa44feb066cd83",
     "f2 radical": "425f978c6ca042a36ca8be6807a14a1e1f46b03f212947d22c495ca78cd72b33",
     "form evaluate": "236c98a678b0d0b76ae33867c0da4f639dff61a18c7ee0776e1d961e569e8c19",
-    "form lagrangian": "c17f001d03ef5d3b77b512284e9330d941aa9185d441ad9744b851cacad59e17",
+    "form lagrangian": "6bf21eac3b192d15e2aa1055c6b08809b6960f6adfd1ab93b0a3badaf7e6e63f",
     "form max-isotropic": "538df5581828786aca502f9654a3b7987c606143753a0dabd3c6a522c108df86",
-    "form nondegenerate": "92ac56b0c80fb6750c15ec12fa943dff71185fd09feab70f4f8c0ef4eb9d07a2",
-    "form quotient-lagrangian": "173b1fa0a0ff844a537aea7fee642efa84b9a7e8d8225a6ea41f9bde35d73e28",
-    "form radical": "baf37438bc8cec2c35c22ede4d4e7f3071f475ce6f73297987a1256dc5478152",
+    "form nondegenerate": "1af9a6f4941c4e280b6a79e6025818fce16e76e39350a68c992d2b06f236d405",
+    "form quotient-lagrangian": "1adb42facffabc7f9547d0036e6785065b11d5be0298fada7c5d1dbc91a2c320",
+    "form radical": "88f83893dd574eb146bcad680d135a2d71cfcbfb584d170d1791467f7b52d5f1",
     "form standard": "544940d5bbca1e8c14171f2b61f92f4e8ea54b916a1b8969b44f709e11d14e93",
     "group char": "136f4bdc6066d5066d070e40590577ce43b3be2b38b3231b7f256b8faab108ca",
     "group dual": "f86eaa5f36eae7c60846454e1c34ce92d77375f97dd2c4a5f5b40dc975a55ec2",
