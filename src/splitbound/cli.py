@@ -121,7 +121,10 @@ def _parse_form(text: str):
         group = finabel.make_group(obj["group"])
         if not isinstance(obj["gram"], list) or not all(isinstance(r, list) for r in obj["gram"]):
             raise InputError("bad form spec: gram must be a list of lists")
-        gram = [[finabel.QmodZ.parse(entry) for entry in row] for row in obj["gram"]]
+        # each distinct literal is parsed once; any other entry goes to parse, which refuses it
+        parse, seen = finabel.QmodZ.parse, {}
+        gram = [[(seen.get(e) or seen.setdefault(e, parse(e))) if type(e) is str else parse(e)
+                 for e in row] for row in obj["gram"]]
     except (TypeError, ValueError, ZeroDivisionError) as ex:
         raise InputError(f"bad form spec: {ex}") from ex
     return qzforms.SkewForm(group, gram)

@@ -119,7 +119,8 @@ class QmodZ:
         if not isinstance(text, str):
             raise TypeError(f"Q/Z literal must be a 'num/den' string, not {text!r}")
         num, _, den = text.partition("/")
-        if _over_digit_bound(num) or _over_digit_bound(den):  # in our words, not int()'s
+        # in our words, not int()'s; no part of a short literal is long
+        if len(text) > MAX_INT_DIGITS and (_over_digit_bound(num) or _over_digit_bound(den)):
             raise ValueError("a Q/Z literal's numerator or denominator has more than"
                              f" {MAX_INT_DIGITS} decimal digits")
         return cls(int(num), int(den) if den else 1)

@@ -74,7 +74,7 @@ __all__ = [
 class SkewForm:
     """Alternating Q/Z-valued bilinear form given by its Gram matrix."""
 
-    __slots__ = ("group", "gram", "_scaled", "_ws", "_radical")
+    __slots__ = ("group", "gram", "_scaled", "_ws", "_radical", "_nondegenerate")
 
     def __init__(self, group: FinAbGroup, gram):
         k = group.rank
@@ -97,6 +97,7 @@ class SkewForm:
         self._scaled = None
         self._ws = None  # always None: perfbench's transfer wrapper reads it
         self._radical = None
+        self._nondegenerate = None
 
     @property
     def exponent(self) -> int:
@@ -241,7 +242,21 @@ def _extend_isotropic(w: SkewForm, s: Subgroup, within: Subgroup) -> Subgroup:
 
 
 def is_nondegenerate(w: SkewForm) -> bool:
-    return radical(w).order == 1
+    """Whether Rad w = 0, decided without building the radical.  The k rows
+    (s_ij * d_j / n)_j of the scaled Gram are the adjoint map A -> A* ~ A,
+    x -> (w(x, e_j) * d_j)_j modulo D = (d_1, ..., d_k), whose kernel is
+    Rad w.  A is finite, so the map is injective iff it is onto, iff every
+    pivot of the Hermite form modulo D of those rows is 1 (|Rad w| is the
+    product of the pivots).  The verdict is kept on the form, and is read
+    from a radical already kept there."""
+    if w._nondegenerate is None:
+        if w._radical is not None:
+            w._nondegenerate = w._radical.order == 1
+        else:
+            inv, n = w.group.invariants, w.exponent
+            rows = [[s * d // n for s, d in zip(row, inv)] for row in w.scaled()]
+            w._nondegenerate = all(r[i] == 1 for i, r in enumerate(_hnf(rows, inv, len(inv))))
+    return w._nondegenerate
 
 
 def restrict(w: SkewForm, s: Subgroup) -> SkewForm:

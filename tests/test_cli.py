@@ -862,6 +862,51 @@ def test_malformed_spec_is_an_input_error(case, tmp_path):
     assert msg == SPEC_MESSAGES.get(case, msg)
 
 
+def _gram_spec(entries) -> str:
+    """A spec on (Z/2)^3 whose Gram entries, row-major, are "0/1", "1/2",
+    "1/2", then the given JSON texts, then "0/1" to the end."""
+    texts = ['"0/1"', '"1/2"', '"1/2"', *entries]
+    texts += ['"0/1"'] * (9 - len(texts))
+    rows = [", ".join(texts[i:i + 3]) for i in (0, 3, 6)]
+    return '{"group": [2, 2, 2], "gram": [%s]}' % ", ".join(f"[{r}]" for r in rows)
+
+
+def test_form_spec_entries_refused_after_repeated_literals():
+    # a Gram literal is parsed once per spec; every other entry is still
+    # refused in row-major order, with parse's own words
+    literal = "bad form spec: Q/Z literal must be a 'num/den' string, not "
+    cases = {
+        ("0",): literal + "0",
+        ("0.5",): literal + "0.5",
+        ("null",): literal + "None",
+        ('["1/2"]',): literal + "['1/2']",
+        ("{}",): literal + "{}",
+        ('"1/2"', '"0/1"', '"x/2"'): "bad form spec: invalid literal for int() with base 10: 'x'",
+        ('"1/2"', '"0/1"', '"1/0"'): "bad form spec: Q/Z denominator must be nonzero",
+        ('"1/2"', "[]", '"1/0"'): literal + "[]",
+        ('"1/2"', '"1/0"', "[]"): "bad form spec: Q/Z denominator must be nonzero",
+    }
+    for entries, msg in cases.items():
+        got = _refused_fast(["form", "radical", "--form", _gram_spec(entries)], "input")
+        assert got == msg, entries
+        assert "unhashable" not in got
+
+
+def test_form_spec_with_repeated_literals_parses_as_entry_by_entry():
+    from splitbound.cli import _parse_form
+    from splitbound.finabel import QmodZ, make_group
+    from splitbound.qzforms import SkewForm
+
+    for spec in (_gram_spec(['"1/2"', '"0/1"', '"1/2"', '"-1/2"', '"3/2"', '"0/2"']),
+                 json.dumps({"group": [6, 12, 12], "gram": [
+                     ["0", "1/6", "-5/6"], ["5/6", "0/1", "7/12"], ["5/6", "-7/12", "0"]]})):
+        obj = json.loads(spec)
+        want = SkewForm(make_group(obj["group"]),
+                        [[QmodZ.parse(e) for e in row] for row in obj["gram"]])
+        got = _parse_form(spec)
+        assert got == want and got.gram == want.gram
+
+
 # -- specific output values ---------------------------------------------------------
 
 def test_group_values():

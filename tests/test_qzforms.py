@@ -237,6 +237,57 @@ def test_radical_on_random_degenerate_forms():
             assert radical(w) == brute_radical(w)
 
 
+def test_nondegeneracy_on_the_adjoint_matches_the_pairing_kernel():
+    # is_nondegenerate's k-column Hermite form against radical's 2k-column
+    # pairing kernel, each on its own copy of the form so that neither reads
+    # a verdict or radical the other kept; on order <= 64 also against
+    # element enumeration
+    import random
+
+    rng = random.Random(40)
+    forms = []
+    for inv in iter_abelian_types(256):  # from rank 0, the trivial group
+        g = make_group(inv)
+        forms += [sparse_random_form(rng, g, share) for share in (0.0, 0.3, 0.6)]
+    forms += [standard_module(make_group(inv)) for inv in iter_abelian_types(8)]
+    verdicts = {}
+    for w in forms:
+        got = is_nondegenerate(w)
+        assert got == (radical(SkewForm(w.group, w.gram)).order == 1), w.gram
+        if w.group.order <= 64:
+            assert got == (brute_radical(w).order == 1), w.gram
+        verdicts.setdefault(w.group.rank, set()).add(got)
+    # a nondegenerate module is B + B*, of even rank
+    want = {k: {True, False} if k % 2 == 0 else {False} for k in range(1, 9)}
+    assert verdicts == {0: {True}, **want}, verdicts
+
+
+def test_nondegeneracy_verdict_is_kept_and_read_from_a_kept_radical(monkeypatch):
+    import splitbound.qzforms as qz
+
+    hnfs, kernels = [], []
+    orig_hnf, orig_kernel = qz._hnf, qz._pairing_kernel
+    monkeypatch.setattr(qz, "_hnf", lambda *a: hnfs.append(a) or orig_hnf(*a))
+    monkeypatch.setattr(
+        qz, "_pairing_kernel", lambda w, rows, m: kernels.append(m) or orig_kernel(w, rows, m)
+    )
+    w = standard_module(make_group([2, 4]))
+    z = zero_form(make_group([2, 2]))
+    for _ in range(3):
+        assert is_nondegenerate(w) and not is_nondegenerate(z)
+    # one k-column Hermite form per form, and no radical
+    assert [len(a[0][0]) for a in hnfs] == [4, 2] and kernels == []
+    assert w._nondegenerate is True and z._nondegenerate is False
+    assert w._radical is None and z._radical is None
+    # a radical kept first gives the verdict: no Hermite form is taken for it
+    for form, order in ((zero_form(make_group([2, 4])), 8),
+                        (standard_module(make_group([3])), 1)):
+        assert radical(form).order == order
+        hnfs.clear()
+        assert is_nondegenerate(form) == (order == 1)
+        assert hnfs == [] and form._nondegenerate == (order == 1)
+
+
 def test_annihilated_matches_brute_force():
     # 0-4 xs against 0-3 ys on random forms of every group of order <= 64,
     # zero rows and dead rows (zero modulo the invariants) among them: the
@@ -1388,14 +1439,17 @@ def test_subgroup_quotient_type_matches_element_table():
     assert pairs == 9754
 
 
-def test_isotropic_transfer_computes_the_radical_once(monkeypatch):
-    # repeated transfers on one form compute its radical once (it is kept
-    # on the form), and a degenerate form is refused every time
+def test_isotropic_transfer_decides_nondegeneracy_once(monkeypatch):
+    # repeated transfers on one form decide its nondegeneracy once (the
+    # verdict is kept on the form) and build no radical, and a degenerate
+    # form is refused every time
     import splitbound.qzforms as qz
 
     fresh = []
-    orig = qz.radical
-    monkeypatch.setattr(qz, "radical", lambda w: fresh.append(w._radical is None) or orig(w))
+    orig = qz.is_nondegenerate
+    monkeypatch.setattr(
+        qz, "is_nondegenerate", lambda w: fresh.append(w._nondegenerate is None) or orig(w)
+    )
     w = standard_module(make_group([2]))
     g = w.group
     full = subgroup_from_generators(g, [g.element((1, 0)), g.element((0, 1))])
@@ -1409,3 +1463,4 @@ def test_isotropic_transfer_computes_the_radical_once(monkeypatch):
         with pytest.raises(DegenerateFormError):
             isotropic_transfer(z, triv2, triv2)
     assert fresh == [True, False, False, True, False]
+    assert w._radical is None and z._radical is None
