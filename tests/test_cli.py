@@ -1185,6 +1185,55 @@ def test_the_shared_parser_carries_nothing_between_calls():
     assert _help(run, ["pgl", "--help"]) == _help(build_parser().parse_args, ["pgl", "--help"])
 
 
+def _sha256(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the stdout of each --help, at 80 columns (CPython 3.11's argparse)
+HELP_DIGESTS = {
+    (): "39d79b83f743a34d10c43555f1a9639b0e20c3e2f4528a8f451571b7e6ab7432",
+    ("group",): "f0d19fdc617855f2097b3e41d7eef51deb46025a464dcab7a44ecd6faa8ff54a",
+    ("form",): "839a49cc7edc18a0ffe667fdbf7aa08239e615f16bee842dd4a70e039caf642c",
+    ("pgl",): "f1575ac3abb49f456a9fa1ab9771d97e78909ed8af171d2e97df5d0d80a8edeb",
+    ("f2",): "d99ce4bab69a98cf1898971066afbe366e5a1a5dafadfb16ed35d071cc60530c",
+    ("obstruct",): "bd01cd117062bcb1320f53a55c0f00bca62b1613916efd85ac3b2ac73cb533e0",
+    ("tables",): "634eadbd0ddadb46a0865b61c64e9df910173c484ca908083ca85f8ea762bd2b",
+    ("verify",): "ea0d3a69ebf36447efd4c4e8a4b722e684bed20e4fc8411747bc620ed1223de8",
+}
+# sha256 of the stderr of a usage error (exit 2, nothing on stdout)
+USAGE_DIGESTS = {
+    (): "28f2d9a708746cd797c75c5fcc978975eed6609d63b9ab9ddc144b6a884f4629",
+    ("group",): "8ca7e6946afc5395248f418b39ab2f02532e3e02222b44f8be68dbd76324eb42",
+    ("group", "nope", "2"): "662d4affe0453e79e9387adf8216ccdd1a14569cd615dbdbed2618e49c8becbd",
+    ("obstruct", "--mode", "x", "--r", "1"):
+        "d784930fe873548b5f5ab00e83ecfa1811b78a4247e114aebc42dd5d108bb224",
+    ("verify", "all", "--seed", "x"):
+        "b613ec7950b9f54d815b90fb1b39a36907e45954ae8f46758c13912d691ec245",
+}
+
+
+def test_help_and_usage_errors_print_the_pinned_bytes(monkeypatch):
+    # the corpus hashes stdout of answers only; this pins what argparse
+    # prints for help and for a usage error, so a parser built another way
+    # must print the same bytes
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def printed(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            run(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    for argv, digest in HELP_DIGESTS.items():
+        code, out, err = printed([*argv, "--help"])
+        assert (code, _sha256(out), err) == (0, digest, ""), argv
+    for argv, digest in USAGE_DIGESTS.items():
+        code, out, err = printed(list(argv))
+        assert (code, out, _sha256(err)) == (2, "", digest), argv
+
+
 def _argparse_reads(parser, argv):
     """vars() of parser.parse_args(argv), or None where it exits (usage
     error or help)."""
