@@ -5,18 +5,18 @@ so identical flags give byte-identical output; --format text renders the
 same data as key: value lines.  Validation and precondition failures exit
 with status 2 and a structured error object; unexpected faults exit 1.
 
-Each handler imports the layers it runs, so a cold call compiles only
-those: importing this module loads `errors` alone.
+Each handler imports the layers it runs, and argparse is built only for help
+and usage errors, so importing this module loads `errors` alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
-from .errors import (MAX_INT_DIGITS, InputError, OutputBoundError, PreconditionError,
-                     SplitboundError, _int_text, _over_digit_bound)
+from .errors import (MAX_INT_DIGITS, OVER_DIGIT_BOUND, InputError, OutputBoundError,
+                     PreconditionError, SplitboundError, _int_text, _over_digit_bound)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -87,11 +87,18 @@ def _spec_int(literal: str) -> int:
     return int(literal)
 
 
+# the most bytes an @file spec may have, about four times the F2 spec of dimension MAX_DIM
+MAX_SPEC_BYTES = 1 << 20
+
+
 def _load_spec(text: str) -> dict:
     if text.startswith("@"):
         try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(text[1:], "rb") as fh:
+                if len(data := fh.read(MAX_SPEC_BYTES + 1)) > MAX_SPEC_BYTES:
+                    raise InputError(f"spec file has more than {MAX_SPEC_BYTES} bytes")
+            # decoded as a text-mode read() decodes: UTF-8, then universal newlines
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except (OSError, UnicodeDecodeError) as ex:
             raise InputError(f"cannot read spec file: {ex}") from ex
     try:
@@ -457,113 +464,115 @@ def _cmd_verify(args, fmt: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# grammar
 # ---------------------------------------------------------------------------
 
-# the suite names verify.run_suite answers
-SUITES = ("isometry", "lagrangian", "ec8", "partitions", "all")
+# The one declaration of the CLI: the top-level options, then per command its
+# help and its (name, argparse keywords) rows.  _fast_parse reads a plain argv
+# off it; build_parser builds argparse from it for help and usage errors.
+TOP = (("--format", {"choices": ("json", "text"), "default": "json"}),)
+GRAMMAR = {
+    "group": ("finite abelian group operations", (
+        ("action", {"choices": ("info", "dual", "char", "span", "quotient", "subgroups",
+                                "embeds", "reduce")}),
+        ("invariants", {"help": "group literal, e.g. 2,4"}),
+        ("--chi", {"help": "character literal, e.g. (1,0)"}),
+        ("--a", {"help": "element literal, e.g. (1,3)"}),
+        ("--gens", {"help": "semicolon-separated element literals"}),
+        ("--tuple", {"help": "semicolon-separated element literals"}),
+        ("--into", {"help": "target group literal for embeds"}),
+        ("--list", {"action": "store_true", "help": "list subgroup bases"}),
+    )),
+    "form": ("Q/Z alternating form operations", (
+        ("action", {"choices": ("standard", "radical", "nondegenerate", "evaluate",
+                                "max-isotropic", "lagrangian", "quotient-lagrangian")}),
+        ("--group", {"help": "group literal (standard)"}),
+        ("--form", {"help": "form spec JSON or @file"}),
+        ("--x", {"help": "element literal"}), ("--y", {"help": "element literal"}),
+        ("--gens", {"help": "semicolon-separated element literals"}),
+    )),
+    "pgl": ("monomial-matrix subgroups of PGL_n", (
+        ("action", {"choices": ("depth", "toral", "alpha", "element")}),
+        ("--group", {"required": True, "help": "group literal for A"}),
+        ("--a", {"help": "element literal (element action)"}),
+        ("--chi", {"help": "character literal (element action)"}),
+        ("--elements", {"help": "generators '(a|chi);(a|chi)' inside phi(A x A*); "
+                                "defaults to the full image"}),
+    )),
+    "f2": ("quadratic forms over GF(2)", (
+        ("action", {"choices": ("census", "ec8", "count", "decompose", "radical")}),
+        ("--lemma", {"choices": ("quad",), "help": "named census"}),
+        ("--by-class", {"action": "store_true",
+                        "help": "emit {class, count} rows instead of the count set"}),
+        ("--e8-torus", {"action": "store_true", "help": "torus involution census"}),
+        ("--form", {"help": "form spec JSON or @file"}),
+    )),
+    "obstruct": ("crossed-product obstruction bounds", (
+        ("--mode", {"required": True,
+                    "choices": ("thm13", "f", "fe", "min-partition", "compare")}),
+        ("--p", {"type": int, "default": 2}), ("--r", {"type": int, "required": True}),
+        ("--e", {"type": int, "default": 0}),
+        ("--rank1", {"type": int, "default": None,
+                     "help": "rank of the elementary module in compare mode"}),
+    )),
+    "tables": ("torsion primes and splitting bounds", (
+        ("action", {"choices": ("torsion", "tits", "check", "divisors", "quadform", "dump")}),
+        ("--type", {"help": "series: A B C D G2 F4 E6 E7 E8"}),
+        ("--rank", {"type": int, "default": None, "help": "series rank n"}),
+        ("--adjoint", {"action": "store_true", "help": "not simply connected"}),
+        ("--p", {"type": int, "help": "prime (check)"}),
+        ("--d", {"type": int, "help": "depth (check)"}),
+        ("--n", {"type": int, "help": "form dimension (quadform)"}),
+        ("--det-one", {"action": "store_true", "help": "determinant-one forms"}),
+    )),
+    "verify": ("replay named invariant suites", (
+        ("suite", {"choices": ("isometry", "lagrangian", "ec8", "partitions", "all")}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="splitbound",
-        description="Exact computations on symplectic modules, abelian "
-        "subgroups of PGL_n, F2 quadratic forms, and splitting bounds.",
-    )
-    top.add_argument("--format", choices=("json", "text"), default="json")
+def build_parser():
+    """An argparse parser of GRAMMAR, new on each call; run() builds one
+    only for an argv _fast_parse leaves to argparse (help or an error)."""
+    import argparse
+
+    top = argparse.ArgumentParser(prog="splitbound", description="Exact computations on"
+                                  " symplectic modules, abelian subgroups of PGL_n, F2"
+                                  " quadratic forms, and splitting bounds.")
+    for name, keywords in TOP:
+        top.add_argument(name, **keywords)
     sub = top.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("group", help="finite abelian group operations")
-    g.add_argument("action", choices=(
-        "info", "dual", "char", "span", "quotient", "subgroups", "embeds", "reduce"))
-    g.add_argument("invariants", help="group literal, e.g. 2,4")
-    g.add_argument("--chi", help="character literal, e.g. (1,0)")
-    g.add_argument("--a", help="element literal, e.g. (1,3)")
-    g.add_argument("--gens", help="semicolon-separated element literals")
-    g.add_argument("--tuple", help="semicolon-separated element literals")
-    g.add_argument("--into", help="target group literal for embeds")
-    g.add_argument("--list", action="store_true", help="list subgroup bases")
-
-    f = sub.add_parser("form", help="Q/Z alternating form operations")
-    f.add_argument("action", choices=(
-        "standard", "radical", "nondegenerate", "evaluate", "max-isotropic",
-        "lagrangian", "quotient-lagrangian"))
-    f.add_argument("--group", help="group literal (standard)")
-    f.add_argument("--form", help="form spec JSON or @file")
-    f.add_argument("--x", help="element literal")
-    f.add_argument("--y", help="element literal")
-    f.add_argument("--gens", help="semicolon-separated element literals")
-
-    p = sub.add_parser("pgl", help="monomial-matrix subgroups of PGL_n")
-    p.add_argument("action", choices=("depth", "toral", "alpha", "element"))
-    p.add_argument("--group", required=True, help="group literal for A")
-    p.add_argument("--a", help="element literal (element action)")
-    p.add_argument("--chi", help="character literal (element action)")
-    p.add_argument(
-        "--elements",
-        help="generators '(a|chi);(a|chi)' inside phi(A x A*); "
-        "defaults to the full image",
-    )
-
-    q = sub.add_parser("f2", help="quadratic forms over GF(2)")
-    q.add_argument("action", choices=("census", "ec8", "count", "decompose", "radical"))
-    q.add_argument("--lemma", choices=("quad",), help="named census")
-    q.add_argument("--by-class", action="store_true",
-                   help="emit {class, count} rows instead of the count set")
-    q.add_argument("--e8-torus", action="store_true", help="torus involution census")
-    q.add_argument("--form", help="form spec JSON or @file")
-
-    o = sub.add_parser("obstruct", help="crossed-product obstruction bounds")
-    o.add_argument("--mode", required=True,
-                   choices=("thm13", "f", "fe", "min-partition", "compare"))
-    o.add_argument("--p", type=int, default=2)
-    o.add_argument("--r", type=int, required=True)
-    o.add_argument("--e", type=int, default=0)
-    o.add_argument("--rank1", type=int, default=None,
-                   help="rank of the elementary module in compare mode")
-
-    t = sub.add_parser("tables", help="torsion primes and splitting bounds")
-    t.add_argument("action", choices=("torsion", "tits", "check", "divisors",
-                                      "quadform", "dump"))
-    t.add_argument("--type", help="series: A B C D G2 F4 E6 E7 E8")
-    t.add_argument("--rank", type=int, default=None, help="series rank n")
-    t.add_argument("--adjoint", action="store_true",
-                   help="not simply connected")
-    t.add_argument("--p", type=int, help="prime (check)")
-    t.add_argument("--d", type=int, help="depth (check)")
-    t.add_argument("--n", type=int, help="form dimension (quadform)")
-    t.add_argument("--det-one", action="store_true", help="determinant-one forms")
-
-    v = sub.add_parser("verify", help="replay named invariant suites")
-    v.add_argument("suite", choices=SUITES)
-    v.add_argument("--seed", type=int, default=0)
-
+    for command, (text, rows) in GRAMMAR.items():
+        parser = sub.add_parser(command, help=text)
+        for name, keywords in rows:
+            parser.add_argument(name, **keywords)
     return top
 
 
-def _declared(parser, skip=None):
-    """(options by option string, positionals, defaults by dest, required
-    options) of parser's actions: store with one str or int value, and
-    store_true.  -h is left to argparse; a parser with any other action is
-    argparse's alone (None)."""
-    options, positionals, defaults = {}, [], {}
-    for a in parser._actions:
-        if type(a) is argparse._HelpAction or a is skip:
-            continue
-        if not (type(a) is argparse._StoreTrueAction or type(a) is argparse._StoreAction
-                and a.nargs is None and a.type in (None, int)
-                and not (a.type and isinstance(a.default, str))):
+def _declared(rows):
+    """(options by name, positionals, defaults by dest, required option names)
+    of one parser's rows, each option and positional as (dest, keywords):
+    store with one str or int value, and store_true.  -h is left to argparse;
+    rows with any other keyword are argparse's alone (None)."""
+    options, defaults = {}, {}
+    for name, kw in rows:
+        if not (kw.keys() <= {"help", "choices", "type", "default", "required", "action"}
+                and kw.get("action", "store_true") == "store_true" and kw.get("type", int) is int
+                and not ("type" in kw and isinstance(kw.get("default"), str))):
             return None
-        defaults[a.dest] = a.default
-        options.update(dict.fromkeys(a.option_strings, a))
-        positionals += [] if a.option_strings else [a]
-    return options, positionals, defaults, {a for a in options.values() if a.required}
+        # argparse's dests: an option's name without its dashes, '-' read as '_'
+        dest = name.lstrip("-").replace("-", "_") if name.startswith("-") else name
+        defaults[dest] = kw.get("default", False if "action" in kw else None)
+        options[name] = dest, kw
+    positionals = [options.pop(name) for name, _ in rows if not name.startswith("-")]
+    return options, positionals, defaults, {n for n, (_, k) in options.items() if k.get("required")}
 
 
-def _value(action, text: str):
-    """argparse's value for text given to action; ValueError where it refuses text."""
-    value = text if action.type is None else action.type(text)
-    if text.startswith("-") or action.choices is not None and value not in action.choices:
+def _value(kw: dict, text: str):
+    """argparse's value for text given to a row; ValueError where it refuses text."""
+    value = int(text) if "type" in kw else text
+    if text.startswith("-") or "choices" in kw and value not in kw["choices"]:
         raise ValueError(text)
     return value
 
@@ -574,46 +583,40 @@ def _read(declared, tokens, values: dict) -> None:
     values.update(defaults)
     seen, args, tokens = set(), [], iter(tokens)
     for tok in tokens:
-        a = options.get(tok)
-        if a is None or a in seen:  # _value refuses a repeated option as a positional
+        if tok not in options or tok in seen:  # _value refuses a repeated option as a positional
             args.append(tok)
         else:  # an option with no value left gets "-", which _value refuses
-            seen.add(a)
-            values[a.dest] = a.const if a.nargs == 0 else _value(a, next(tokens, "-"))
+            seen.add(tok)
+            dest, kw = options[tok]
+            values[dest] = True if "action" in kw else _value(kw, next(tokens, "-"))
     if not required <= seen:
         raise ValueError(tokens)
-    for a, text in zip(positionals, args, strict=True):  # ValueError on a count mismatch
-        values[a.dest] = _value(a, text)
+    for (dest, kw), text in zip(positionals, args, strict=True):  # ValueError on a count mismatch
+        values[dest] = _value(kw, text)
+
+
+_TABLE = _declared(TOP), {command: _declared(rows) for command, (_, rows) in GRAMMAR.items()}
 
 
 def _fast_parse(argv: list):
-    """_PARSER.parse_args(argv) read off _TABLE for a plain argv: an optional
-    leading --format, a command, its positionals, and each declared option at
-    most once, as `--name value` (value not starting with '-') or a bare flag.
-    None for any other argv, so argparse keeps help, usage and every error."""
+    """build_parser().parse_args(argv) read off _TABLE for a plain argv: an optional
+    leading --format, a command, its positionals, and each declared option at most
+    once, as `--name value` (value not starting with '-') or a bare flag.  None for
+    any other argv, so argparse keeps help, usage and every error."""
     head, commands = _TABLE
     i = 0
     while head and i < len(argv) and argv[i] in head[0]:
-        i += 1 if head[0][argv[i]].nargs == 0 else 2
+        i += 1 if "action" in head[0][argv[i]][1] else 2
     if not head or i >= len(argv) or commands.get(argv[i]) is None:
         return None
-    values = {_SUBPARSERS.dest: argv[i]}
+    values = {"command": argv[i]}
     try:
         _read(head, argv[:i], values)
         _read(commands[argv[i]], argv[i + 1:], values)
     except ValueError:
         return None
-    args = argparse.Namespace()
-    vars(args).update(values)  # what Namespace(**values) does, one setattr at a time
-    return args
+    return SimpleNamespace(**values)
 
-
-# One parser serves every run() in the process: parse_args returns a new
-# Namespace each call and keeps nothing from the last.  It is built here, not
-# on first use, so a wrapper around build_parser never ends up on it.
-_PARSER = build_parser()
-_SUBPARSERS = next(a for a in _PARSER._actions if type(a) is argparse._SubParsersAction)
-_TABLE = _declared(_PARSER, _SUBPARSERS), {n: _declared(p) for n, p in _SUBPARSERS.choices.items()}
 
 _HANDLERS = {
     "group": _cmd_group,
@@ -643,10 +646,7 @@ def _emit(obj: dict, fmt: str) -> None:
         else:
             text = "".join(line + "\n" for line in lines("", obj))
     except ValueError as ex:
-        raise OutputBoundError(
-            f"the result has an integer of more than {MAX_INT_DIGITS} decimal digits"
-            " (the int-to-str limit)"
-        ) from ex
+        raise OutputBoundError(OVER_DIGIT_BOUND) from ex
     sys.stdout.write(text)
 
 
@@ -659,7 +659,7 @@ def run(argv=None) -> int:
     sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        args = _fast_parse(argv) or _PARSER.parse_args(argv)
+        args = _fast_parse(argv) or build_parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args, args.format)
         _emit(_HANDLERS[args.command](args), args.format)

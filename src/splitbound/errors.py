@@ -11,6 +11,10 @@ from math import log10
 # The most decimal digits an integer read or printed may have (CPython's default
 # int-to-str limit); cli.run holds the interpreter's limit to it for each call.
 MAX_INT_DIGITS = 4300
+# The refusal of a result with an integer above that bound, whether the CLI
+# meets it printing the result or a library call before forming the integer.
+OVER_DIGIT_BOUND = (f"the result has an integer of more than {MAX_INT_DIGITS} decimal digits"
+                    " (the int-to-str limit)")
 
 
 class SplitboundError(Exception):

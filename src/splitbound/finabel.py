@@ -830,25 +830,12 @@ def _unit_rows(k: int):
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
-def _nonunit_block(basis, k: int):
-    """The non-unit block of a Hermite basis: its rows and columns at the
-    indices i with pivot h_i > 1.
-
-    Entries above a pivot are reduced modulo it, so a unit pivot's column
-    is e_i; column steps then clear the rest of its row, and that row and
-    column split off Z^k / rowspan(basis) as a trivial factor.  So A/S is
-    the cokernel of this block alone, and a function of it.
-    """
-    kept = [i for i in range(k) if basis[i][i] != 1]
-    return tuple([tuple([basis[i][j] for j in kept]) for i in kept])
-
-
 def quotient(a: FinAbGroup, s: Subgroup) -> FinAbGroup:
-    """Invariant factors of A/S."""
+    """Invariant factors of A/S: the cokernel of S's Hermite basis, whose
+    order is |A| / |S|."""
     if s.ambient != a:
         raise AmbientMismatchError("subgroup of a different group")
-    rows = _nonunit_block(s.basis, a.rank)
-    return FinAbGroup(_cokernel_invariants(rows, len(rows), a.order // s.order))
+    return FinAbGroup(_cokernel_invariants(s.basis, a.rank, a.order // s.order))
 
 
 # -- exhaustive subgroup enumeration ----------------------------------------

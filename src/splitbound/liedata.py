@@ -11,7 +11,8 @@ from __future__ import annotations
 from importlib import resources
 from math import prod
 
-from .errors import PreconditionError, UnsupportedTypeError
+from .errors import (MAX_INT_DIGITS, OVER_DIGIT_BOUND, OutputBoundError, PreconditionError,
+                     UnsupportedTypeError)
 
 _EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
 _SERIES = ("A", "B", "C", "D") + _EXCEPTIONAL
@@ -55,25 +56,27 @@ class GroupDescriptor:
         return base + ("" if self.simply_connected else " (adjoint form)")
 
 
-# formula tokens appearing in the table, mapped to exact evaluators; the
-# v2 rows serve C_n and D_n, whose n >= 1, and there 2^v2(n) is n & -n
+# formula tokens appearing in the table, mapped to exact evaluators of
+# (e, m) with value 2^e * m, so a power of two at a large rank stays its
+# exponent; the v2 rows serve C_n and D_n, whose n >= 1, and there v2(n) + 1
+# is the bit length of n & -n
 _FORMULAS = {
-    "1": lambda n: 1,
-    "2": lambda n: 2,
-    "6": lambda n: 6,
-    "12": lambda n: 12,
-    "n+1": lambda n: n + 1,
-    "2^n": lambda n: 2 ** n,
-    "2^max(1,n-4)": lambda n: 2 ** max(1, n - 4),
-    "2^max(1,n-5)": lambda n: 2 ** max(1, n - 5),
-    "2^(v2(n)+1)": lambda n: 2 * (n & -n),
-    "2^(v2(n)+n)": lambda n: (n & -n) << n,
-    "2*3^4": lambda n: 2 * 3 ** 4,
-    "2^5*3": lambda n: 2 ** 5 * 3,
-    "2^7*3^3*5": lambda n: 2 ** 7 * 3 ** 3 * 5,
-    "2^7*3*5": lambda n: 2 ** 7 * 3 * 5,
-    "2^6*3^2*5": lambda n: 2 ** 6 * 3 ** 2 * 5,
-    "2^4*3^3*5": lambda n: 2 ** 4 * 3 ** 3 * 5,
+    "1": lambda n: (0, 1),
+    "2": lambda n: (1, 1),
+    "6": lambda n: (1, 3),
+    "12": lambda n: (2, 3),
+    "n+1": lambda n: (0, n + 1),
+    "2^n": lambda n: (n, 1),
+    "2^max(1,n-4)": lambda n: (max(1, n - 4), 1),
+    "2^max(1,n-5)": lambda n: (max(1, n - 5), 1),
+    "2^(v2(n)+1)": lambda n: ((n & -n).bit_length(), 1),
+    "2^(v2(n)+n)": lambda n: ((n & -n).bit_length() - 1 + n, 1),
+    "2*3^4": lambda n: (1, 3 ** 4),
+    "2^5*3": lambda n: (5, 3),
+    "2^7*3^3*5": lambda n: (7, 3 ** 3 * 5),
+    "2^7*3*5": lambda n: (7, 3 * 5),
+    "2^6*3^2*5": lambda n: (6, 3 ** 2 * 5),
+    "2^4*3^3*5": lambda n: (4, 3 ** 3 * 5),
 }
 
 
@@ -147,9 +150,8 @@ def torsion_primes(g: GroupDescriptor) -> set[int]:
     return set(_TORSION[_torsion_key(g)])
 
 
-def tits_n(g: GroupDescriptor) -> int:
-    """Upper splitting bound n(G): every variety of this type splits over
-    an extension of degree dividing the returned value."""
+def _tits_factors(g: GroupDescriptor) -> tuple[int, int]:
+    """(e, m) with n(G) = 2^e * m, as the table's formula gives them."""
     key = g.series if g.series in _EXCEPTIONAL else f"{g.series}_n"
     sc, nsc = _TITS[key]
     token = sc if g.simply_connected else nsc
@@ -158,14 +160,31 @@ def tits_n(g: GroupDescriptor) -> int:
     return _FORMULAS[token](g.n or 0)
 
 
+def tits_n(g: GroupDescriptor) -> int:
+    """Upper splitting bound n(G): every variety of this type splits over
+    an extension of degree dividing the returned value.  A value of more
+    than MAX_INT_DIGITS decimal digits is refused (OutputBoundError) before
+    it is formed: below 2^(4 * MAX_INT_DIGITS) it is compared, above it is
+    past 10^MAX_INT_DIGITS already."""
+    e, m = _tits_factors(g)
+    if e + m.bit_length() > 4 * MAX_INT_DIGITS or m << e >= 10 ** MAX_INT_DIGITS:
+        raise OutputBoundError(OVER_DIGIT_BOUND)
+    return m << e
+
+
 def depth_consistency(g: GroupDescriptor, p: int, d: int) -> bool:
     """Whether a depth-d abelian p-subgroup is consistent with n(G):
-    p^d must divide the tabulated splitting bound (d <= its p-exponent)."""
+    p^d must divide the tabulated splitting bound (d <= its p-exponent).
+    With p = 2^a * q and n(G) = 2^(e + b) * r, q and r odd, that is
+    a * d <= e + b and q^d | r: no power of 2 is formed."""
     from .finabel import _valuation
 
     if p < 2 or d < 0:
         raise PreconditionError("need p >= 2 and d >= 0")
-    return d <= _valuation(tits_n(g), p)
+    e, m = _tits_factors(g)
+    a, b = _valuation(p, 2), _valuation(m, 2)
+    q, r = p >> a, m >> b
+    return a * d <= e + b and (q == 1 or d <= _valuation(r, q))
 
 
 def quadform_split_exponents(n: int, det_one: bool) -> tuple[int, int]:
@@ -181,7 +200,7 @@ def quadform_split_exponents(n: int, det_one: bool) -> tuple[int, int]:
 def e8_candidates() -> tuple[list[int], str]:
     """The three candidate splitting bounds for E8 and how the tabulated
     entry resolves them (their lcm; which one is correct is unknown)."""
-    values = [_FORMULAS[token](0) for token in _E8_CANDIDATES]
+    values = [m << e for e, m in (_FORMULAS[token](0) for token in _E8_CANDIDATES)]
     return values, _E8_RESOLUTION
 
 

@@ -121,9 +121,11 @@ def _coordinate_splits(k: int):
 def _quotient_classes(inv: tuple[int, ...]):
     """(V, B, quotient type, number of bases) for each unit-pivot set V
     and each non-unit block B: a Hermite basis over the other coordinates
-    whose every pivot lies above 1, as in finabel._nonunit_block.
+    whose every pivot lies above 1.
 
-    The non-unit rows are 0 in the unit columns, so a basis of the class
+    Entries above a unit pivot are reduced modulo 1, so its column is e_i,
+    and its row and column split off the cokernel as a trivial factor: the
+    quotient type is the cokernel of B.  The non-unit rows are 0 in the unit columns, so a basis of the class
     is B with a unit row e_i + x at each i in V, x a reduced vector on the
     non-unit coordinates after i with d_i * x in the lattice of B_>i: an
     element of A_>i / B_>i killed by d_i, of which there are

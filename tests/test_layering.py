@@ -285,7 +285,7 @@ def test_imported_modules_are_found_in_every_form(tmp_path):
 
 # What a fresh interpreter holds of the package after `import
 # splitbound.cli` and one run(argv): the command's own layers and the ones
-# they import, nothing else.
+# they import, nothing else, and no argparse.
 LOADED_BY_CLI = {"splitbound", "splitbound.cli", "splitbound.errors"}
 FORM_2_2 = '{"group": [2, 2], "gram": [["0/1", "1/2"], ["1/2", "0/1"]]}'
 COMMAND_LAYERS = [
@@ -306,14 +306,19 @@ import splitbound.cli
 argv = json.loads(sys.argv[1])
 if argv is not None:
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        assert splitbound.cli.run(argv) == 0, argv
-print(json.dumps([m for m in sys.modules if m.partition(".")[0] == "splitbound"]))
+        try:
+            code = splitbound.cli.run(argv)
+        except SystemExit as exc:  # help
+            code = exc.code
+        assert code == 0, argv
+print(json.dumps([m for m in sys.modules if m.partition(".")[0] in ("splitbound", "argparse")]))
 """
 
 
 def loaded_modules(argv):
-    """The splitbound modules a fresh interpreter holds after importing
-    splitbound.cli and, unless argv is None, running that argv."""
+    """The splitbound modules, and argparse if loaded, that a fresh
+    interpreter holds after importing splitbound.cli and, unless argv is
+    None, running that argv."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", _LOAD_PROBE, json.dumps(argv)],
                           capture_output=True, env=env, timeout=120, check=True)
@@ -324,6 +329,8 @@ def test_each_command_loads_only_its_layers():
     for argv, layers in COMMAND_LAYERS:
         want = LOADED_BY_CLI | {f"splitbound.{m}" for m in layers}
         assert loaded_modules(argv) == want, argv
+    # a plain argv is read off the grammar: argparse is loaded for help alone
+    assert loaded_modules(["tables", "--help"]) == LOADED_BY_CLI | {"argparse"}
 
 
 def test_package_names_are_read_from_their_modules():
