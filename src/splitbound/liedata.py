@@ -164,10 +164,11 @@ def tits_n(g: GroupDescriptor) -> int:
     """Upper splitting bound n(G): every variety of this type splits over
     an extension of degree dividing the returned value.  A value of more
     than MAX_INT_DIGITS decimal digits is refused (OutputBoundError) before
-    it is formed: below 2^(4 * MAX_INT_DIGITS) it is compared, above it is
-    past 10^MAX_INT_DIGITS already."""
+    it is formed: 2^(3D) < 10^D < 2^(4D) for D = MAX_INT_DIGITS, so only a
+    value of 3D to 4D bits is formed and compared with 10^D."""
     e, m = _tits_factors(g)
-    if e + m.bit_length() > 4 * MAX_INT_DIGITS or m << e >= 10 ** MAX_INT_DIGITS:
+    bits = e + m.bit_length()
+    if bits > 4 * MAX_INT_DIGITS or bits > 3 * MAX_INT_DIGITS and m << e >= 10 ** MAX_INT_DIGITS:
         raise OutputBoundError(OVER_DIGIT_BOUND)
     return m << e
 
