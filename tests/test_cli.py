@@ -1056,10 +1056,10 @@ def test_tits_bounds_at_large_ranks_form_no_power_of_two():
 
     for series in ("B", "D"):
         for rank in (10 ** 8, 10 ** 10):
-            head = ["tables", "--type", series, "--rank", str(rank), "--adjoint"]
-            assert _refused_fast([*head[:1], "tits", *head[1:]], "output-bound") == OVER_DIGIT_BOUND
+            flags = ["--type", series, "--rank", str(rank), "--adjoint"]
+            assert _refused_fast(["tables", "tits", *flags], "output-bound") == OVER_DIGIT_BOUND
             for d, divides in ((rank, True), (2 * rank, False)):
-                argv = [*head[:1], "check", *head[1:], "--p", "2", "--d", str(d)]
+                argv = ["tables", "check", *flags, "--p", "2", "--d", str(d)]
                 assert _answered_fast(argv) == {"divides": divides}, argv
 
 
